@@ -49,6 +49,24 @@ def extinction_coefficient(water: WaterType) -> float:
     return _EXTINCTION_PER_M[water]
 
 
+def require_finite(error, **values) -> None:
+    """Raise ``error`` unless each value is a finite real number.
+
+    A tuple or list value is checked element by element; None (an unset
+    optional) passes, and bools are not numbers here.
+    """
+    for name, value in values.items():
+        for number in value if isinstance(value, (tuple, list)) else (value,):
+            if number is None:
+                continue
+            if (
+                isinstance(number, bool)
+                or not isinstance(number, (int, float))
+                or not math.isfinite(number)
+            ):
+                raise error(f"{name} must be a finite number, got {value!r}")
+
+
 def extinction_from_components(absorption: float, scattering: float) -> float:
     """Total extinction as the sum of absorption and scattering, in 1/m."""
     if absorption < 0.0 or scattering < 0.0:
@@ -79,6 +97,7 @@ class ChannelParams:
     divergence_angle: float = math.radians(60.0)
 
     def __post_init__(self):
+        require_finite(ValueError, **vars(self))
         if self.extinction is None:
             if self.absorption is not None and self.scattering is not None:
                 resolved = extinction_from_components(self.absorption, self.scattering)
@@ -134,6 +153,7 @@ class ReceiverNoise:
     data_rate: float = 1e6
 
     def __post_init__(self):
+        require_finite(ValueError, **vars(self))
         if self.dark_count_rate < 0.0 or self.background_rate < 0.0:
             raise ValueError("noise rates must be >= 0")
         if not 0.0 <= self.detector_efficiency <= 1.0:
@@ -152,6 +172,7 @@ class PhysicalConstants:
     light_speed_water: float = LIGHT_SPEED_WATER
 
     def __post_init__(self):
+        require_finite(ValueError, **vars(self))
         if self.planck <= 0.0 or self.light_speed_water <= 0.0:
             raise ValueError("physical constants must be > 0")
         if self.light_speed_water >= LIGHT_SPEED_VACUUM:

@@ -15,7 +15,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .channel import ChannelParams, WaterType, extinction_coefficient, received_power_los, single_link_ber
@@ -36,14 +36,12 @@ ALL_WATERS = (WaterType.CLEAR_OCEAN, WaterType.COASTAL_OCEAN, WaterType.TURBID_H
 
 @dataclass(frozen=True)
 class OutputRecordSet:
-    """A typed table: schema id, (name, kind) columns and value rows.
+    """A typed table: (name, kind) columns and value rows.
 
     Kinds are str / int / float / bool.  Floats serialize as ``%.8e``,
-    bools as true/false, None as the empty cell; parsing inverts this, so
-    emit -> parse -> emit is byte-stable.
+    bools as true/false, None as the empty cell.
     """
 
-    schema_id: str
     columns: tuple[tuple[str, str], ...]
     rows: tuple[tuple, ...]
 
@@ -65,22 +63,6 @@ class OutputRecordSet:
     def write(self, path) -> None:
         Path(path).write_text(self.to_text(), encoding="utf-8", newline="\n")
 
-    @classmethod
-    def parse(cls, text: str, schema_id: str, columns) -> "OutputRecordSet":
-        lines = text.splitlines()
-        header = ",".join(name for name, _ in columns)
-        if not lines or lines[0] != header:
-            raise ValueError(f"unexpected header for schema {schema_id}")
-        rows = []
-        for line in lines[1:]:
-            cells = line.split(",")
-            if len(cells) != len(columns):
-                raise ValueError(f"row width {len(cells)} != schema width {len(columns)}")
-            rows.append(
-                tuple(_parse_cell(cell, kind) for cell, (_, kind) in zip(cells, columns))
-            )
-        return cls(schema_id=schema_id, columns=tuple(columns), rows=tuple(rows))
-
 
 def _format_cell(value, kind: str) -> str:
     if value is None:
@@ -92,18 +74,6 @@ def _format_cell(value, kind: str) -> str:
     if kind == "bool":
         return "true" if value else "false"
     return str(value)
-
-
-def _parse_cell(cell: str, kind: str):
-    if cell == "":
-        return None
-    if kind == "float":
-        return float(cell)
-    if kind == "int":
-        return int(cell)
-    if kind == "bool":
-        return cell == "true"
-    return cell
 
 
 LINK_BUDGET_COLUMNS = (
@@ -120,9 +90,7 @@ BER_SWEEP_COLUMNS = (
     ("ber", "float"),
 )
 
-ROUTE_SUMMARY_COLUMNS = (
-    ("protocol", "str"),
-    ("seed", "int"),
+METRIC_COLUMNS = (
     ("success", "bool"),
     ("failure_reason", "str"),
     ("hop_count", "int"),
@@ -133,20 +101,14 @@ ROUTE_SUMMARY_COLUMNS = (
     ("wall_clock_ns", "int"),
 )
 
+ROUTE_SUMMARY_COLUMNS = (("protocol", "str"), ("seed", "int")) + METRIC_COLUMNS
+
 CAMPAIGN_TRIAL_COLUMNS = (
     ("protocol", "str"),
     ("n_nodes", "int"),
     ("realization", "int"),
     ("seed", "int"),
-    ("success", "bool"),
-    ("failure_reason", "str"),
-    ("hop_count", "int"),
-    ("e2e_ber", "float"),
-    ("e2e_delay_s", "float"),
-    ("total_distance_m", "float"),
-    ("evaluations", "int"),
-    ("wall_clock_ns", "int"),
-)
+) + METRIC_COLUMNS
 
 CAMPAIGN_AGGREGATE_COLUMNS = (
     ("protocol", "str"),
@@ -164,14 +126,11 @@ CAMPAIGN_AGGREGATE_COLUMNS = (
 
 def _sweep_params(base: ChannelParams, water: WaterType, divergence_deg: float) -> ChannelParams:
     """Base channel parameters with extinction and divergence pinned by the sweep."""
-    return ChannelParams(
-        wavelength=base.wavelength,
+    return replace(
+        base,
         extinction=extinction_coefficient(water),
-        tx_power=base.tx_power,
-        tx_efficiency=base.tx_efficiency,
-        rx_efficiency=base.rx_efficiency,
-        aperture_area=base.aperture_area,
-        trajectory_angle=base.trajectory_angle,
+        absorption=None,
+        scattering=None,
         divergence_angle=math.radians(divergence_deg),
     )
 
@@ -187,7 +146,7 @@ def cmd_link_budget(config: SimulationConfig, distances, waters, divergences_deg
                 rows.append(
                     (water.value, div_deg, distance, received_power_los(params, distance))
                 )
-    return OutputRecordSet("link_budget", LINK_BUDGET_COLUMNS, tuple(rows))
+    return OutputRecordSet(LINK_BUDGET_COLUMNS, tuple(rows))
 
 
 def cmd_ber_sweep(config: SimulationConfig, distances, waters, divergences_deg) -> OutputRecordSet:
@@ -201,7 +160,7 @@ def cmd_ber_sweep(config: SimulationConfig, distances, waters, divergences_deg) 
                 power = received_power_los(params, distance)
                 ber = single_link_ber(power, config.noise, params, config.constants)
                 rows.append((water.value, div_deg, distance, ber))
-    return OutputRecordSet("ber_sweep", BER_SWEEP_COLUMNS, tuple(rows))
+    return OutputRecordSet(BER_SWEEP_COLUMNS, tuple(rows))
 
 
 def _require_sweep(distances, waters, divergences_deg):
@@ -211,57 +170,44 @@ def _require_sweep(distances, waters, divergences_deg):
         raise ConfigError("distances must be > 0")
 
 
+def _metric_cells(metric) -> tuple:
+    """The METRIC_COLUMNS cells of one TrialMetrics, in column order."""
+    return (
+        metric.success,
+        metric.failure_reason.value if metric.failure_reason else None,
+        metric.hop_count,
+        metric.e2e_ber,
+        metric.e2e_delay_s,
+        metric.total_distance_m,
+        metric.evaluations,
+        metric.wall_clock_ns,
+    )
+
+
 def cmd_route(config: SimulationConfig, seed: int):
     """One trial at the given trial seed: summary rows plus route dumps."""
     result = run_single(config, seed)
     rows = []
     dumps = {}
     for metric in result.metrics:
-        rows.append(
-            (
-                metric.protocol.value,
-                seed,
-                metric.success,
-                metric.failure_reason.value if metric.failure_reason else None,
-                metric.hop_count,
-                metric.e2e_ber,
-                metric.e2e_delay_s,
-                metric.total_distance_m,
-                metric.evaluations,
-                metric.wall_clock_ns,
-            )
-        )
+        rows.append((metric.protocol.value, seed) + _metric_cells(metric))
         outcome = result.outcomes[metric.protocol]
         if outcome.success:
             dumps[metric.protocol] = route_dump_lines(
                 metric.protocol, result.graph, outcome.route
             )
-    summary = OutputRecordSet("route_summary", ROUTE_SUMMARY_COLUMNS, tuple(rows))
+    summary = OutputRecordSet(ROUTE_SUMMARY_COLUMNS, tuple(rows))
     return summary, dumps
 
 
 def cmd_campaign(config: SimulationConfig, n_workers=None):
     """Full campaign: per-trial and aggregate record sets."""
     result = run_campaign(config, n_workers=n_workers)
-    trial_rows = []
-    for record in result.records:
-        metric = record.metrics
-        trial_rows.append(
-            (
-                metric.protocol.value,
-                record.n_nodes,
-                record.realization,
-                record.seed,
-                metric.success,
-                metric.failure_reason.value if metric.failure_reason else None,
-                metric.hop_count,
-                metric.e2e_ber,
-                metric.e2e_delay_s,
-                metric.total_distance_m,
-                metric.evaluations,
-                metric.wall_clock_ns,
-            )
-        )
+    trial_rows = [
+        (record.metrics.protocol.value, record.n_nodes, record.realization, record.seed)
+        + _metric_cells(record.metrics)
+        for record in result.records
+    ]
     aggregate_rows = [
         (
             stats.protocol.value,
@@ -277,10 +223,8 @@ def cmd_campaign(config: SimulationConfig, n_workers=None):
         )
         for stats in result.aggregates
     ]
-    trials = OutputRecordSet("campaign_trials", CAMPAIGN_TRIAL_COLUMNS, tuple(trial_rows))
-    aggregate = OutputRecordSet(
-        "campaign_aggregate", CAMPAIGN_AGGREGATE_COLUMNS, tuple(aggregate_rows)
-    )
+    trials = OutputRecordSet(CAMPAIGN_TRIAL_COLUMNS, tuple(trial_rows))
+    aggregate = OutputRecordSet(CAMPAIGN_AGGREGATE_COLUMNS, tuple(aggregate_rows))
     return trials, aggregate
 
 

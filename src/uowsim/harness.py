@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import ChannelParams, PhysicalConstants, ReceiverNoise, WaterType
+from .channel import ChannelParams, PhysicalConstants, ReceiverNoise, WaterType, require_finite
 from .metrics import DelayModel, TrialMetrics, collect_trial
 from .routing import (
     FailureReason,
@@ -80,17 +80,27 @@ class SimulationConfig:
             if not counts:
                 raise ConfigError("node_count sweep must not be empty")
         for n in counts:
-            if not isinstance(n, int) or n < 2:
+            if not _is_int(n) or n < 2:
                 raise ConfigError(f"node_count values must be ints >= 2, got {n!r}")
+        require_finite(
+            ConfigError,
+            area=self.area,
+            max_range=self.max_range,
+            source_pos=self.source_pos,
+            target_pos=self.target_pos,
+        )
         width, height = self.area
         if width <= 0.0 or height <= 0.0:
             raise ConfigError(f"area dimensions must be > 0, got {self.area}")
         if self.max_range <= 0.0:
             raise ConfigError(f"max_range must be > 0, got {self.max_range}")
-        if self.realizations < 1:
-            raise ConfigError(f"realizations must be >= 1, got {self.realizations}")
-        if self.master_seed < 0:
-            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
+        if not _is_int(self.realizations) or self.realizations < 1:
+            raise ConfigError(f"realizations must be an int >= 1, got {self.realizations!r}")
+        if not _is_int(self.master_seed) or self.master_seed < 0:
+            raise ConfigError(f"master_seed must be an int >= 0, got {self.master_seed!r}")
+        for name in ("srp_fallback", "record_timing"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
         if not self.protocols:
             raise ConfigError("at least one protocol must be selected")
         for name, (x, y) in (("source_pos", self.source_pos), ("target_pos", self.target_pos)):
@@ -171,7 +181,7 @@ def run_single(config: SimulationConfig, trial_seed: int) -> TrialResult:
         outcomes[protocol] = outcome
 
     ordered = {p: outcomes[p] for p in Protocol if p in outcomes}
-    metrics = collect_trial(ordered, config.delay, timings)
+    metrics = collect_trial(ordered, config, timings)
     return TrialResult(trial_seed=trial_seed, graph=graph, outcomes=ordered, metrics=metrics)
 
 
@@ -344,11 +354,7 @@ def config_from_dict(raw: dict) -> SimulationConfig:
             kwargs["area"] = _pair(raw["area"], "area")
         if "node_count" in raw:
             value = raw["node_count"]
-            kwargs["node_count"] = (
-                tuple(int(v) for v in value) if isinstance(value, (list, tuple)) else int(value)
-            )
-        if "max_range" in raw:
-            kwargs["max_range"] = float(raw["max_range"])
+            kwargs["node_count"] = tuple(value) if isinstance(value, list) else value
         water = WaterType(raw["water"]) if "water" in raw else WaterType.CLEAR_OCEAN
         kwargs["water"] = water
         channel_overrides = dict(raw.get("channel", {}))
@@ -368,19 +374,18 @@ def config_from_dict(raw: dict) -> SimulationConfig:
             kwargs["weight_mode"] = WeightMode(raw["weight_mode"])
         if "delay" in raw:
             kwargs["delay"] = DelayModel(**raw["delay"])
-        if "realizations" in raw:
-            kwargs["realizations"] = int(raw["realizations"])
-        if "master_seed" in raw:
-            kwargs["master_seed"] = int(raw["master_seed"])
-        if "srp_fallback" in raw:
-            kwargs["srp_fallback"] = bool(raw["srp_fallback"])
-        if "record_timing" in raw:
-            kwargs["record_timing"] = bool(raw["record_timing"])
+        for key in ("max_range", "realizations", "master_seed", "srp_fallback", "record_timing"):
+            if key in raw:
+                kwargs[key] = raw[key]
         return SimulationConfig(**kwargs)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _pair(value, name: str) -> tuple[float, float]:

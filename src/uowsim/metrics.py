@@ -8,26 +8,26 @@ between protocols are meaningful for comparison purposes.
 
 from dataclasses import dataclass
 
-from .channel import LIGHT_SPEED_WATER
+from .channel import require_finite
 from .routing import FailureReason, Protocol, Route, RoutingOutcome
 
 
 @dataclass(frozen=True)
 class DelayModel:
-    """Constants of the delay computation.
+    """Per-packet constants of the delay computation.
 
-    ``light_speed_water`` m/s, ``packet_bits`` bits per packet,
-    ``data_rate`` bits/s, ``per_hop_processing`` seconds.
+    ``packet_bits`` bits per packet, ``per_hop_processing`` seconds.  The
+    data rate is the receiver's ``noise.data_rate`` and the speed of light
+    is ``constants.light_speed_water`` of the simulation config.
     """
 
-    light_speed_water: float = LIGHT_SPEED_WATER
     packet_bits: float = 1024.0
-    data_rate: float = 1e6
     per_hop_processing: float = 0.0
 
     def __post_init__(self):
-        if self.light_speed_water <= 0.0 or self.packet_bits <= 0.0 or self.data_rate <= 0.0:
-            raise ValueError("delay model rates and sizes must be > 0")
+        require_finite(ValueError, **vars(self))
+        if self.packet_bits <= 0.0:
+            raise ValueError(f"packet_bits must be > 0, got {self.packet_bits}")
         if self.per_hop_processing < 0.0:
             raise ValueError(
                 f"per_hop_processing must be >= 0, got {self.per_hop_processing}"
@@ -53,17 +53,23 @@ class TrialMetrics:
     wall_clock_ns: int
 
 
-def e2e_delay(route: Route, model: DelayModel) -> float:
-    """End-to-end delay of a route in seconds (empty route -> 0)."""
-    propagation = route.total_distance / model.light_speed_water
-    per_hop = model.packet_bits / model.data_rate + model.per_hop_processing
+def e2e_delay(route: Route, config) -> float:
+    """End-to-end delay of a route in seconds (empty route -> 0).
+
+    ``config`` is a SimulationConfig; its ``delay``, ``noise.data_rate`` and
+    ``constants.light_speed_water`` set the figures.
+    """
+    delay = config.delay
+    propagation = route.total_distance / config.constants.light_speed_water
+    per_hop = delay.packet_bits / config.noise.data_rate + delay.per_hop_processing
     return propagation + route.hop_count * per_hop
 
 
-def collect_trial(outcomes, model: DelayModel, timings=None) -> list[TrialMetrics]:
+def collect_trial(outcomes, config, timings=None) -> list[TrialMetrics]:
     """Flatten per-protocol routing outcomes into metric records.
 
-    ``outcomes`` maps Protocol -> RoutingOutcome for one trial; ``timings``
+    ``outcomes`` maps Protocol -> RoutingOutcome for one trial; ``config``
+    is the SimulationConfig the delay is computed under; ``timings``
     optionally maps Protocol -> wall-clock nanoseconds (0 when absent).
     Records come back in Protocol enum order.
     """
@@ -73,34 +79,18 @@ def collect_trial(outcomes, model: DelayModel, timings=None) -> list[TrialMetric
         if protocol not in outcomes:
             continue
         outcome: RoutingOutcome = outcomes[protocol]
-        wall_clock = int(timings.get(protocol, 0))
-        if outcome.success:
-            route = outcome.route
-            records.append(
-                TrialMetrics(
-                    protocol=protocol,
-                    success=True,
-                    failure_reason=None,
-                    hop_count=route.hop_count,
-                    e2e_ber=route.e2e_ber,
-                    e2e_delay_s=e2e_delay(route, model),
-                    total_distance_m=route.total_distance,
-                    evaluations=outcome.evaluations,
-                    wall_clock_ns=wall_clock,
-                )
+        route = outcome.route
+        records.append(
+            TrialMetrics(
+                protocol=protocol,
+                success=outcome.success,
+                failure_reason=outcome.failure_reason,
+                hop_count=route.hop_count if route else None,
+                e2e_ber=route.e2e_ber if route else None,
+                e2e_delay_s=e2e_delay(route, config) if route else None,
+                total_distance_m=route.total_distance if route else None,
+                evaluations=outcome.evaluations,
+                wall_clock_ns=int(timings.get(protocol, 0)),
             )
-        else:
-            records.append(
-                TrialMetrics(
-                    protocol=protocol,
-                    success=False,
-                    failure_reason=outcome.failure_reason,
-                    hop_count=None,
-                    e2e_ber=None,
-                    e2e_delay_s=None,
-                    total_distance_m=None,
-                    evaluations=outcome.evaluations,
-                    wall_clock_ns=wall_clock,
-                )
-            )
+        )
     return records

@@ -185,12 +185,16 @@ def crp(
     return _finish(graph, hops, evaluations)
 
 
-def drp(graph: NetworkGraph, source: int, target: int) -> RoutingOutcome:
-    """Distributed routing: greedy walk to the min-BER unvisited neighbor.
+def _greedy_walk(
+    graph: NetworkGraph, source: int, target: int, examine, stuck: FailureReason
+) -> RoutingOutcome:
+    """Greedy walk that always moves to the min-BER examined neighbor.
 
-    Visited nodes are never re-entered; the walk aborts when the current
-    node has no unvisited neighbor (dead end) or after N-1 hops.  Ties on
-    BER break toward the lower node id.
+    ``examine(here, visited)`` returns the ``(ber, id)`` candidates the
+    protocol examines at ``here``, all of them unvisited neighbors.  They
+    are counted as evaluations, and ties on BER break toward the lower node
+    id.  The walk fails with ``stuck`` when there is no candidate and with
+    HOP_LIMIT after N-1 hops.
     """
     _check_ids(graph, source, target)
     if source == target:
@@ -201,20 +205,29 @@ def drp(graph: NetworkGraph, source: int, target: int) -> RoutingOutcome:
     current = source
     evaluations = 0
     for _ in range(graph.node_count - 1):
-        candidates = [
-            (v, quality)
-            for v, quality in graph.neighbor_items(current)
-            if v not in visited
-        ]
+        candidates = examine(current, visited)
         evaluations += len(candidates)
         if not candidates:
-            return _fail(FailureReason.DEAD_END, evaluations)
-        current, _ = min(candidates, key=lambda item: (item[1].ber, item[0]))
+            return _fail(stuck, evaluations)
+        _, current = min(candidates)
         hops.append(current)
         visited.add(current)
         if current == target:
             return _finish(graph, hops, evaluations)
     return _fail(FailureReason.HOP_LIMIT, evaluations)
+
+
+def drp(graph: NetworkGraph, source: int, target: int) -> RoutingOutcome:
+    """Distributed routing: greedy walk to the min-BER unvisited neighbor.
+
+    The walk aborts when the current node has no unvisited neighbor (dead
+    end) or after N-1 hops.
+    """
+
+    def unvisited(here, visited):
+        return [(quality.ber, v) for v, quality in graph.neighbor_items(here) if v not in visited]
+
+    return _greedy_walk(graph, source, target, unvisited, FailureReason.DEAD_END)
 
 
 def srp(
@@ -229,32 +242,16 @@ def srp(
     counted).  With ``fallback`` enabled, a hop whose quadrant is empty
     widens to all unvisited neighbors instead of failing.
     """
-    _check_ids(graph, source, target)
-    if source == target:
-        return _empty_route(source)
+    nodes = graph.nodes
 
-    target_pos = graph.node(target).position
-    visited = {source}
-    hops = [source]
-    current = source
-    evaluations = 0
-    for _ in range(graph.node_count - 1):
-        here = current
-        unvisited = [graph.node(v) for v in graph.neighbors(here) if v not in visited]
-        candidates = quadrant_filter(graph.node(here).position, target_pos, unvisited)
-        if not candidates and fallback and unvisited:
-            candidates = unvisited
-        evaluations += len(candidates)
-        if not candidates:
-            return _fail(FailureReason.EMPTY_QUADRANT, evaluations)
-        current = min(
-            candidates, key=lambda node: (graph.quality(here, node.id).ber, node.id)
-        ).id
-        hops.append(current)
-        visited.add(current)
-        if current == target:
-            return _finish(graph, hops, evaluations)
-    return _fail(FailureReason.HOP_LIMIT, evaluations)
+    def in_quadrant(here, visited):
+        unvisited = [nodes[v] for v in graph.neighbors(here) if v not in visited]
+        kept = quadrant_filter(nodes[here].position, nodes[target].position, unvisited)
+        if fallback and not kept:
+            kept = unvisited
+        return [(graph.quality(here, node.id).ber, node.id) for node in kept]
+
+    return _greedy_walk(graph, source, target, in_quadrant, FailureReason.EMPTY_QUADRANT)
 
 
 def quadrant_filter(current, target, candidates):

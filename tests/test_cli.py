@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ from uowsim.cli import (
     CAMPAIGN_TRIAL_COLUMNS,
     LINK_BUDGET_COLUMNS,
     ROUTE_SUMMARY_COLUMNS,
-    OutputRecordSet,
+    _format_cell,
     cmd_ber_sweep,
     cmd_campaign,
     cmd_link_budget,
@@ -25,6 +26,7 @@ P_RX_CLEAR_50M = 2.6816175219259665e-19
 BER_CLEAR_50M = 0.49999618051689926
 
 DATA_DIR = Path(__file__).parent / "data"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_link_budget_single_row_matches_oracle():
@@ -97,6 +99,9 @@ def test_cmd_route_disconnected():
         assert row[3] == "disconnected"
 
 
+_PARSE = {"str": str, "int": int, "float": float, "bool": lambda cell: cell == "true"}
+
+
 def test_recordset_roundtrip():
     config = SimulationConfig(node_count=(20,), realizations=3)
     trials, aggregate = cmd_campaign(config)
@@ -110,9 +115,15 @@ def test_recordset_roundtrip():
         (sweep, LINK_BUDGET_COLUMNS),
         (bers, BER_SWEEP_COLUMNS),
     ):
-        text = rs.to_text()
-        parsed = OutputRecordSet.parse(text, rs.schema_id, columns)
-        assert parsed.to_text() == text
+        lines = rs.to_text().splitlines()
+        assert lines[0] == ",".join(name for name, _ in columns)
+        assert len(lines) == len(rs.rows) + 1
+        for line in lines[1:]:
+            cells = line.split(",")
+            assert len(cells) == len(columns)
+            for cell, (_, kind) in zip(cells, columns):
+                value = _PARSE[kind](cell) if cell else None
+                assert _format_cell(value, kind) == cell
 
 
 def test_campaign_single_realization_aggregate_matches_trial():
@@ -232,6 +243,8 @@ def test_main_usage_error_exits_2():
 
 
 def test_module_entry_point(tmp_path):
+    # The child process does not inherit pytest's sys.path, so point it at src/.
+    pythonpath = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [
             sys.executable,
@@ -249,6 +262,7 @@ def test_module_entry_point(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert result.returncode == 0
     lines = (tmp_path / "ber_sweep.csv").read_text().splitlines()

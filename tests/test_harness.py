@@ -215,3 +215,20 @@ def test_config_from_dict_roundtrip_and_errors():
         config_from_dict({"channel": {"tx_power": -1}})
     with pytest.raises(ConfigError):
         config_from_dict(["not", "a", "mapping"])
+    for bad in (
+        {"srp_fallback": "false"},
+        {"record_timing": "no"},
+        {"node_count": 40.7},
+        {"node_count": [20, 30.5]},
+        {"node_count": True},
+        {"realizations": 2.9},
+        {"realizations": True},
+        {"master_seed": "9"},
+        {"max_range": float("nan")},
+        {"area": [250, float("inf")]},
+        {"channel": {"tx_power": float("inf")}},
+        {"channel": {"extinction": float("nan")}},
+        {"noise": {"data_rate": float("inf")}},
+    ):
+        with pytest.raises(ConfigError):
+            config_from_dict(bad)

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from uowsim import (
@@ -6,9 +8,14 @@ from uowsim import (
     Protocol,
     Route,
     RoutingOutcome,
+    SimulationConfig,
     collect_trial,
+    config_from_dict,
     e2e_delay,
 )
+from uowsim.cli import main
+
+STOCK = SimulationConfig()
 
 DELAY_100M_ONE_HOP = 0.001024443636040992
 
@@ -28,40 +35,54 @@ def _route(hop_bers, hop_distances):
 
 def test_delay_model_validation():
     with pytest.raises(ValueError):
-        DelayModel(data_rate=0.0)
+        DelayModel(packet_bits=0.0)
     with pytest.raises(ValueError):
         DelayModel(per_hop_processing=-1.0)
 
 
 def test_empty_route_has_zero_delay():
-    assert e2e_delay(_route([], []), DelayModel()) == 0.0
+    assert e2e_delay(_route([], []), STOCK) == 0.0
 
 
 def test_single_hop_delay_value():
     route = _route([0.1], [100.0])
-    assert e2e_delay(route, DelayModel()) == pytest.approx(DELAY_100M_ONE_HOP, rel=1e-12)
+    assert e2e_delay(route, STOCK) == pytest.approx(DELAY_100M_ONE_HOP, rel=1e-12)
 
 
 def test_extra_hop_costs_exactly_one_serialization():
-    model = DelayModel()
-    one_hop = e2e_delay(_route([0.1], [100.0]), model)
-    two_hops = e2e_delay(_route([0.1, 0.1], [50.0, 50.0]), model)
-    assert two_hops - one_hop == pytest.approx(model.packet_bits / model.data_rate, rel=1e-12)
+    one_hop = e2e_delay(_route([0.1], [100.0]), STOCK)
+    two_hops = e2e_delay(_route([0.1, 0.1], [50.0, 50.0]), STOCK)
+    serialization = STOCK.delay.packet_bits / STOCK.noise.data_rate
+    assert two_hops - one_hop == pytest.approx(serialization, rel=1e-12)
+
+
+def test_delay_reads_data_rate_from_noise(tmp_path):
+    # Doubling the receiver data rate halves each hop's serialization time,
+    # so a 2-hop route arrives 2 * 1024 / 2e6 s sooner.
+    outcomes = {Protocol.DRP: _success(_route([0.1, 0.1], [50.0, 50.0]))}
+    (stock,) = collect_trial(outcomes, config_from_dict({}))
+    (fast,) = collect_trial(outcomes, config_from_dict({"noise": {"data_rate": 2e6}}))
+    assert stock.e2e_delay_s - fast.e2e_delay_s == pytest.approx(2 * 1024 / 2e6, rel=1e-9)
+    # The delay block no longer holds its own copies of the rate and light speed.
+    for key in ("data_rate", "light_speed_water"):
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps({"delay": {key: 1e6}}))
+        assert main(["route", "--config", str(path), "--out", str(tmp_path)]) == 2
 
 
 def test_delay_lower_bound_and_monotonicity():
     import numpy as np
 
     rng = np.random.default_rng(31)
-    model = DelayModel(per_hop_processing=1e-5)
+    config = SimulationConfig(delay=DelayModel(per_hop_processing=1e-5))
     for _ in range(200):
         count = int(rng.integers(1, 8))
         dists = rng.uniform(1.0, 80.0, size=count).tolist()
         route = _route([0.1] * count, dists)
-        delay = e2e_delay(route, model)
-        assert delay >= sum(dists) / model.light_speed_water
+        delay = e2e_delay(route, config)
+        assert delay >= sum(dists) / config.constants.light_speed_water
         longer = _route([0.1] * (count + 1), dists + [float(rng.uniform(1.0, 80.0))])
-        assert e2e_delay(longer, model) > delay
+        assert e2e_delay(longer, config) > delay
 
 
 def _success(route):
@@ -74,7 +95,7 @@ def _failure(reason, evaluations=0):
 
 def test_collect_trial_all_disconnected():
     outcomes = {p: _failure(FailureReason.DISCONNECTED) for p in Protocol}
-    records = collect_trial(outcomes, DelayModel())
+    records = collect_trial(outcomes, STOCK)
     assert len(records) == 3
     for record in records:
         assert not record.success
@@ -86,15 +107,14 @@ def test_collect_trial_all_disconnected():
 
 
 def test_collect_trial_success_consistency():
-    model = DelayModel()
     route = _route([0.1, 0.2, 0.05], [30.0, 20.0, 25.0])
     outcomes = {Protocol.CRP: _success(route)}
-    (record,) = collect_trial(outcomes, model)
+    (record,) = collect_trial(outcomes, STOCK)
     assert record.protocol is Protocol.CRP
     assert record.success
     assert record.hop_count == 3
     assert record.e2e_ber == route.e2e_ber
-    assert record.e2e_delay_s == pytest.approx(e2e_delay(route, model), rel=1e-15)
+    assert record.e2e_delay_s == pytest.approx(e2e_delay(route, STOCK), rel=1e-15)
     assert record.total_distance_m == pytest.approx(75.0, rel=1e-15)
 
 
@@ -105,7 +125,7 @@ def test_collect_trial_mixed():
         Protocol.DRP: _failure(FailureReason.DEAD_END, evaluations=5),
         Protocol.SRP: _failure(FailureReason.EMPTY_QUADRANT, evaluations=2),
     }
-    records = collect_trial(outcomes, DelayModel(), timings={Protocol.CRP: 1234})
+    records = collect_trial(outcomes, STOCK, timings={Protocol.CRP: 1234})
     assert [r.protocol for r in records] == [Protocol.CRP, Protocol.DRP, Protocol.SRP]
     assert records[0].wall_clock_ns == 1234
     assert records[1].evaluations == 5

@@ -200,6 +200,7 @@ def test_srp_empty_quadrant_and_fallback():
     relaxed = srp(graph, 0, 1, fallback=True)
     assert relaxed.success
     assert relaxed.route.hops == (0, 2, 1)
+    assert relaxed.evaluations == 3  # both widened neighbors at S, the target at A
 
 
 def test_quadrant_filter_examples():
