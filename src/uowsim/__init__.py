@@ -53,7 +53,6 @@ from .topology import (
     Role,
     build_graph,
     generate_deployment,
-    graph_dump_lines,
     path_exists,
 )
 

@@ -133,8 +133,13 @@ class ChannelParams:
 
     @classmethod
     def for_water(cls, water: WaterType, **overrides) -> "ChannelParams":
-        """Parameters with the extinction coefficient of the given water type."""
-        overrides.setdefault("extinction", extinction_coefficient(water))
+        """Parameters with the extinction coefficient of the given water type.
+
+        Overrides giving both ``absorption`` and ``scattering`` set the
+        extinction through them instead.
+        """
+        if overrides.get("absorption") is None or overrides.get("scattering") is None:
+            overrides.setdefault("extinction", extinction_coefficient(water))
         return cls(**overrides)
 
 

@@ -228,33 +228,19 @@ def cmd_campaign(config: SimulationConfig, n_workers=None):
     return trials, aggregate
 
 
-def _float_list(text: str):
-    try:
-        values = [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("list must not be empty")
-    return values
+def _list_of(convert):
+    """argparse type: a non-empty comma-separated list of ``convert`` values."""
 
+    def parse(text: str):
+        try:
+            values = [convert(part.strip()) for part in text.split(",") if part.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid comma-separated list {text!r}")
+        if not values:
+            raise argparse.ArgumentTypeError("list must not be empty")
+        return values
 
-def _int_list(text: str):
-    try:
-        values = [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("list must not be empty")
-    return values
-
-
-def _water_list(text: str):
-    try:
-        return [WaterType(part.strip()) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"waters must be from clear/coastal/turbid, got {text!r}"
-        )
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,25 +255,28 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = argparse.ArgumentParser(add_help=False)
     sweep.add_argument(
         "--water",
-        type=_water_list,
-        default=None,
+        type=_list_of(WaterType),
+        default=ALL_WATERS,
         help="comma-separated water types (clear,coastal,turbid)",
     )
     sweep.add_argument(
-        "--distances", type=_float_list, default=None, help="comma-separated distances [m]"
+        "--distances",
+        type=_list_of(float),
+        default=DEFAULT_DISTANCES,
+        help="comma-separated distances [m]",
     )
     sweep.add_argument(
         "--divergences",
-        type=_float_list,
-        default=None,
+        type=_list_of(float),
+        default=DEFAULT_DIVERGENCES_DEG,
         help="comma-separated divergence angles [deg]",
     )
 
     sim = argparse.ArgumentParser(add_help=False)
-    sim.add_argument("--seed", type=int, default=None, help="seed (route: trial seed, campaign: master seed)")
+    sim.add_argument("--seed", type=int, default=None, help="master seed (route: the trial seed)")
     sim.add_argument("--protocols", default=None, help="comma-separated subset of crp,drp,srp")
     sim.add_argument("--weight-mode", choices=["paper", "exact"], default=None)
-    sim.add_argument("--nodes", type=_int_list, default=None, help="node count(s), comma-separated")
+    sim.add_argument("--nodes", type=_list_of(int), default=None, help="node count(s), comma-separated")
     sim.add_argument("--realizations", type=int, default=None)
     sim.add_argument("--water", default=None, help="water type (clear, coastal or turbid)")
 
@@ -316,7 +305,7 @@ def _load_config_doc(path) -> dict:
 
 def _sim_config(args, campaign: bool) -> SimulationConfig:
     doc = _load_config_doc(args.config)
-    if args.seed is not None and campaign:
+    if args.seed is not None:
         doc["master_seed"] = args.seed
     if args.nodes is not None:
         doc["node_count"] = args.nodes if len(args.nodes) > 1 else args.nodes[0]
@@ -349,27 +338,18 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command in ("link-budget", "ber-sweep"):
-            doc = _load_config_doc(args.config)
-            config = config_from_dict(doc)
-            distances = args.distances if args.distances is not None else list(DEFAULT_DISTANCES)
-            waters = args.water if args.water is not None else list(ALL_WATERS)
-            divergences = (
-                args.divergences if args.divergences is not None else list(DEFAULT_DIVERGENCES_DEG)
-            )
             if args.command == "link-budget":
-                recordset = cmd_link_budget(config, distances, waters, divergences)
-                filename = "link_budget.csv"
+                command, filename = cmd_link_budget, "link_budget.csv"
             else:
-                recordset = cmd_ber_sweep(config, distances, waters, divergences)
-                filename = "ber_sweep.csv"
+                command, filename = cmd_ber_sweep, "ber_sweep.csv"
+            config = config_from_dict(_load_config_doc(args.config))
+            recordset = command(config, args.distances, args.water, args.divergences)
             out = _out_dir(args)
             recordset.write(out / filename)
             print(f"wrote {out / filename} ({len(recordset.rows)} rows)")
         elif args.command == "route":
             config = _sim_config(args, campaign=False)
-            config.single_node_count()
-            seed = args.seed if args.seed is not None else config.master_seed
-            summary, dumps = cmd_route(config, seed)
+            summary, dumps = cmd_route(config, config.master_seed)
             out = _out_dir(args)
             summary.write(out / "route_summary.csv")
             for protocol, lines in dumps.items():

@@ -15,7 +15,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -180,9 +180,8 @@ def run_single(config: SimulationConfig, trial_seed: int) -> TrialResult:
         timings[protocol] = time.perf_counter_ns() - started if config.record_timing else 0
         outcomes[protocol] = outcome
 
-    ordered = {p: outcomes[p] for p in Protocol if p in outcomes}
-    metrics = collect_trial(ordered, config, timings)
-    return TrialResult(trial_seed=trial_seed, graph=graph, outcomes=ordered, metrics=metrics)
+    metrics = collect_trial(outcomes, config, timings)
+    return TrialResult(trial_seed=trial_seed, graph=graph, outcomes=outcomes, metrics=metrics)
 
 
 def run_trial(config: SimulationConfig, realization_index: int) -> list[TrialMetrics]:
@@ -266,32 +265,27 @@ def resolve_workers(n_workers: int | None = None) -> int:
 def run_campaign(config: SimulationConfig, n_workers: int | None = None) -> CampaignResult:
     """Execute the full sweep and aggregate per (protocol, node count).
 
-    The result is a pure function of the config: work may be spread over
-    processes, but records are reassembled in deterministic order before
-    aggregation.
+    The result is a pure function of the config: the realizations are cut
+    into (per-count config, index range) tasks that run inline on one
+    worker or on a process pool of at most ``min(workers, cpu count,
+    tasks)`` processes, and their records are reassembled in task order.
     """
-    workers = resolve_workers(n_workers)
+    workers = min(resolve_workers(n_workers), os.cpu_count() or 1)
+    chunk = max(1, math.ceil(config.realizations / (workers * 4)))
     per_count_configs = [replace(config, node_count=n) for n in config.node_counts]
-    all_indices = range(config.realizations)
-
-    records: list[TrialRecord] = []
+    tasks = [
+        (cfg, range(start, min(start + chunk, config.realizations)))
+        for cfg in per_count_configs
+        for start in range(0, config.realizations, chunk)
+    ]
+    workers = min(workers, len(tasks))
     if workers <= 1:
-        for cfg in per_count_configs:
-            records.extend(_run_index_range(cfg, all_indices))
+        chunks = [_run_index_range(cfg, indices) for cfg, indices in tasks]
     else:
-        tasks = []
-        chunk = max(1, math.ceil(config.realizations / (workers * 4)))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for cfg in per_count_configs:
-                for start in range(0, config.realizations, chunk):
-                    stop = min(start + chunk, config.realizations)
-                    tasks.append(pool.submit(_run_index_range, cfg, range(start, stop)))
-            chunks = [task.result() for task in tasks]
-        for part in chunks:
-            records.extend(part)
-
-    aggregates = aggregate_records(records, config)
-    return CampaignResult(records=records, aggregates=aggregates)
+            chunks = list(pool.map(_run_index_range, *zip(*tasks)))
+    records = [record for part in chunks for record in part]
+    return CampaignResult(records=records, aggregates=aggregate_records(records, config))
 
 
 def aggregate_records(records, config: SimulationConfig) -> list[AggregateStats]:
@@ -339,44 +333,28 @@ def config_from_dict(raw: dict) -> SimulationConfig:
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"config document must be a mapping, got {type(raw).__name__}")
-    known = {
-        "area", "node_count", "max_range", "water", "channel", "noise",
-        "constants", "source_pos", "target_pos", "protocols", "weight_mode",
-        "delay", "realizations", "master_seed", "srp_fallback", "record_timing",
-    }
-    unknown = set(raw) - known
+    unknown = set(raw) - {f.name for f in fields(SimulationConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    kwargs = {}
+    kwargs = dict(raw)
     try:
-        if "area" in raw:
-            kwargs["area"] = _pair(raw["area"], "area")
-        if "node_count" in raw:
-            value = raw["node_count"]
-            kwargs["node_count"] = tuple(value) if isinstance(value, list) else value
-        water = WaterType(raw["water"]) if "water" in raw else WaterType.CLEAR_OCEAN
-        kwargs["water"] = water
-        channel_overrides = dict(raw.get("channel", {}))
-        if channel_overrides or "water" in raw:
-            kwargs["channel"] = ChannelParams.for_water(water, **channel_overrides)
-        if "noise" in raw:
-            kwargs["noise"] = ReceiverNoise(**raw["noise"])
-        if "constants" in raw:
-            kwargs["constants"] = PhysicalConstants(**raw["constants"])
-        if "source_pos" in raw:
-            kwargs["source_pos"] = _pair(raw["source_pos"], "source_pos")
-        if "target_pos" in raw:
-            kwargs["target_pos"] = _pair(raw["target_pos"], "target_pos")
+        for name in ("area", "source_pos", "target_pos"):
+            if name in raw:
+                kwargs[name] = _pair(raw[name], name)
+        if isinstance(raw.get("node_count"), list):
+            kwargs["node_count"] = tuple(raw["node_count"])
+        water = kwargs["water"] = WaterType(raw.get("water", WaterType.CLEAR_OCEAN))
+        if "channel" in raw:
+            kwargs["channel"] = ChannelParams.for_water(water, **raw["channel"])
+        nested = (("noise", ReceiverNoise), ("constants", PhysicalConstants), ("delay", DelayModel))
+        for name, cls in nested:
+            if name in raw:
+                kwargs[name] = cls(**raw[name])
         if "protocols" in raw:
             kwargs["protocols"] = tuple(Protocol(p) for p in raw["protocols"])
         if "weight_mode" in raw:
             kwargs["weight_mode"] = WeightMode(raw["weight_mode"])
-        if "delay" in raw:
-            kwargs["delay"] = DelayModel(**raw["delay"])
-        for key in ("max_range", "realizations", "master_seed", "srp_fallback", "record_timing"):
-            if key in raw:
-                kwargs[key] = raw[key]
         return SimulationConfig(**kwargs)
     except ConfigError:
         raise
@@ -388,10 +366,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _pair(value, name: str) -> tuple[float, float]:
+def _pair(value, name: str) -> tuple:
+    """A two-element list as a tuple; SimulationConfig checks the numbers."""
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(f"{name} must be a pair of numbers, got {value!r}")
-    return (float(value[0]), float(value[1]))
+    return tuple(value)
 
 
 def _mean_std(values):

@@ -203,19 +203,3 @@ def path_exists(graph: NetworkGraph, source: int, target: int) -> bool:
                 queue.append(v)
     return False
 
-
-def graph_dump_lines(graph: NetworkGraph) -> list[str]:
-    """Line-oriented dump: one node line per node, one edge line per edge.
-
-    Format: ``node id x y role`` and ``edge u v dist_m p_rx_w ber`` with
-    numbers in 9-significant-digit scientific notation.
-    """
-    lines = [
-        f"node {node.id} {node.x:.8e} {node.y:.8e} {node.role.value}"
-        for node in graph.nodes
-    ]
-    lines.extend(
-        f"edge {u} {v} {q.distance:.8e} {q.received_power:.8e} {q.ber:.8e}"
-        for u, v, q in graph.iter_edges()
-    )
-    return lines

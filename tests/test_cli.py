@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -26,7 +27,8 @@ P_RX_CLEAR_50M = 2.6816175219259665e-19
 BER_CLEAR_50M = 0.49999618051689926
 
 DATA_DIR = Path(__file__).parent / "data"
-SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+REPO_DIR = Path(__file__).resolve().parent.parent
+SRC_DIR = REPO_DIR / "src"
 
 
 def test_link_budget_single_row_matches_oracle():
@@ -183,6 +185,16 @@ def test_main_campaign_byte_identical_runs(tmp_path):
         assert (outs[0] / filename).read_bytes() == (outs[1] / filename).read_bytes()
 
 
+def test_main_campaign_matches_reference_digests(tmp_path, monkeypatch):
+    # The stock campaign cut to 150 realizations, run serially, must write the
+    # bytes whose SHA-256 sums the benchmark keeps as its seed-42 reference.
+    monkeypatch.delenv("UOWSN_THREADS", raising=False)
+    reference = json.loads((REPO_DIR / "perfbench" / "reference.json").read_text())
+    assert main(["campaign", "--seed", "42", "--realizations", "150", "--out", str(tmp_path)]) == 0
+    for name, digest in reference["sha256"]["campaign-pass"].items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_main_campaign_flag_overrides(tmp_path):
     code = main(
         [
@@ -227,6 +239,7 @@ def test_main_malformed_config_exits_2(tmp_path):
     assert main(["route", "--config", str(wrong_key), "--out", str(tmp_path)]) == 2
     missing = tmp_path / "missing.json"
     assert main(["route", "--config", str(missing), "--out", str(tmp_path)]) == 2
+    assert main(["route", "--seed", "-1", "--out", str(tmp_path)]) == 2
 
 
 def test_main_unwritable_out_exits_3(tmp_path):
@@ -239,6 +252,9 @@ def test_main_unwritable_out_exits_3(tmp_path):
 def test_main_usage_error_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["link-budget", "--distances", ""])
+    assert excinfo.value.code == 2
+    with pytest.raises(SystemExit) as excinfo:
+        main(["link-budget", "--water", "clear,swamp"])
     assert excinfo.value.code == 2
 
 

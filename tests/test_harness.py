@@ -178,6 +178,33 @@ def test_resolve_workers(monkeypatch):
         resolve_workers(None)
 
 
+def test_campaign_pool_is_capped_at_cpus_and_tasks(monkeypatch):
+    import uowsim.harness as harness
+
+    built = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    config = SimulationConfig(node_count=(20, 30), realizations=40)
+    assert run_campaign(config, n_workers=8).records == run_campaign(config, n_workers=1).records
+    assert built == [4]
+    run_campaign(SimulationConfig(node_count=(20,), realizations=1), n_workers=8)
+    assert built == [4]
+
+
 def test_config_from_dict_roundtrip_and_errors():
     config = config_from_dict(
         {
@@ -204,6 +231,8 @@ def test_config_from_dict_roundtrip_and_errors():
     assert config.weight_mode is WeightMode.PAPER_SUM
     assert config.delay.packet_bits == 2048
     assert config.srp_fallback is True
+    components = config_from_dict({"channel": {"absorption": 0.2, "scattering": 0.2}})
+    assert components.channel.extinction == pytest.approx(0.4)
 
     with pytest.raises(ConfigError):
         config_from_dict({"node_cont": 40})
@@ -226,6 +255,8 @@ def test_config_from_dict_roundtrip_and_errors():
         {"master_seed": "9"},
         {"max_range": float("nan")},
         {"area": [250, float("inf")]},
+        {"area": ["250", True]},
+        {"source_pos": ["0", "0"]},
         {"channel": {"tx_power": float("inf")}},
         {"channel": {"extinction": float("nan")}},
         {"noise": {"data_rate": float("inf")}},

@@ -9,7 +9,6 @@ from uowsim import (
     SimulationConfig,
     build_graph,
     generate_deployment,
-    graph_dump_lines,
     path_exists,
     single_link_ber,
 )
@@ -124,7 +123,8 @@ def test_build_graph_determinism(default_setup):
     config = SimulationConfig(node_count=25)
     first = build_graph(generate_deployment(config, 3), 80.0, params, noise, constants)
     second = build_graph(generate_deployment(config, 3), 80.0, params, noise, constants)
-    assert graph_dump_lines(first) == graph_dump_lines(second)
+    assert first.nodes == second.nodes
+    assert list(first.iter_edges()) == list(second.iter_edges())
 
 
 def test_path_exists_basics():
@@ -157,17 +157,3 @@ def test_graph_rejects_bad_ids():
         NetworkGraph(nodes, [(0, 0, quality)])
     with pytest.raises(ValueError):
         NetworkGraph(nodes, [(0, 7, quality)])
-
-
-def test_graph_dump_format(default_setup):
-    params, noise, constants = default_setup
-    graph = build_graph(_line_nodes([0.0, 50.0, 95.0]), 80.0, params, noise, constants)
-    lines = graph_dump_lines(graph)
-    assert len(lines) == graph.node_count + graph.edge_count
-    assert lines[0] == "node 0 0.00000000e+00 0.00000000e+00 source"
-    edge_lines = [line for line in lines if line.startswith("edge")]
-    for line in edge_lines:
-        tag, u, v, dist, power, ber = line.split()
-        assert tag == "edge"
-        assert float(dist) <= 80.0
-        assert 0.0 <= float(ber) <= 0.5
