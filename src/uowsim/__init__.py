@@ -49,8 +49,6 @@ from .topology import (
     TARGET_ID,
     LinkQuality,
     NetworkGraph,
-    Node,
-    Role,
     build_graph,
     generate_deployment,
     path_exists,

@@ -82,6 +82,8 @@ class SimulationConfig:
         for n in counts:
             if not _is_int(n) or n < 2:
                 raise ConfigError(f"node_count values must be ints >= 2, got {n!r}")
+        if len(set(counts)) != len(counts):
+            raise ConfigError(f"node_count sweep repeats a value: {counts}")
         require_finite(
             ConfigError,
             area=self.area,
@@ -103,6 +105,8 @@ class SimulationConfig:
                 raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
         if not self.protocols:
             raise ConfigError("at least one protocol must be selected")
+        if len(set(self.protocols)) != len(self.protocols):
+            raise ConfigError(f"protocols repeat a value: {[p.value for p in self.protocols]}")
         for name, (x, y) in (("source_pos", self.source_pos), ("target_pos", self.target_pos)):
             if not (0.0 <= x <= width and 0.0 <= y <= height):
                 raise ConfigError(f"{name} {(x, y)} lies outside the {self.area} area")
@@ -157,8 +161,8 @@ def run_single(config: SimulationConfig, trial_seed: int) -> TrialResult:
     DISCONNECTED failure for all protocols without running them.
     """
     config.single_node_count()
-    nodes = generate_deployment(config, trial_seed)
-    graph = build_graph(nodes, config.max_range, config.channel, config.noise, config.constants)
+    positions = generate_deployment(config, trial_seed)
+    graph = build_graph(positions, config.max_range, config.channel, config.noise, config.constants)
     connected = path_exists(graph, SOURCE_ID, TARGET_ID)
 
     outcomes = {}

@@ -85,13 +85,16 @@ class RoutingOutcome:
         return self.route is not None
 
 
-def edge_weight(ber: float, mode: WeightMode) -> float:
-    """Dijkstra weight of a link; +inf marks a link absent under the mode."""
+def edge_weights(bers, mode: WeightMode) -> list[float]:
+    """Dijkstra weight of each link; +inf marks a link absent under the mode.
+
+    ``math.log1p`` is applied element by element: numpy's ``log1p``
+    differs from it in the last bit on some inputs, which could flip
+    near-tie routes.
+    """
     if mode is WeightMode.PAPER_SUM:
-        return ber
-    if ber >= 0.5:
-        return math.inf
-    return -math.log1p(-2.0 * ber)
+        return list(bers)
+    return [math.inf if b >= 0.5 else -math.log1p(-2.0 * b) for b in bers]
 
 
 def _check_ids(graph: NetworkGraph, source: int, target: int):
@@ -106,12 +109,14 @@ def _empty_route(node_id: int) -> RoutingOutcome:
 
 
 def _finish(graph: NetworkGraph, hops: list[int], evaluations: int) -> RoutingOutcome:
-    qualities = [graph.quality(u, v) for u, v in zip(hops, hops[1:])]
+    lists = graph.lists
+    edges = [graph.edge_id(u, v) for u, v in zip(hops, hops[1:])]
+    hop_bers = tuple(lists.ber[e] for e in edges)
     route = Route(
         hops=tuple(hops),
-        hop_bers=tuple(q.ber for q in qualities),
-        hop_distances=tuple(q.distance for q in qualities),
-        e2e_ber=fold_e2e_ber(q.ber for q in qualities),
+        hop_bers=hop_bers,
+        hop_distances=tuple(lists.distance[e] for e in edges),
+        e2e_ber=fold_e2e_ber(hop_bers),
         evaluations=evaluations,
     )
     _check_route(graph, route)
@@ -147,36 +152,40 @@ def crp(
     Ties in path weight resolve toward lower node ids (heap keys are
     (distance, id) and neighbors relax in id order), so the outcome is
     reproducible across platforms.  Each examined incident edge of a
-    settled node counts one evaluation.
+    settled node counts one evaluation.  An edge of infinite weight never
+    relaxes, since no tentative distance is below infinity.
     """
     _check_ids(graph, source, target)
     if source == target:
         return _empty_route(source)
 
-    dist = {source: 0.0}
-    prev = {}
-    settled = set()
+    lists = graph.lists
+    indptr, indices, edge = lists.indptr, lists.indices, lists.edge
+    weights = edge_weights(lists.ber, mode)
+    n = graph.node_count
+    dist = [math.inf] * n
+    prev = [source] * n
+    settled = [False] * n
+    dist[source] = 0.0
     evaluations = 0
     heap = [(0.0, source)]
     while heap:
         d, u = heapq.heappop(heap)
-        if u in settled:
+        if settled[u]:
             continue
-        settled.add(u)
-        for v, quality in graph.neighbor_items(u):
-            evaluations += 1
-            if v in settled:
+        settled[u] = True
+        start, stop = indptr[u], indptr[u + 1]
+        evaluations += stop - start
+        for v, e in zip(indices[start:stop], edge[start:stop]):
+            if settled[v]:
                 continue
-            weight = edge_weight(quality.ber, mode)
-            if math.isinf(weight):
-                continue
-            candidate = d + weight
-            if candidate < dist.get(v, math.inf):
+            candidate = d + weights[e]
+            if candidate < dist[v]:
                 dist[v] = candidate
                 prev[v] = u
                 heapq.heappush(heap, (candidate, v))
 
-    if target not in settled:
+    if not settled[target]:
         return _fail(FailureReason.DISCONNECTED, evaluations)
     hops = [target]
     while hops[-1] != source:
@@ -190,22 +199,28 @@ def _greedy_walk(
 ) -> RoutingOutcome:
     """Greedy walk that always moves to the min-BER examined neighbor.
 
-    ``examine(here, visited)`` returns the ``(ber, id)`` candidates the
-    protocol examines at ``here``, all of them unvisited neighbors.  They
-    are counted as evaluations, and ties on BER break toward the lower node
-    id.  The walk fails with ``stuck`` when there is no candidate and with
-    HOP_LIMIT after N-1 hops.
+    ``examine(here, unvisited)`` gets the ``(ber, id)`` pairs of the
+    unvisited neighbors of ``here`` and returns the ones the protocol
+    examines.  They are counted as evaluations, and ties on BER break
+    toward the lower node id.  The walk fails with ``stuck`` when there is
+    no candidate and with HOP_LIMIT after N-1 hops.
     """
     _check_ids(graph, source, target)
     if source == target:
         return _empty_route(source)
 
+    lists = graph.lists
+    indptr, indices, edge, bers = lists.indptr, lists.indices, lists.edge, lists.ber
     visited = {source}
     hops = [source]
     current = source
     evaluations = 0
     for _ in range(graph.node_count - 1):
-        candidates = examine(current, visited)
+        start, stop = indptr[current], indptr[current + 1]
+        unvisited = [
+            (bers[e], v) for v, e in zip(indices[start:stop], edge[start:stop]) if v not in visited
+        ]
+        candidates = examine(current, unvisited)
         evaluations += len(candidates)
         if not candidates:
             return _fail(stuck, evaluations)
@@ -223,11 +238,9 @@ def drp(graph: NetworkGraph, source: int, target: int) -> RoutingOutcome:
     The walk aborts when the current node has no unvisited neighbor (dead
     end) or after N-1 hops.
     """
-
-    def unvisited(here, visited):
-        return [(quality.ber, v) for v, quality in graph.neighbor_items(here) if v not in visited]
-
-    return _greedy_walk(graph, source, target, unvisited, FailureReason.DEAD_END)
+    return _greedy_walk(
+        graph, source, target, lambda here, unvisited: unvisited, FailureReason.DEAD_END
+    )
 
 
 def srp(
@@ -242,20 +255,20 @@ def srp(
     counted).  With ``fallback`` enabled, a hop whose quadrant is empty
     widens to all unvisited neighbors instead of failing.
     """
-    nodes = graph.nodes
+    xy = graph.lists.positions
 
-    def in_quadrant(here, visited):
-        unvisited = [nodes[v] for v in graph.neighbors(here) if v not in visited]
-        kept = quadrant_filter(nodes[here].position, nodes[target].position, unvisited)
-        if fallback and not kept:
-            kept = unvisited
-        return [(graph.quality(here, node.id).ber, node.id) for node in kept]
+    def in_quadrant(here, unvisited):
+        inside = quadrant_filter(xy[here], xy[target], [xy[v] for _, v in unvisited])
+        if fallback and not inside:
+            return unvisited
+        return [unvisited[i] for i in inside]
 
     return _greedy_walk(graph, source, target, in_quadrant, FailureReason.EMPTY_QUADRANT)
 
 
-def quadrant_filter(current, target, candidates):
-    """Keep candidates lying in the quadrant of ``target`` seen from ``current``.
+def quadrant_filter(current, target, candidates) -> list[int]:
+    """Indices of the ``(x, y)`` candidates in the quadrant of ``target``
+    seen from ``current``.
 
     A candidate passes when its offset from the current position agrees in
     sign with the target's offset on both axes; boundary nodes (offset 0)
@@ -267,9 +280,9 @@ def quadrant_filter(current, target, candidates):
     dx = tx - cx
     dy = ty - cy
     return [
-        node
-        for node in candidates
-        if (node.x - cx) * dx >= 0.0 and (node.y - cy) * dy >= 0.0
+        i
+        for i, (x, y) in enumerate(candidates)
+        if (x - cx) * dx >= 0.0 and (y - cy) * dy >= 0.0
     ]
 
 
@@ -282,12 +295,11 @@ def route_dump_lines(protocol: Protocol, graph: NetworkGraph, route: Route) -> l
     """
     name = protocol.value
     lines = []
+    xy = graph.lists.positions
     for index, node_id in enumerate(route.hops):
-        node = graph.node(node_id)
+        x, y = xy[node_id]
         ber_to_next = route.hop_bers[index] if index < route.hop_count else 0.0
-        lines.append(
-            f"{name} {index} {node_id} {node.x:.8e} {node.y:.8e} {ber_to_next:.8e}"
-        )
+        lines.append(f"{name} {index} {node_id} {x:.8e} {y:.8e} {ber_to_next:.8e}")
     lines.append(
         f"{name} e2e {route.e2e_ber:.8e} {route.total_distance:.8e} {route.evaluations}"
     )

@@ -4,12 +4,9 @@ import pytest
 
 from uowsim import (
     ChannelParams,
-    LinkQuality,
     NetworkGraph,
-    Node,
     PhysicalConstants,
     ReceiverNoise,
-    Role,
 )
 
 
@@ -26,16 +23,17 @@ def make_graph(positions, edge_bers, edge_distances=None):
     euclidean separation; received power is not meaningful for synthetic
     edges and is stored as 0.
     """
-    roles = {0: Role.SOURCE, 1: Role.TARGET}
-    nodes = [
-        Node(i, float(x), float(y), roles.get(i, Role.RELAY))
-        for i, (x, y) in enumerate(positions)
+    pairs = list(edge_bers)
+    distances = [
+        edge_distances[pair] if edge_distances and pair in edge_distances
+        else math.dist(positions[pair[0]], positions[pair[1]])
+        for pair in pairs
     ]
-    edges = []
-    for (u, v), ber in edge_bers.items():
-        if edge_distances and (u, v) in edge_distances:
-            distance = edge_distances[(u, v)]
-        else:
-            distance = math.dist(positions[u], positions[v])
-        edges.append((u, v, LinkQuality(distance=distance, received_power=0.0, ber=ber)))
-    return NetworkGraph(nodes, edges)
+    return NetworkGraph(
+        positions,
+        [u for u, _ in pairs],
+        [v for _, v in pairs],
+        distances,
+        [0.0] * len(pairs),
+        list(edge_bers.values()),
+    )

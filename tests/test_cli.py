@@ -240,6 +240,9 @@ def test_main_malformed_config_exits_2(tmp_path):
     missing = tmp_path / "missing.json"
     assert main(["route", "--config", str(missing), "--out", str(tmp_path)]) == 2
     assert main(["route", "--seed", "-1", "--out", str(tmp_path)]) == 2
+    repeated_count = ["campaign", "--nodes", "20,20", "--realizations", "1"]
+    assert main(repeated_count + ["--out", str(tmp_path)]) == 2
+    assert main(["route", "--protocols", "crp,crp", "--out", str(tmp_path)]) == 2
 
 
 def test_main_unwritable_out_exits_3(tmp_path):
@@ -284,3 +287,21 @@ def test_module_entry_point(tmp_path):
     lines = (tmp_path / "ber_sweep.csv").read_text().splitlines()
     assert lines[0] == "water,divergence_deg,distance_m,ber"
     assert len(lines) == 5
+
+
+def test_campaign_does_not_import_scipy_sparse(tmp_path):
+    # The graph and CRP run on numpy arrays and Python lists; importing
+    # scipy.sparse would add about 12 MB of RSS and 0.1 s to every process.
+    pythonpath = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
+    args = ["campaign", "--nodes", "20", "--realizations", "2", "--out", str(tmp_path)]
+    script = (
+        f"import sys; from uowsim.cli import main; code = main({args!r}); "
+        "print(code, 'scipy.sparse' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    assert result.stdout.split()[-2:] == ["0", "False"]

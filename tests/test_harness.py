@@ -260,6 +260,8 @@ def test_config_from_dict_roundtrip_and_errors():
         {"channel": {"tx_power": float("inf")}},
         {"channel": {"extinction": float("nan")}},
         {"noise": {"data_rate": float("inf")}},
+        {"node_count": [20, 30, 20]},
+        {"protocols": ["crp", "crp"]},
     ):
         with pytest.raises(ConfigError):
             config_from_dict(bad)

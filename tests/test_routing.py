@@ -4,12 +4,13 @@ import pytest
 from oracles import best_paths_bruteforce, fold_reference
 from uowsim import (
     FailureReason,
-    Node,
     Protocol,
-    Role,
+    SimulationConfig,
     WeightMode,
+    build_graph,
     crp,
     drp,
+    generate_deployment,
     quadrant_filter,
     route_dump_lines,
     srp,
@@ -73,6 +74,71 @@ def test_crp_disconnected():
     assert not outcome.success
     assert outcome.failure_reason is FailureReason.DISCONNECTED
     assert outcome.evaluations > 0
+
+
+def test_crp_routes_through_zero_weight_edge(default_setup):
+    # S(0) -- A(2) -- B(3) -- T(1), and the A-B link is error-free: its
+    # weight is 0 under both modes, and it is on the only path.
+    graph = make_graph(
+        [(0.0, 0.0), (30.0, 0.0), (10.0, 0.0), (20.0, 0.0)],
+        {(0, 2): 0.1, (2, 3): 0.0, (3, 1): 0.2},
+    )
+    for mode in WeightMode:
+        route = crp(graph, 0, 1, mode).route
+        assert route.hops == (0, 2, 3, 1)
+        assert route.hop_bers[1] == 0.0
+        assert route.e2e_ber == pytest.approx(0.1 * 0.8 + 0.9 * 0.2, rel=1e-12)
+    # Coincident source and target: build_graph prices the link at ber 0.
+    params, noise, constants = default_setup
+    coincident = build_graph(
+        np.array([(10.0, 10.0), (10.0, 10.0)]), 80.0, params, noise, constants
+    )
+    outcome = crp(coincident, 0, 1)
+    assert outcome.route.hops == (0, 1)
+    assert outcome.route.hop_bers == (0.0,)
+    assert outcome.route.e2e_ber == 0.0
+
+
+def _reachable_degree_sum(graph, source, mode):
+    """Degree sum over the nodes reachable from ``source`` by finite-weight edges."""
+    finite = {u: [] for u in range(graph.node_count)}
+    degree = [0] * graph.node_count
+    for u, v, quality in graph.iter_edges():
+        degree[u] += 1
+        degree[v] += 1
+        if mode is WeightMode.PAPER_SUM or quality.ber < 0.5:
+            finite[u].append(v)
+            finite[v].append(u)
+    seen = {source}
+    stack = [source]
+    while stack:
+        for v in finite[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return sum(degree[u] for u in seen)
+
+
+def test_crp_evaluations_are_reachable_degree_sum(default_setup):
+    # Dijkstra runs to exhaustion: every node reachable through finite
+    # weights is settled and examines each incident edge once.
+    rng = np.random.default_rng(606)
+    for _ in range(200):
+        n = int(rng.integers(3, 12))
+        positions, edges = _random_graph(rng, n)
+        edges = {pair: float(rng.uniform(0.0, 0.6)) for pair in edges}
+        graph = make_graph(positions, edges)
+        for mode in WeightMode:
+            expected = _reachable_degree_sum(graph, 0, mode)
+            assert crp(graph, 0, 1, mode).evaluations == expected
+    params, noise, constants = default_setup
+    config = SimulationConfig(node_count=30)
+    for seed in range(50):
+        graph = build_graph(
+            generate_deployment(config, seed), 80.0, params, noise, constants
+        )
+        expected = _reachable_degree_sum(graph, 0, WeightMode.EXACT_LOG)
+        assert crp(graph, 0, 1).evaluations == expected
 
 
 def test_crp_rejects_unknown_ids():
@@ -204,28 +270,27 @@ def test_srp_empty_quadrant_and_fallback():
 
 
 def test_quadrant_filter_examples():
-    inside = Node(2, 3.0, 7.0, Role.RELAY)
-    outside = Node(3, -1.0, 7.0, Role.RELAY)
-    assert quadrant_filter((0.0, 0.0), (10.0, 10.0), [inside]) == [inside]
+    inside = (3.0, 7.0)
+    outside = (-1.0, 7.0)
+    assert quadrant_filter((0.0, 0.0), (10.0, 10.0), [inside]) == [0]
     assert quadrant_filter((0.0, 0.0), (10.0, 10.0), [outside]) == []
+    assert quadrant_filter((0.0, 0.0), (10.0, 10.0), [outside, inside]) == [1]
     # axis-aligned target constrains only the aligned axis
-    below = Node(4, 5.0, -3.0, Role.RELAY)
-    assert quadrant_filter((0.0, 0.0), (10.0, 0.0), [below]) == [below]
-    target_node = Node(1, 10.0, 10.0, Role.TARGET)
-    assert quadrant_filter((0.0, 0.0), (10.0, 10.0), [target_node]) == [target_node]
+    below = (5.0, -3.0)
+    assert quadrant_filter((0.0, 0.0), (10.0, 0.0), [below]) == [0]
+    target = (10.0, 10.0)
+    assert quadrant_filter((0.0, 0.0), target, [target]) == [0]
 
 
 def test_quadrant_filter_is_subset():
     rng = np.random.default_rng(17)
     for _ in range(200):
-        candidates = [
-            Node(i, float(x), float(y), Role.RELAY)
-            for i, (x, y) in enumerate(rng.uniform(-50, 50, size=(10, 2)))
-        ]
+        candidates = rng.uniform(-50, 50, size=(10, 2)).tolist()
         current = tuple(rng.uniform(-50, 50, size=2))
         target = tuple(rng.uniform(-50, 50, size=2))
         kept = quadrant_filter(current, target, candidates)
-        assert set(n.id for n in kept) <= set(n.id for n in candidates)
+        assert kept == sorted(set(kept))
+        assert set(kept) <= set(range(len(candidates)))
 
 
 def _greedy_step_check(graph, route, quadrant_target=None):
@@ -233,13 +298,12 @@ def _greedy_step_check(graph, route, quadrant_target=None):
     visited = set()
     for i, here in enumerate(route.hops[:-1]):
         visited.add(here)
-        candidates = [v for v in graph.neighbors(here) if v not in visited]
+        neighbors = graph.indices[graph.indptr[here] : graph.indptr[here + 1]].tolist()
+        candidates = [v for v in neighbors if v not in visited]
         if quadrant_target is not None:
-            nodes = [graph.node(v) for v in candidates]
-            kept = quadrant_filter(
-                graph.node(here).position, quadrant_target, nodes
-            )
-            candidates = [n.id for n in kept]
+            points = [graph.positions[v] for v in candidates]
+            kept = quadrant_filter(graph.positions[here], quadrant_target, points)
+            candidates = [candidates[i] for i in kept]
         chosen = route.hops[i + 1]
         best = min(candidates, key=lambda v: (graph.quality(here, v).ber, v))
         assert chosen == best
@@ -268,7 +332,7 @@ def test_greedy_invariants_on_random_graphs():
                 assert route.e2e_ber == pytest.approx(
                     fold_reference(route.hop_bers), rel=1e-12, abs=1e-15
                 )
-                target_pos = graph.node(1).position if protocol is Protocol.SRP else None
+                target_pos = graph.positions[1] if protocol is Protocol.SRP else None
                 _greedy_step_check(graph, route, target_pos)
 
 

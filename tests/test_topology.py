@@ -1,11 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from oracles import reachability_closure
 from uowsim import (
-    Node,
-    Role,
+    NetworkGraph,
     SimulationConfig,
     build_graph,
     generate_deployment,
@@ -19,25 +19,24 @@ BER_CLEAR_50M = 0.49999618051689926
 
 def test_two_node_deployment():
     config = SimulationConfig(node_count=2)
-    nodes = generate_deployment(config, 7)
-    assert [n.role for n in nodes] == [Role.SOURCE, Role.TARGET]
-    assert nodes[0].position == (52.5, 125.0)
-    assert nodes[1].position == (197.5, 125.0)
+    positions = generate_deployment(config, 7)
+    assert positions.tolist() == [[52.5, 125.0], [197.5, 125.0]]
 
 
 def test_deployment_determinism():
     config = SimulationConfig(node_count=40)
-    assert generate_deployment(config, 42) == generate_deployment(config, 42)
-    assert generate_deployment(config, 42) != generate_deployment(config, 43)
+    assert np.array_equal(generate_deployment(config, 42), generate_deployment(config, 42))
+    assert not np.array_equal(generate_deployment(config, 42), generate_deployment(config, 43))
 
 
 def test_relays_stay_inside_area():
     config = SimulationConfig(node_count=40)
     for seed in range(200):
-        for node in generate_deployment(config, seed)[2:]:
-            assert 0.0 <= node.x <= 250.0
-            assert 0.0 <= node.y <= 250.0
-            assert node.role is Role.RELAY
+        positions = generate_deployment(config, seed)
+        assert positions.shape == (40, 2)
+        for x, y in positions[2:]:
+            assert 0.0 <= x <= 250.0
+            assert 0.0 <= y <= 250.0
 
 
 def test_deployment_rejects_sweep_and_tiny_counts():
@@ -46,22 +45,21 @@ def test_deployment_rejects_sweep_and_tiny_counts():
         generate_deployment(config, 1)
 
 
-def _line_nodes(xs):
-    roles = {0: Role.SOURCE, 1: Role.TARGET}
-    return [Node(i, float(x), 0.0, roles.get(i, Role.RELAY)) for i, x in enumerate(xs)]
+def _line_positions(xs):
+    return np.array([(x, 0.0) for x in xs])
 
 
 def test_range_cutoff(default_setup):
     params, noise, constants = default_setup
-    graph = build_graph(_line_nodes([0.0, 81.0]), 80.0, params, noise, constants)
+    graph = build_graph(_line_positions([0.0, 81.0]), 80.0, params, noise, constants)
     assert graph.edge_count == 0
-    graph = build_graph(_line_nodes([0.0, 80.0]), 80.0, params, noise, constants)
+    graph = build_graph(_line_positions([0.0, 80.0]), 80.0, params, noise, constants)
     assert graph.edge_count == 1
 
 
 def test_edge_quality_matches_channel(default_setup):
     params, noise, constants = default_setup
-    graph = build_graph(_line_nodes([0.0, 50.0]), 80.0, params, noise, constants)
+    graph = build_graph(_line_positions([0.0, 50.0]), 80.0, params, noise, constants)
     quality = graph.quality(0, 1)
     assert quality.distance == 50.0
     assert quality.ber == pytest.approx(BER_CLEAR_50M, rel=1e-10)
@@ -69,7 +67,7 @@ def test_edge_quality_matches_channel(default_setup):
 
 def test_collinear_edges(default_setup):
     params, noise, constants = default_setup
-    graph = build_graph(_line_nodes([0.0, 60.0, 120.0]), 80.0, params, noise, constants)
+    graph = build_graph(_line_positions([0.0, 60.0, 120.0]), 80.0, params, noise, constants)
     assert graph.edge_count == 2
     assert graph.has_edge(0, 1)
     assert graph.has_edge(1, 2)
@@ -78,11 +76,7 @@ def test_collinear_edges(default_setup):
 
 def test_coincident_nodes_get_perfect_link(default_setup):
     params, noise, constants = default_setup
-    nodes = [
-        Node(0, 10.0, 10.0, Role.SOURCE),
-        Node(1, 10.0, 10.0, Role.TARGET),
-    ]
-    graph = build_graph(nodes, 80.0, params, noise, constants)
+    graph = build_graph(np.array([(10.0, 10.0), (10.0, 10.0)]), 80.0, params, noise, constants)
     quality = graph.quality(0, 1)
     assert quality.ber == 0.0
     assert quality.distance == 1e-6
@@ -94,17 +88,17 @@ def test_graph_symmetry_and_cutoff_properties(default_setup):
         node_count=10, area=(100.0, 100.0), source_pos=(10.0, 50.0), target_pos=(90.0, 50.0)
     )
     for seed in range(1000):
-        nodes = generate_deployment(config, seed)
-        graph = build_graph(nodes, 40.0, params, noise, constants)
+        positions = generate_deployment(config, seed)
+        graph = build_graph(positions, 40.0, params, noise, constants)
         for u, v, quality in graph.iter_edges():
             assert u != v
-            assert graph.quality(v, u) is quality
+            assert graph.quality(v, u) == quality
             assert quality.distance <= 40.0
             assert 0.0 <= quality.ber <= 0.5
         # an edge exists exactly when the separation is within range
         for u in range(graph.node_count):
             for v in range(u + 1, graph.node_count):
-                separation = math.dist(nodes[u].position, nodes[v].position)
+                separation = math.dist(positions[u], positions[v])
                 assert graph.has_edge(u, v) == (separation <= 40.0)
 
 
@@ -123,7 +117,7 @@ def test_build_graph_determinism(default_setup):
     config = SimulationConfig(node_count=25)
     first = build_graph(generate_deployment(config, 3), 80.0, params, noise, constants)
     second = build_graph(generate_deployment(config, 3), 80.0, params, noise, constants)
-    assert first.nodes == second.nodes
+    assert np.array_equal(first.positions, second.positions)
     assert list(first.iter_edges()) == list(second.iter_edges())
 
 
@@ -149,11 +143,13 @@ def test_path_exists_matches_matrix_closure(default_setup):
 
 
 def test_graph_rejects_bad_ids():
-    from uowsim import LinkQuality, NetworkGraph
+    positions = _line_positions([0.0, 10.0, 20.0])
 
-    nodes = _line_nodes([0.0, 10.0])
-    quality = LinkQuality(distance=10.0, received_power=0.0, ber=0.1)
-    with pytest.raises(ValueError):
-        NetworkGraph(nodes, [(0, 0, quality)])
-    with pytest.raises(ValueError):
-        NetworkGraph(nodes, [(0, 7, quality)])
+    def graph(us, vs):
+        k = len(us)
+        return NetworkGraph(positions, us, vs, [10.0] * k, [0.0] * k, [0.1] * k)
+
+    for us, vs in (([0], [0]), ([0], [7]), ([-1], [1]), ([0, 1], [1, 0])):
+        with pytest.raises(ValueError):
+            graph(us, vs)
+    assert graph([0, 2], [1, 1]).edge_count == 2
