@@ -108,9 +108,11 @@ def _empty_route(node_id: int) -> RoutingOutcome:
     return RoutingOutcome(route=route, failure_reason=None, evaluations=0)
 
 
-def _finish(graph: NetworkGraph, hops: list[int], evaluations: int) -> RoutingOutcome:
+def _finish(
+    graph: NetworkGraph, hops: list[int], edges: list[int], evaluations: int
+) -> RoutingOutcome:
+    """Route over ``hops``; ``edges[i]`` is the edge id of hop i."""
     lists = graph.lists
-    edges = [graph.edge_id(u, v) for u, v in zip(hops, hops[1:])]
     hop_bers = tuple(lists.ber[e] for e in edges)
     route = Route(
         hops=tuple(hops),
@@ -165,6 +167,7 @@ def crp(
     n = graph.node_count
     dist = [math.inf] * n
     prev = [source] * n
+    via = [-1] * n
     settled = [False] * n
     dist[source] = 0.0
     evaluations = 0
@@ -183,15 +186,18 @@ def crp(
             if candidate < dist[v]:
                 dist[v] = candidate
                 prev[v] = u
+                via[v] = e
                 heapq.heappush(heap, (candidate, v))
 
     if not settled[target]:
         return _fail(FailureReason.DISCONNECTED, evaluations)
-    hops = [target]
+    hops, edges = [target], []
     while hops[-1] != source:
+        edges.append(via[hops[-1]])
         hops.append(prev[hops[-1]])
     hops.reverse()
-    return _finish(graph, hops, evaluations)
+    edges.reverse()
+    return _finish(graph, hops, edges, evaluations)
 
 
 def _greedy_walk(
@@ -199,8 +205,8 @@ def _greedy_walk(
 ) -> RoutingOutcome:
     """Greedy walk that always moves to the min-BER examined neighbor.
 
-    ``examine(here, unvisited)`` gets the ``(ber, id)`` pairs of the
-    unvisited neighbors of ``here`` and returns the ones the protocol
+    ``examine(here, unvisited)`` gets the ``(ber, id, edge)`` triples of
+    the unvisited neighbors of ``here`` and returns the ones the protocol
     examines.  They are counted as evaluations, and ties on BER break
     toward the lower node id.  The walk fails with ``stuck`` when there is
     no candidate and with HOP_LIMIT after N-1 hops.
@@ -213,22 +219,26 @@ def _greedy_walk(
     indptr, indices, edge, bers = lists.indptr, lists.indices, lists.edge, lists.ber
     visited = {source}
     hops = [source]
+    edges = []
     current = source
     evaluations = 0
     for _ in range(graph.node_count - 1):
         start, stop = indptr[current], indptr[current + 1]
         unvisited = [
-            (bers[e], v) for v, e in zip(indices[start:stop], edge[start:stop]) if v not in visited
+            (bers[e], v, e)
+            for v, e in zip(indices[start:stop], edge[start:stop])
+            if v not in visited
         ]
         candidates = examine(current, unvisited)
         evaluations += len(candidates)
         if not candidates:
             return _fail(stuck, evaluations)
-        _, current = min(candidates)
+        _, current, e = min(candidates)
         hops.append(current)
+        edges.append(e)
         visited.add(current)
         if current == target:
-            return _finish(graph, hops, evaluations)
+            return _finish(graph, hops, edges, evaluations)
     return _fail(FailureReason.HOP_LIMIT, evaluations)
 
 
@@ -258,7 +268,7 @@ def srp(
     xy = graph.lists.positions
 
     def in_quadrant(here, unvisited):
-        inside = quadrant_filter(xy[here], xy[target], [xy[v] for _, v in unvisited])
+        inside = quadrant_filter(xy[here], xy[target], [xy[v] for _, v, _ in unvisited])
         if fallback and not inside:
             return unvisited
         return [unvisited[i] for i in inside]

@@ -11,7 +11,7 @@ import logging
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -170,6 +170,15 @@ def generate_deployment(config, seed) -> np.ndarray:
     return positions
 
 
+@lru_cache(maxsize=16)
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``np.triu_indices(n, 1)``: every node pair (i, j), i < j."""
+    pairs = np.triu_indices(n, 1)
+    for ids in pairs:
+        ids.flags.writeable = False
+    return pairs
+
+
 def build_graph(
     positions,
     max_range: float,
@@ -187,7 +196,7 @@ def build_graph(
         raise ValueError(f"max_range must be > 0, got {max_range}")
     positions = np.asarray(positions, dtype=float)
     x, y = positions[:, 0], positions[:, 1]
-    iu, ju = np.triu_indices(len(positions), k=1)
+    iu, ju = _pair_indices(len(positions))
     dx = x[iu] - x[ju]
     dy = y[iu] - y[ju]
     pair_dists = np.sqrt(dx * dx + dy * dy)

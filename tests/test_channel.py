@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,9 @@ from uowsim import (
     link_power_and_ber,
     photon_arrival_rate,
     received_power_los,
+    channel,
+    default_campaign_config,
+    run_campaign,
     single_link_ber,
 )
 
@@ -245,6 +249,52 @@ def test_erfc_accuracy_against_reference():
         reference = erfc_reference(float(x))
         for value in (math.erfc(float(x)), float(special.erfc(float(x)))):
             assert abs(value - reference) / reference <= 1e-10
+
+
+def _erfc_bit_mismatches(x) -> int:
+    """Arguments where the numpy port and scipy differ in any bit."""
+    return int(np.count_nonzero(channel._erfc(x).view(np.int64) != special.erfc(x).view(np.int64)))
+
+
+def test_erfc_port_matches_scipy_on_a_log_grid():
+    assert _erfc_bit_mismatches(np.geomspace(1e-12, 900.0, 1_000_000)) == 0
+
+
+@pytest.mark.parametrize("branch", [1.0, 8.0, math.sqrt(channel._ERFC_MAXLOG)])
+def test_erfc_port_matches_scipy_at_branch_points(branch):
+    # The 4001 doubles nearest the branch point (positive doubles order
+    # like their bit patterns), then a denser relative band around it.
+    steps = np.arange(-2000, 2001)
+    neighbours = (np.array(branch).view(np.int64) + steps).view(np.float64)
+    band = branch * (1.0 + np.linspace(-1e-9, 1e-9, 20001))
+    assert neighbours.min() < branch < neighbours.max()
+    assert _erfc_bit_mismatches(np.concatenate((neighbours, band))) == 0
+
+
+def test_erfc_port_matches_scipy_on_campaign_arguments(monkeypatch):
+    seen = []
+    port = channel._erfc
+
+    def recording(x):
+        seen.append(np.array(x))
+        return port(x)
+
+    monkeypatch.setattr(channel, "_erfc", recording)
+    run_campaign(
+        default_campaign_config(node_count=(20, 60, 100), realizations=10, master_seed=42),
+        n_workers=1,
+    )
+    x = np.concatenate(seen)
+    assert len(x) > 10_000 and (x >= 1.0).any() and (x >= 8.0).any()
+    assert _erfc_bit_mismatches(x) == 0
+
+
+def test_erfc_port_edge_values_without_warnings():
+    x = np.array([0.0, 5e-324, 1e-160, 26.0, 27.0, 30.0, 1e300, np.inf, np.nan])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _erfc_bit_mismatches(x) == 0
+        assert _erfc_bit_mismatches(np.array([])) == 0
 
 
 def test_vectorized_links_match_scalars():

@@ -289,14 +289,23 @@ def test_module_entry_point(tmp_path):
     assert len(lines) == 5
 
 
-def test_campaign_does_not_import_scipy_sparse(tmp_path):
-    # The graph and CRP run on numpy arrays and Python lists; importing
-    # scipy.sparse would add about 12 MB of RSS and 0.1 s to every process.
+def test_cli_commands_do_not_import_scipy(tmp_path):
+    # The link BERs use a numpy port of scipy's erfc and CRP a heapq loop;
+    # importing scipy would double every process's start-up time and RSS.
     pythonpath = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
-    args = ["campaign", "--nodes", "20", "--realizations", "2", "--out", str(tmp_path)]
+    out = ["--out", str(tmp_path)]
+    commands = [
+        ["campaign", "--nodes", "20", "--realizations", "2", *out],
+        ["route", "--nodes", "20", "--seed", "3", *out],
+        ["link-budget", "--distances", "10,20", *out],
+        ["ber-sweep", "--distances", "10,20", *out],
+    ]
     script = (
-        f"import sys; from uowsim.cli import main; code = main({args!r}); "
-        "print(code, 'scipy.sparse' in sys.modules)"
+        "import sys; from uowsim.cli import main\n"
+        f"for args in {commands!r}:\n"
+        "    code = main(args)\n"
+        "    scipy = any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
+        "    print('imports', args[0], code, scipy)\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", script],
@@ -304,4 +313,5 @@ def test_campaign_does_not_import_scipy_sparse(tmp_path):
         text=True,
         env={**os.environ, "PYTHONPATH": pythonpath},
     )
-    assert result.stdout.split()[-2:] == ["0", "False"]
+    checks = [line.split()[1:] for line in result.stdout.splitlines() if line.startswith("imports ")]
+    assert checks == [[args[0], "0", "False"] for args in commands], result.stdout + result.stderr
