@@ -12,14 +12,14 @@ from uowsim import (
     ReceiverNoise,
     WaterType,
     chain_ber,
+    channel,
+    default_campaign_config,
     e2e_ber,
     extinction_coefficient,
     extinction_from_components,
     link_power_and_ber,
     photon_arrival_rate,
     received_power_los,
-    channel,
-    default_campaign_config,
     run_campaign,
     single_link_ber,
 )
