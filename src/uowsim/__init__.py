@@ -47,7 +47,6 @@ from .routing import (
 from .topology import (
     SOURCE_ID,
     TARGET_ID,
-    LinkQuality,
     NetworkGraph,
     build_graph,
     generate_deployment,

@@ -13,6 +13,7 @@ call from any number of threads.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -52,7 +53,9 @@ def require_finite(error, **values) -> None:
     """Raise ``error`` unless each value is a finite real number.
 
     A tuple or list value is checked element by element; None (an unset
-    optional) passes, and bools are not numbers here.
+    optional) passes, and bools are not numbers here.  An int too large
+    for a float is not finite either: Python compares it exactly with the
+    largest float, where ``math.isfinite`` would raise OverflowError.
     """
     for name, value in values.items():
         for number in value if isinstance(value, (tuple, list)) else (value,):
@@ -61,7 +64,7 @@ def require_finite(error, **values) -> None:
             if (
                 isinstance(number, bool)
                 or not isinstance(number, (int, float))
-                or not math.isfinite(number)
+                or not abs(number) <= sys.float_info.max
             ):
                 raise error(f"{name} must be a finite number, got {value!r}")
 

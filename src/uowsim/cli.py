@@ -166,8 +166,11 @@ def cmd_ber_sweep(config: SimulationConfig, distances, waters, divergences_deg) 
 def _require_sweep(distances, waters, divergences_deg):
     if not distances or not waters or not divergences_deg:
         raise ConfigError("sweep lists must not be empty")
-    if any(d <= 0 for d in distances):
-        raise ConfigError("distances must be > 0")
+    if not all(0.0 < d < math.inf for d in distances):
+        raise ConfigError("distances must be finite and > 0")
+    # ChannelParams' own range, checked on the radians it will be given.
+    if not all(0.0 < math.radians(a) <= math.pi for a in divergences_deg):
+        raise ConfigError("divergences must be in (0, 180] degrees")
 
 
 def _metric_cells(metric) -> tuple:
@@ -296,7 +299,7 @@ def _load_config_doc(path) -> dict:
             doc = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an int of over 4300 digits
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")

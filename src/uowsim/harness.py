@@ -239,11 +239,11 @@ class CampaignResult:
         raise KeyError((protocol, n_nodes))
 
 
-def _run_index_range(config: SimulationConfig, indices) -> list[TrialRecord]:
+def _run_index_range(config: SimulationConfig, first_index: int, seeds) -> list[TrialRecord]:
+    """Records of the realizations from ``first_index`` on, one per seed."""
     records = []
     n = config.single_node_count()
-    for index in indices:
-        seed = derive_trial_seed(config.master_seed, index)
+    for index, seed in enumerate(seeds, first_index):
         for metric in run_single(config, seed).metrics:
             records.append(
                 TrialRecord(n_nodes=n, realization=index, seed=seed, metrics=metric)
@@ -269,22 +269,24 @@ def resolve_workers(n_workers: int | None = None) -> int:
 def run_campaign(config: SimulationConfig, n_workers: int | None = None) -> CampaignResult:
     """Execute the full sweep and aggregate per (protocol, node count).
 
-    The result is a pure function of the config: the realizations are cut
-    into (per-count config, index range) tasks that run inline on one
-    worker or on a process pool of at most ``min(workers, cpu count,
-    tasks)`` processes, and their records are reassembled in task order.
+    The result is a pure function of the config: each realization's seed
+    is derived once, the realizations are cut into (per-count config,
+    first index, seeds) tasks that run inline on one worker or on a
+    process pool of at most ``min(workers, cpu count, tasks)`` processes,
+    and their records are reassembled in task order.
     """
     workers = min(resolve_workers(n_workers), os.cpu_count() or 1)
     chunk = max(1, math.ceil(config.realizations / (workers * 4)))
+    seeds = [derive_trial_seed(config.master_seed, i) for i in range(config.realizations)]
     per_count_configs = [replace(config, node_count=n) for n in config.node_counts]
     tasks = [
-        (cfg, range(start, min(start + chunk, config.realizations)))
+        (cfg, start, seeds[start : start + chunk])
         for cfg in per_count_configs
         for start in range(0, config.realizations, chunk)
     ]
     workers = min(workers, len(tasks))
     if workers <= 1:
-        chunks = [_run_index_range(cfg, indices) for cfg, indices in tasks]
+        chunks = [_run_index_range(*task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_index_range, *zip(*tasks)))

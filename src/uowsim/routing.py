@@ -112,12 +112,11 @@ def _finish(
     graph: NetworkGraph, hops: list[int], edges: list[int], evaluations: int
 ) -> RoutingOutcome:
     """Route over ``hops``; ``edges[i]`` is the edge id of hop i."""
-    lists = graph.lists
-    hop_bers = tuple(lists.ber[e] for e in edges)
+    hop_bers = tuple(graph.ber[e] for e in edges)
     route = Route(
         hops=tuple(hops),
         hop_bers=hop_bers,
-        hop_distances=tuple(lists.distance[e] for e in edges),
+        hop_distances=tuple(graph.distance[e] for e in edges),
         e2e_ber=fold_e2e_ber(hop_bers),
         evaluations=evaluations,
     )
@@ -161,9 +160,8 @@ def crp(
     if source == target:
         return _empty_route(source)
 
-    lists = graph.lists
-    indptr, indices, edge = lists.indptr, lists.indices, lists.edge
-    weights = edge_weights(lists.ber, mode)
+    indptr, indices, edge = graph.indptr, graph.indices, graph.edge
+    weights = edge_weights(graph.ber, mode)
     n = graph.node_count
     dist = [math.inf] * n
     prev = [source] * n
@@ -215,8 +213,7 @@ def _greedy_walk(
     if source == target:
         return _empty_route(source)
 
-    lists = graph.lists
-    indptr, indices, edge, bers = lists.indptr, lists.indices, lists.edge, lists.ber
+    indptr, indices, edge, bers = graph.indptr, graph.indices, graph.edge, graph.ber
     visited = {source}
     hops = [source]
     edges = []
@@ -265,7 +262,7 @@ def srp(
     counted).  With ``fallback`` enabled, a hop whose quadrant is empty
     widens to all unvisited neighbors instead of failing.
     """
-    xy = graph.lists.positions
+    xy = graph.positions
 
     def in_quadrant(here, unvisited):
         inside = quadrant_filter(xy[here], xy[target], [xy[v] for _, v, _ in unvisited])
@@ -305,9 +302,8 @@ def route_dump_lines(protocol: Protocol, graph: NetworkGraph, route: Route) -> l
     """
     name = protocol.value
     lines = []
-    xy = graph.lists.positions
     for index, node_id in enumerate(route.hops):
-        x, y = xy[node_id]
+        x, y = graph.positions[node_id]
         ber_to_next = route.hop_bers[index] if index < route.hop_count else 0.0
         lines.append(f"{name} {index} {node_id} {x:.8e} {y:.8e} {ber_to_next:.8e}")
     lines.append(

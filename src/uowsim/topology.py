@@ -4,15 +4,13 @@ A deployment places the source and target at fixed positions and scatters
 relay nodes uniformly over the area with a seeded generator, so the same
 (config, seed) pair always reproduces the same network bit for bit.  Edges
 exist exactly between node pairs within the maximum transmission range and
-carry distance, received power and single-link BER.
+carry distance and single-link BER.
 """
 
 import logging
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import NamedTuple
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,48 +26,29 @@ TARGET_ID = 1
 DEGENERATE_DISTANCE = 1e-6
 
 
-@dataclass(frozen=True, slots=True)
-class LinkQuality:
-    """One edge's figures, as read back from the graph's arrays."""
-
-    distance: float
-    received_power: float
-    ber: float
-
-
-class GraphLists(NamedTuple):
-    """Python-list copies of a graph's arrays, which the per-element walks
-    index: a list lookup is several times cheaper than a numpy one."""
-
-    indptr: list[int]
-    indices: list[int]
-    edge: list[int]
-    distance: list[float]
-    ber: list[float]
-    positions: list[list[float]]
-
-
 class NetworkGraph:
-    """Undirected graph over node positions, stored as arrays.
+    """Undirected graph over node positions, stored as Python lists.
 
-    Node ``i`` sits at ``positions[i]``.  ``distance``, ``power`` and
-    ``ber`` hold one entry per undirected edge.  The adjacency is in CSR
-    form: the neighbors of ``u`` are ``indices[indptr[u]:indptr[u + 1]]``
+    Node ``i`` sits at ``positions[i]``, an ``[x, y]`` list.  ``distance``
+    and ``ber`` hold one entry per undirected edge.  The adjacency is in
+    CSR form: the neighbors of ``u`` are ``indices[indptr[u]:indptr[u + 1]]``
     in ascending id order, and ``edge`` gives the undirected edge of each
     of those slots, so every edge appears in the rows of both endpoints.
     The graph is self-edge free and has at most one edge per node pair.
+    The routers index these lists element by element, where a list lookup
+    is several times cheaper than a numpy one.
     """
 
-    def __init__(self, positions, us, vs, distance, power, ber):
+    def __init__(self, positions, us, vs, distance, ber):
         """Build from an (n, 2) positions array and per-edge arrays.
 
         ``us`` and ``vs`` are the endpoint ids of each undirected edge, in
-        any order; ``distance``, ``power`` and ``ber`` are its figures.
+        any order; ``distance`` and ``ber`` are its figures.
         """
-        self.positions = np.asarray(positions, dtype=float)
-        if self.positions.ndim != 2 or self.positions.shape[1] != 2:
-            raise ValueError(f"positions must be an (n, 2) array, got {self.positions.shape}")
-        n = len(self.positions)
+        positions = np.asarray(positions, dtype=float)
+        if positions.ndim != 2 or positions.shape[1] != 2:
+            raise ValueError(f"positions must be an (n, 2) array, got {positions.shape}")
+        n = len(positions)
         us = np.asarray(us, dtype=np.intp)
         vs = np.asarray(vs, dtype=np.intp)
         loops = us == vs
@@ -84,26 +63,18 @@ class NetworkGraph:
         if (np.diff(keys[order]) == 0).any():
             raise ValueError("duplicate edge")
         m = len(us)
-        self.indices = cols[order]
-        self.edge = np.where(order < m, order, order - m)
-        self.indptr = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(np.bincount(rows, minlength=n), out=self.indptr[1:])
-        self.distance = np.asarray(distance, dtype=float)
-        self.power = np.asarray(power, dtype=float)
-        self.ber = np.asarray(ber, dtype=float)
-        if not len(vs) == len(self.distance) == len(self.power) == len(self.ber) == m:
+        distance = np.asarray(distance, dtype=float)
+        ber = np.asarray(ber, dtype=float)
+        if not len(vs) == len(distance) == len(ber) == m:
             raise ValueError("edge arrays differ in length")
-
-    @cached_property
-    def lists(self) -> GraphLists:
-        return GraphLists(
-            self.indptr.tolist(),
-            self.indices.tolist(),
-            self.edge.tolist(),
-            self.distance.tolist(),
-            self.ber.tolist(),
-            self.positions.tolist(),
-        )
+        indptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        self.positions = positions.tolist()
+        self.indptr = indptr.tolist()
+        self.indices = cols[order].tolist()
+        self.edge = np.where(order < m, order, order - m).tolist()
+        self.distance = distance.tolist()
+        self.ber = ber.tolist()
 
     @property
     def node_count(self) -> int:
@@ -117,34 +88,16 @@ class NetworkGraph:
         return 0 <= node_id < len(self.positions)
 
     def edge_id(self, u: int, v: int) -> int | None:
-        """Index of the edge (u, v) in the per-edge arrays, or None."""
+        """Index of the edge (u, v) in the per-edge lists, or None."""
         n = len(self.positions)
         if not (0 <= u < n and 0 <= v < n):
             return None
-        lists = self.lists
-        stop = lists.indptr[u + 1]
-        k = bisect_left(lists.indices, v, lists.indptr[u], stop)
-        return lists.edge[k] if k < stop and lists.indices[k] == v else None
-
-    def _link(self, e: int) -> LinkQuality:
-        return LinkQuality(self.lists.distance[e], float(self.power[e]), self.lists.ber[e])
-
-    def quality(self, u: int, v: int) -> LinkQuality:
-        e = self.edge_id(u, v)
-        if e is None:
-            raise KeyError((u, v))
-        return self._link(e)
+        stop = self.indptr[u + 1]
+        k = bisect_left(self.indices, v, self.indptr[u], stop)
+        return self.edge[k] if k < stop and self.indices[k] == v else None
 
     def has_edge(self, u: int, v: int) -> bool:
         return self.edge_id(u, v) is not None
-
-    def iter_edges(self):
-        """Yield every undirected edge once as (u, v, LinkQuality), u < v."""
-        indptr, indices, edge = self.lists.indptr, self.lists.indices, self.lists.edge
-        for u in range(self.node_count):
-            for k in range(indptr[u], indptr[u + 1]):
-                if u < indices[k]:
-                    yield u, indices[k], self._link(edge[k])
 
 
 def generate_deployment(config, seed) -> np.ndarray:
@@ -211,9 +164,9 @@ def build_graph(
             DEGENERATE_DISTANCE,
         )
     effective = np.where(degenerate, DEGENERATE_DISTANCE, pair_dists)
-    powers, bers = channel.link_power_and_ber(effective, params, noise, constants)
+    _, bers = channel.link_power_and_ber(effective, params, noise, constants)
     bers = np.where(degenerate, 0.0, bers)
-    return NetworkGraph(positions, us, vs, effective, powers, bers)
+    return NetworkGraph(positions, us, vs, effective, bers)
 
 
 def path_exists(graph: NetworkGraph, source: int, target: int) -> bool:
@@ -223,7 +176,7 @@ def path_exists(graph: NetworkGraph, source: int, target: int) -> bool:
             raise ValueError(f"unknown node id {node_id}")
     if source == target:
         return True
-    indptr, indices = graph.lists.indptr, graph.lists.indices
+    indptr, indices = graph.indptr, graph.indices
     seen = [False] * graph.node_count
     seen[source] = True
     queue = deque([source])

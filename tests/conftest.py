@@ -20,8 +20,7 @@ def make_graph(positions, edge_bers, edge_distances=None):
     """Synthetic NetworkGraph from (x, y) positions and {(u, v): ber} edges.
 
     Node 0 is the source, node 1 the target.  Edge distances default to the
-    euclidean separation; received power is not meaningful for synthetic
-    edges and is stored as 0.
+    euclidean separation.
     """
     pairs = list(edge_bers)
     distances = [
@@ -34,6 +33,14 @@ def make_graph(positions, edge_bers, edge_distances=None):
         [u for u, _ in pairs],
         [v for _, v in pairs],
         distances,
-        [0.0] * len(pairs),
         list(edge_bers.values()),
     )
+
+
+def graph_edges(graph):
+    """Yield every undirected edge once as (u, v, distance, ber), u < v."""
+    for u in range(graph.node_count):
+        for k in range(graph.indptr[u], graph.indptr[u + 1]):
+            v, e = graph.indices[k], graph.edge[k]
+            if u < v:
+                yield u, v, graph.distance[e], graph.ber[e]

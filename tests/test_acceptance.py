@@ -373,7 +373,8 @@ def test_criterion_9_route_validity_sweep(default_campaign):
                     assert len(set(route.hops)) == len(route.hops)
                     for u, v in zip(route.hops, route.hops[1:]):
                         assert result.graph.has_edge(u, v)
-                        assert result.graph.quality(u, v).distance <= config.max_range
+                        e = result.graph.edge_id(u, v)
+                        assert result.graph.distance[e] <= config.max_range
                     folded = oracles.fold_reference(route.hop_bers)
                     if folded == 0.0:
                         assert route.e2e_ber == 0.0

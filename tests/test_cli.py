@@ -243,6 +243,27 @@ def test_main_malformed_config_exits_2(tmp_path):
     repeated_count = ["campaign", "--nodes", "20,20", "--realizations", "1"]
     assert main(repeated_count + ["--out", str(tmp_path)]) == 2
     assert main(["route", "--protocols", "crp,crp", "--out", str(tmp_path)]) == 2
+    huge_int = tmp_path / "huge_int.json"
+    huge_int.write_text('{"max_range": 1' + "0" * 400 + "}")
+    assert main(["route", "--config", str(huge_int), "--out", str(tmp_path)]) == 2
+    # json parses no int of over 4300 digits; that is a malformed file too
+    huger_int = tmp_path / "huger_int.json"
+    huger_int.write_text('{"max_range": 1' + "0" * 5000 + "}")
+    assert main(["route", "--config", str(huger_int), "--out", str(tmp_path)]) == 2
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b'{"max_range": \xff}')
+    assert main(["route", "--config", str(not_utf8), "--out", str(tmp_path)]) == 2
+    for command in ("link-budget", "ber-sweep"):
+        for flag, value in (
+            ("--divergences", "0"),
+            ("--divergences", "200"),
+            ("--divergences", "nan"),
+            ("--divergences", "1e-322"),
+            ("--distances", "nan"),
+            ("--distances", "inf"),
+            ("--distances", "1e400"),
+        ):
+            assert main([command, flag, value, "--out", str(tmp_path)]) == 2
 
 
 def test_main_unwritable_out_exits_3(tmp_path):

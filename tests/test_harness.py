@@ -1,11 +1,17 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uowsim import (
+    ChannelParams,
     ConfigError,
+    DelayModel,
     FailureReason,
+    PhysicalConstants,
     Protocol,
+    ReceiverNoise,
     SimulationConfig,
     WaterType,
     WeightMode,
@@ -148,9 +154,20 @@ def test_aggregation_is_order_invariant():
     assert aggregate_records(shuffled, config) == result.aggregates
 
 
-def test_campaign_records_are_index_ordered():
+def test_campaign_records_are_index_ordered(monkeypatch):
+    import uowsim.harness as harness
+
+    derived = []
+    derive = harness.derive_trial_seed
+
+    def counting(master_seed, index):
+        derived.append(index)
+        return derive(master_seed, index)
+
+    monkeypatch.setattr(harness, "derive_trial_seed", counting)
     config = SimulationConfig(node_count=(20, 30), realizations=4)
     result = run_campaign(config)
+    assert derived == [0, 1, 2, 3]  # once per realization, not per node count
     coords = [(r.n_nodes, r.realization) for r in result.records]
     assert coords == sorted(coords)
     seeds = {r.realization: r.seed for r in result.records if r.n_nodes == 20}
@@ -262,6 +279,63 @@ def test_config_from_dict_roundtrip_and_errors():
         {"noise": {"data_rate": float("inf")}},
         {"node_count": [20, 30, 20]},
         {"protocols": ["crp", "crp"]},
+        {"max_range": 10**400},
+        {"area": [250, -(10**400)]},
+        {"noise": {"dark_count_rate": 10**400}},
+        {"channel": {"tx_power": 10**400}},
+        {"delay": {"packet_bits": 10**400}},
     ):
         with pytest.raises(ConfigError):
             config_from_dict(bad)
+
+
+_JSON_NUMBERS = st.one_of(
+    st.integers(-1000, 1000),
+    st.integers(-(10**400), 10**400),
+    st.floats(),
+)
+_JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        _JSON_NUMBERS,
+        st.sampled_from(["clear", "coastal", "turbid", "crp", "drp", "srp", "paper", "exact"]),
+        st.text(max_size=4),
+    ),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _fields_of(cls, values, max_size):
+    """Mappings over some of the dataclass's field names."""
+    names = st.sampled_from([f.name for f in dataclasses.fields(cls)])
+    return st.dictionaries(names, values, max_size=max_size)
+
+
+_NESTED = {
+    "channel": ChannelParams,
+    "noise": ReceiverNoise,
+    "constants": PhysicalConstants,
+    "delay": DelayModel,
+}
+# A nested section often comes alone, so that its values get past the
+# top-level checks and reach its dataclass's own.
+_CONFIG_DOCUMENTS = st.one_of(
+    *(
+        st.fixed_dictionaries({name: _fields_of(cls, _JSON_VALUES, 4)})
+        for name, cls in _NESTED.items()
+    ),
+    _fields_of(SimulationConfig, _JSON_VALUES | st.lists(_JSON_NUMBERS, min_size=2, max_size=2), 3),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(_CONFIG_DOCUMENTS)
+def test_config_from_dict_builds_or_raises_config_error(doc):
+    try:
+        config = config_from_dict(doc)
+    except ConfigError:
+        return
+    assert isinstance(config, SimulationConfig)

@@ -15,7 +15,7 @@ from uowsim import (
     route_dump_lines,
     srp,
 )
-from conftest import make_graph
+from conftest import graph_edges, make_graph
 
 
 def _triangle(direct, leg_a, leg_b):
@@ -103,10 +103,10 @@ def _reachable_degree_sum(graph, source, mode):
     """Degree sum over the nodes reachable from ``source`` by finite-weight edges."""
     finite = {u: [] for u in range(graph.node_count)}
     degree = [0] * graph.node_count
-    for u, v, quality in graph.iter_edges():
+    for u, v, _, ber in graph_edges(graph):
         degree[u] += 1
         degree[v] += 1
-        if mode is WeightMode.PAPER_SUM or quality.ber < 0.5:
+        if mode is WeightMode.PAPER_SUM or ber < 0.5:
             finite[u].append(v)
             finite[v].append(u)
     seen = {source}
@@ -298,17 +298,17 @@ def _greedy_step_check(graph, route, quadrant_target=None):
     visited = set()
     for i, here in enumerate(route.hops[:-1]):
         visited.add(here)
-        neighbors = graph.indices[graph.indptr[here] : graph.indptr[here + 1]].tolist()
+        neighbors = graph.indices[graph.indptr[here] : graph.indptr[here + 1]]
         candidates = [v for v in neighbors if v not in visited]
         if quadrant_target is not None:
             points = [graph.positions[v] for v in candidates]
             kept = quadrant_filter(graph.positions[here], quadrant_target, points)
             candidates = [candidates[i] for i in kept]
         chosen = route.hops[i + 1]
-        best = min(candidates, key=lambda v: (graph.quality(here, v).ber, v))
+        best = min(candidates, key=lambda v: (graph.ber[graph.edge_id(here, v)], v))
         assert chosen == best
-        assert graph.quality(here, chosen).ber <= min(
-            graph.quality(here, v).ber for v in candidates
+        assert graph.ber[graph.edge_id(here, chosen)] <= min(
+            graph.ber[graph.edge_id(here, v)] for v in candidates
         )
 
 

@@ -10,9 +10,10 @@ from uowsim import (
     build_graph,
     generate_deployment,
     path_exists,
+    received_power_los,
     single_link_ber,
 )
-from conftest import make_graph
+from conftest import graph_edges, make_graph
 
 BER_CLEAR_50M = 0.49999618051689926
 
@@ -60,9 +61,9 @@ def test_range_cutoff(default_setup):
 def test_edge_quality_matches_channel(default_setup):
     params, noise, constants = default_setup
     graph = build_graph(_line_positions([0.0, 50.0]), 80.0, params, noise, constants)
-    quality = graph.quality(0, 1)
-    assert quality.distance == 50.0
-    assert quality.ber == pytest.approx(BER_CLEAR_50M, rel=1e-10)
+    e = graph.edge_id(0, 1)
+    assert graph.distance[e] == 50.0
+    assert graph.ber[e] == pytest.approx(BER_CLEAR_50M, rel=1e-10)
 
 
 def test_collinear_edges(default_setup):
@@ -77,9 +78,9 @@ def test_collinear_edges(default_setup):
 def test_coincident_nodes_get_perfect_link(default_setup):
     params, noise, constants = default_setup
     graph = build_graph(np.array([(10.0, 10.0), (10.0, 10.0)]), 80.0, params, noise, constants)
-    quality = graph.quality(0, 1)
-    assert quality.ber == 0.0
-    assert quality.distance == 1e-6
+    e = graph.edge_id(0, 1)
+    assert graph.ber[e] == 0.0
+    assert graph.distance[e] == 1e-6
 
 
 def test_graph_symmetry_and_cutoff_properties(default_setup):
@@ -90,11 +91,11 @@ def test_graph_symmetry_and_cutoff_properties(default_setup):
     for seed in range(1000):
         positions = generate_deployment(config, seed)
         graph = build_graph(positions, 40.0, params, noise, constants)
-        for u, v, quality in graph.iter_edges():
+        for u, v, distance, ber in graph_edges(graph):
             assert u != v
-            assert graph.quality(v, u) == quality
-            assert quality.distance <= 40.0
-            assert 0.0 <= quality.ber <= 0.5
+            assert graph.edge_id(v, u) == graph.edge_id(u, v)
+            assert distance <= 40.0
+            assert 0.0 <= ber <= 0.5
         # an edge exists exactly when the separation is within range
         for u in range(graph.node_count):
             for v in range(u + 1, graph.node_count):
@@ -107,9 +108,10 @@ def test_edge_ber_consistency_small_graphs(default_setup):
     config = SimulationConfig(node_count=8, area=(60.0, 60.0), source_pos=(5.0, 30.0), target_pos=(55.0, 30.0))
     for seed in range(20):
         graph = build_graph(generate_deployment(config, seed), 40.0, params, noise, constants)
-        for _, _, quality in graph.iter_edges():
-            expected = single_link_ber(quality.received_power, noise, params, constants)
-            assert quality.ber == pytest.approx(expected, rel=1e-12)
+        for _, _, distance, ber in graph_edges(graph):
+            power = received_power_los(params, distance)
+            expected = single_link_ber(power, noise, params, constants)
+            assert ber == pytest.approx(expected, rel=1e-12)
 
 
 def test_build_graph_determinism(default_setup):
@@ -117,8 +119,8 @@ def test_build_graph_determinism(default_setup):
     config = SimulationConfig(node_count=25)
     first = build_graph(generate_deployment(config, 3), 80.0, params, noise, constants)
     second = build_graph(generate_deployment(config, 3), 80.0, params, noise, constants)
-    assert np.array_equal(first.positions, second.positions)
-    assert list(first.iter_edges()) == list(second.iter_edges())
+    assert first.positions == second.positions
+    assert list(graph_edges(first)) == list(graph_edges(second))
 
 
 def test_path_exists_basics():
@@ -135,7 +137,7 @@ def test_path_exists_matches_matrix_closure(default_setup):
     config = SimulationConfig(node_count=40)
     graph = build_graph(generate_deployment(config, 2024), 80.0, params, noise, constants)
     closure = reachability_closure(
-        graph.node_count, [(u, v) for u, v, _ in graph.iter_edges()]
+        graph.node_count, [(u, v) for u, v, _, _ in graph_edges(graph)]
     )
     for u in range(graph.node_count):
         for v in range(graph.node_count):
@@ -147,7 +149,7 @@ def test_graph_rejects_bad_ids():
 
     def graph(us, vs):
         k = len(us)
-        return NetworkGraph(positions, us, vs, [10.0] * k, [0.0] * k, [0.1] * k)
+        return NetworkGraph(positions, us, vs, [10.0] * k, [0.1] * k)
 
     for us, vs in (([0], [0]), ([0], [7]), ([-1], [1]), ([0, 1], [1, 0])):
         with pytest.raises(ValueError):
