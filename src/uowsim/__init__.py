@@ -11,7 +11,6 @@ from .channel import (
     chain_ber,
     e2e_ber,
     extinction_coefficient,
-    extinction_from_components,
     link_power_and_ber,
     photon_arrival_rate,
     received_power_los,

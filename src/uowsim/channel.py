@@ -52,15 +52,13 @@ def extinction_coefficient(water: WaterType) -> float:
 def require_finite(error, **values) -> None:
     """Raise ``error`` unless each value is a finite real number.
 
-    A tuple or list value is checked element by element; None (an unset
-    optional) passes, and bools are not numbers here.  An int too large
-    for a float is not finite either: Python compares it exactly with the
-    largest float, where ``math.isfinite`` would raise OverflowError.
+    A tuple or list value is checked element by element, and bools are
+    not numbers here.  An int too large for a float is not finite either:
+    Python compares it exactly with the largest float, where
+    ``math.isfinite`` would raise OverflowError.
     """
     for name, value in values.items():
         for number in value if isinstance(value, (tuple, list)) else (value,):
-            if number is None:
-                continue
             if (
                 isinstance(number, bool)
                 or not isinstance(number, (int, float))
@@ -69,28 +67,17 @@ def require_finite(error, **values) -> None:
                 raise error(f"{name} must be a finite number, got {value!r}")
 
 
-def extinction_from_components(absorption: float, scattering: float) -> float:
-    """Total extinction as the sum of absorption and scattering, in 1/m."""
-    if absorption < 0.0 or scattering < 0.0:
-        raise ValueError(
-            f"absorption and scattering must be >= 0, got {absorption}, {scattering}"
-        )
-    return absorption + scattering
-
-
 @dataclass(frozen=True)
 class ChannelParams:
     """Transmitter, receiver and water parameters of one optical link.
 
     Angles are radians, lengths meters, areas square meters, power watts.
-    ``extinction`` defaults to the sum of ``absorption`` and ``scattering``
-    when both are given, otherwise to the clear-ocean table value.
+    ``extinction`` (1/m) defaults to the clear-ocean table value; `for_water`
+    sets it from a water type or from its two components.
     """
 
     wavelength: float = 530e-9
-    extinction: float | None = None
-    absorption: float | None = None
-    scattering: float | None = None
+    extinction: float = _EXTINCTION_PER_M[WaterType.CLEAR_OCEAN]
     tx_power: float = 0.1
     tx_efficiency: float = 0.9
     rx_efficiency: float = 0.9
@@ -100,18 +87,6 @@ class ChannelParams:
 
     def __post_init__(self):
         require_finite(ValueError, **vars(self))
-        if self.extinction is None:
-            if self.absorption is not None and self.scattering is not None:
-                resolved = extinction_from_components(self.absorption, self.scattering)
-            else:
-                resolved = _EXTINCTION_PER_M[WaterType.CLEAR_OCEAN]
-            object.__setattr__(self, "extinction", resolved)
-        elif self.absorption is not None and self.scattering is not None:
-            total = extinction_from_components(self.absorption, self.scattering)
-            if not math.isclose(self.extinction, total, rel_tol=1e-12, abs_tol=1e-15):
-                raise ValueError(
-                    f"extinction {self.extinction} != absorption + scattering {total}"
-                )
         if self.wavelength <= 0.0:
             raise ValueError(f"wavelength must be > 0, got {self.wavelength}")
         if self.extinction < 0.0:
@@ -134,15 +109,29 @@ class ChannelParams:
             )
 
     @classmethod
-    def for_water(cls, water: WaterType, **overrides) -> "ChannelParams":
+    def for_water(
+        cls, water: WaterType, absorption=None, scattering=None, **overrides
+    ) -> "ChannelParams":
         """Parameters with the extinction coefficient of the given water type.
 
-        Overrides giving both ``absorption`` and ``scattering`` set the
-        extinction through them instead.
+        ``absorption`` and ``scattering`` (1/m), given together, set the
+        extinction to their sum instead; an explicit ``extinction`` must then
+        agree with it.  One of them alone is an error.
         """
-        if overrides.get("absorption") is None or overrides.get("scattering") is None:
-            overrides.setdefault("extinction", extinction_coefficient(water))
-        return cls(**overrides)
+        if absorption is None and scattering is None:
+            return cls(**{"extinction": extinction_coefficient(water), **overrides})
+        if absorption is None or scattering is None:
+            raise ValueError("absorption and scattering must be given together")
+        require_finite(ValueError, absorption=absorption, scattering=scattering)
+        if absorption < 0.0 or scattering < 0.0:
+            raise ValueError(
+                f"absorption and scattering must be >= 0, got {absorption}, {scattering}"
+            )
+        total = absorption + scattering
+        params = cls(**{"extinction": total, **overrides})
+        if not math.isclose(params.extinction, total, rel_tol=1e-12, abs_tol=1e-15):
+            raise ValueError(f"extinction {params.extinction} != absorption + scattering {total}")
+        return params
 
 
 @dataclass(frozen=True)

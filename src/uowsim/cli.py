@@ -8,13 +8,15 @@ output directory, with floats in 9-significant-digit scientific notation so
 files are byte-reproducible.
 
 Exit codes: 0 success (routing failures are valid results), 2 configuration
-or usage error, 3 output I/O error.
+or usage error, 3 output I/O error, 4 a campaign worker process died.  An
+exception raised by trial code ends in its traceback, as in a serial run.
 """
 
 import argparse
 import json
 import math
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -27,7 +29,7 @@ from .harness import (
     run_campaign,
     run_single,
 )
-from .routing import route_dump_lines
+from .routing import Protocol, route_dump_lines
 
 DEFAULT_DISTANCES = tuple(float(d) for d in range(5, 105, 5))
 DEFAULT_DIVERGENCES_DEG = (30.0, 60.0, 90.0)
@@ -126,13 +128,8 @@ CAMPAIGN_AGGREGATE_COLUMNS = (
 
 def _sweep_params(base: ChannelParams, water: WaterType, divergence_deg: float) -> ChannelParams:
     """Base channel parameters with extinction and divergence pinned by the sweep."""
-    return replace(
-        base,
-        extinction=extinction_coefficient(water),
-        absorption=None,
-        scattering=None,
-        divergence_angle=math.radians(divergence_deg),
-    )
+    divergence = math.radians(divergence_deg)
+    return replace(base, extinction=extinction_coefficient(water), divergence_angle=divergence)
 
 
 def cmd_link_budget(config: SimulationConfig, distances, waters, divergences_deg) -> OutputRecordSet:
@@ -166,8 +163,9 @@ def cmd_ber_sweep(config: SimulationConfig, distances, waters, divergences_deg) 
 def _require_sweep(distances, waters, divergences_deg):
     if not distances or not waters or not divergences_deg:
         raise ConfigError("sweep lists must not be empty")
-    if not all(0.0 < d < math.inf for d in distances):
-        raise ConfigError("distances must be finite and > 0")
+    # The link model divides by d * d, which underflows to 0 below about 1e-162.
+    if not all(0.0 < d < math.inf and d * d > 0.0 for d in distances):
+        raise ConfigError("distances must be finite and > 0, with a square above 0")
     # ChannelParams' own range, checked on the radians it will be given.
     if not all(0.0 < math.radians(a) <= math.pi for a in divergences_deg):
         raise ConfigError("divergences must be in (0, 180] degrees")
@@ -277,11 +275,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = argparse.ArgumentParser(add_help=False)
     sim.add_argument("--seed", type=int, default=None, help="master seed (route: the trial seed)")
-    sim.add_argument("--protocols", default=None, help="comma-separated subset of crp,drp,srp")
+    sim.add_argument(
+        "--protocols",
+        type=_list_of(Protocol),
+        default=None,
+        help="comma-separated subset of crp,drp,srp",
+    )
     sim.add_argument("--weight-mode", choices=["paper", "exact"], default=None)
     sim.add_argument("--nodes", type=_list_of(int), default=None, help="node count(s), comma-separated")
     sim.add_argument("--realizations", type=int, default=None)
-    sim.add_argument("--water", default=None, help="water type (clear, coastal or turbid)")
+    sim.add_argument("--water", type=WaterType, default=None, help="water type (clear, coastal or turbid)")
 
     commands = parser.add_subparsers(dest="command", required=True)
     commands.add_parser("link-budget", parents=[common, sweep], help="received power sweep")
@@ -315,12 +318,10 @@ def _sim_config(args, campaign: bool) -> SimulationConfig:
     if args.realizations is not None:
         doc["realizations"] = args.realizations
     if args.protocols is not None:
-        doc["protocols"] = [p.strip() for p in args.protocols.split(",") if p.strip()]
+        doc["protocols"] = args.protocols
     if getattr(args, "weight_mode", None) is not None:
         doc["weight_mode"] = args.weight_mode
     if args.water is not None:
-        if "," in args.water:
-            raise ConfigError("route/campaign take a single water type")
         doc["water"] = args.water
     if campaign and "node_count" not in doc:
         doc["node_count"] = list(DEFAULT_NODE_SWEEP)
@@ -379,6 +380,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 3
+    except BrokenProcessPool as exc:
+        print(f"error: a campaign worker process died: {exc}", file=sys.stderr)
+        return 4
     return 0
 
 

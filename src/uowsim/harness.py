@@ -348,8 +348,6 @@ def config_from_dict(raw: dict) -> SimulationConfig:
         for name in ("area", "source_pos", "target_pos"):
             if name in raw:
                 kwargs[name] = _pair(raw[name], name)
-        if isinstance(raw.get("node_count"), list):
-            kwargs["node_count"] = tuple(raw["node_count"])
         water = kwargs["water"] = WaterType(raw.get("water", WaterType.CLEAR_OCEAN))
         if "channel" in raw:
             kwargs["channel"] = ChannelParams.for_water(water, **raw["channel"])

@@ -16,7 +16,6 @@ from uowsim import (
     default_campaign_config,
     e2e_ber,
     extinction_coefficient,
-    extinction_from_components,
     link_power_and_ber,
     photon_arrival_rate,
     received_power_los,
@@ -44,23 +43,26 @@ def test_extinction_table():
     [(0.0, 0.0, 0.0), (0.10, 0.05, 0.15), (0.069, 0.08, 0.149)],
 )
 def test_extinction_from_components(absorption, scattering, total):
-    assert extinction_from_components(absorption, scattering) == pytest.approx(
-        total, rel=1e-12
+    params = ChannelParams.for_water(
+        WaterType.TURBID_HARBOR, absorption=absorption, scattering=scattering
     )
+    assert params.extinction == pytest.approx(total, rel=1e-12)
 
 
 def test_extinction_from_components_rejects_negative():
     with pytest.raises(ValueError):
-        extinction_from_components(-0.1, 0.2)
+        ChannelParams.for_water(WaterType.CLEAR_OCEAN, absorption=-0.1, scattering=0.2)
     with pytest.raises(ValueError):
-        extinction_from_components(0.1, -0.2)
+        ChannelParams.for_water(WaterType.CLEAR_OCEAN, absorption=0.1, scattering=-0.2)
 
 
 def test_channel_params_derive_extinction_from_components():
-    params = ChannelParams(absorption=0.069, scattering=0.08)
+    params = ChannelParams.for_water(WaterType.CLEAR_OCEAN, absorption=0.069, scattering=0.08)
     assert params.extinction == pytest.approx(0.149, rel=1e-12)
     with pytest.raises(ValueError):
-        ChannelParams(extinction=0.5, absorption=0.1, scattering=0.1)
+        ChannelParams.for_water(
+            WaterType.CLEAR_OCEAN, extinction=0.5, absorption=0.1, scattering=0.1
+        )
 
 
 def test_physical_constants_validation():

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -262,6 +263,7 @@ def test_main_malformed_config_exits_2(tmp_path):
             ("--distances", "nan"),
             ("--distances", "inf"),
             ("--distances", "1e400"),
+            ("--distances", "1e-200"),
         ):
             assert main([command, flag, value, "--out", str(tmp_path)]) == 2
 
@@ -280,6 +282,44 @@ def test_main_usage_error_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["link-budget", "--water", "clear,swamp"])
     assert excinfo.value.code == 2
+    with pytest.raises(SystemExit) as excinfo:
+        main(["route", "--water", "clear,coastal"])
+    assert excinfo.value.code == 2
+
+
+def _campaign_on_pool_raising(monkeypatch, tmp_path, error):
+    """Run a 2-worker campaign on a stand-in pool whose map raises ``error``."""
+    import uowsim.harness as harness
+
+    class Pool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            raise error
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("UOWSN_THREADS", "2")
+    return main(["campaign", "--nodes", "20", "--realizations", "2", "--out", str(tmp_path)])
+
+
+def test_main_dead_worker_exits_4(monkeypatch, tmp_path, capsys):
+    assert _campaign_on_pool_raising(monkeypatch, tmp_path, BrokenProcessPool("worker died")) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "worker died" in err
+    assert not (tmp_path / "campaign_trials.csv").exists()
+
+
+def test_main_trial_exception_keeps_its_traceback(monkeypatch, tmp_path):
+    with pytest.raises(ZeroDivisionError):
+        _campaign_on_pool_raising(monkeypatch, tmp_path, ZeroDivisionError("in a trial"))
 
 
 def test_module_entry_point(tmp_path):

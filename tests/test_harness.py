@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -284,6 +285,9 @@ def test_config_from_dict_roundtrip_and_errors():
         {"noise": {"dark_count_rate": 10**400}},
         {"channel": {"tx_power": 10**400}},
         {"delay": {"packet_bits": 10**400}},
+        {"channel": {"absorption": 0.2}},
+        {"water": "turbid", "channel": {"scattering": 5.0}},
+        {"channel": {"absorption": 1e308, "scattering": 1e308}},
     ):
         with pytest.raises(ConfigError):
             config_from_dict(bad)
@@ -308,26 +312,35 @@ _JSON_VALUES = st.recursive(
 )
 
 
-def _fields_of(cls, values, max_size):
-    """Mappings over some of the dataclass's field names."""
-    names = st.sampled_from([f.name for f in dataclasses.fields(cls)])
-    return st.dictionaries(names, values, max_size=max_size)
+def _keys_of(cls):
+    return [f.name for f in dataclasses.fields(cls)]
 
 
+def _fields_of(keys, values, max_size):
+    """Mappings over some of the given keys."""
+    return st.dictionaries(st.sampled_from(keys), values, max_size=max_size)
+
+
+# The channel section also takes the two components of the extinction,
+# which are not ChannelParams fields.
 _NESTED = {
-    "channel": ChannelParams,
-    "noise": ReceiverNoise,
-    "constants": PhysicalConstants,
-    "delay": DelayModel,
+    "channel": _keys_of(ChannelParams) + ["absorption", "scattering"],
+    "noise": _keys_of(ReceiverNoise),
+    "constants": _keys_of(PhysicalConstants),
+    "delay": _keys_of(DelayModel),
 }
 # A nested section often comes alone, so that its values get past the
 # top-level checks and reach its dataclass's own.
 _CONFIG_DOCUMENTS = st.one_of(
     *(
-        st.fixed_dictionaries({name: _fields_of(cls, _JSON_VALUES, 4)})
-        for name, cls in _NESTED.items()
+        st.fixed_dictionaries({name: _fields_of(keys, _JSON_VALUES, 4)})
+        for name, keys in _NESTED.items()
     ),
-    _fields_of(SimulationConfig, _JSON_VALUES | st.lists(_JSON_NUMBERS, min_size=2, max_size=2), 3),
+    _fields_of(
+        _keys_of(SimulationConfig),
+        _JSON_VALUES | st.lists(_JSON_NUMBERS, min_size=2, max_size=2),
+        3,
+    ),
 )
 
 
@@ -339,3 +352,4 @@ def test_config_from_dict_builds_or_raises_config_error(doc):
     except ConfigError:
         return
     assert isinstance(config, SimulationConfig)
+    assert math.isfinite(config.channel.extinction)

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import best_paths_bruteforce, fold_reference
 from uowsim import (
@@ -334,6 +338,44 @@ def test_greedy_invariants_on_random_graphs():
                 )
                 target_pos = graph.positions[1] if protocol is Protocol.SRP else None
                 _greedy_step_check(graph, route, target_pos)
+
+
+# Positions on a 5 x 5 grid, so that nodes often share a row or a column
+# with each other or the target (the quadrant's boundary cases); BERs often
+# tie at 0 or 0.5.
+_WALK_GRAPHS = st.integers(2, 8).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=n, max_size=n),
+        st.dictionaries(
+            st.sampled_from(list(itertools.combinations(range(n), 2))),
+            st.floats(0.0, 0.5),
+        ),
+    )
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(_WALK_GRAPHS)
+def test_greedy_routes_are_walks_and_srp_keeps_to_the_quadrant(case):
+    positions, edges = case
+    graph = make_graph(positions, edges)
+    links = {frozenset(pair) for pair in edges}
+    tx, ty = positions[1]
+    for protocol, outcome in (
+        ("drp", drp(graph, 0, 1)),
+        ("srp", srp(graph, 0, 1)),
+        ("srp-fallback", srp(graph, 0, 1, fallback=True)),
+    ):
+        if not outcome.success:
+            continue
+        hops = outcome.route.hops
+        assert (hops[0], hops[-1]) == (0, 1)
+        assert len(set(hops)) == len(hops)
+        assert all(frozenset(step) in links for step in zip(hops, hops[1:]))
+        if protocol == "srp":
+            for here, step in zip(hops, hops[1:]):
+                (hx, hy), (x, y) = positions[here], positions[step]
+                assert (x - hx) * (tx - hx) >= 0 and (y - hy) * (ty - hy) >= 0
 
 
 def test_route_dump_format():
