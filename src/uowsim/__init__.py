@@ -24,11 +24,9 @@ from .harness import (
     TrialRecord,
     TrialResult,
     config_from_dict,
-    default_campaign_config,
     derive_trial_seed,
     run_campaign,
     run_single,
-    run_trial,
 )
 from .metrics import DelayModel, TrialMetrics, collect_trial, e2e_delay
 from .routing import (

@@ -194,16 +194,14 @@ def cmd_route(config: SimulationConfig, seed: int):
         rows.append((metric.protocol.value, seed) + _metric_cells(metric))
         outcome = result.outcomes[metric.protocol]
         if outcome.success:
-            dumps[metric.protocol] = route_dump_lines(
-                metric.protocol, result.graph, outcome.route
-            )
+            dumps[metric.protocol] = route_dump_lines(metric.protocol, result.graph, outcome)
     summary = OutputRecordSet(ROUTE_SUMMARY_COLUMNS, tuple(rows))
     return summary, dumps
 
 
-def cmd_campaign(config: SimulationConfig, n_workers=None):
+def cmd_campaign(config: SimulationConfig):
     """Full campaign: per-trial and aggregate record sets."""
-    result = run_campaign(config, n_workers=n_workers)
+    result = run_campaign(config)
     trial_rows = [
         (record.metrics.protocol.value, record.n_nodes, record.realization, record.seed)
         + _metric_cells(record.metrics)

@@ -13,6 +13,7 @@ of parallelism.
 import logging
 import math
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -48,15 +49,14 @@ class SimulationConfig:
     """Full description of one experiment.
 
     ``node_count`` may be a single int (one deployment size) or a sequence
-    of ints (a campaign sweep).  When ``channel`` is None it resolves to the
-    default parameters of ``water``.
+    of ints (a campaign sweep).  ``channel`` holds the resolved water:
+    `config_from_dict` builds it with ``ChannelParams.for_water``.
     """
 
     area: tuple[float, float] = (250.0, 250.0)
     node_count: int | tuple[int, ...] = 40
     max_range: float = 80.0
-    water: WaterType = WaterType.CLEAR_OCEAN
-    channel: ChannelParams | None = None
+    channel: ChannelParams = field(default_factory=ChannelParams)
     noise: ReceiverNoise = field(default_factory=ReceiverNoise)
     constants: PhysicalConstants = field(default_factory=PhysicalConstants)
     source_pos: tuple[float, float] = (52.5, 125.0)
@@ -70,8 +70,15 @@ class SimulationConfig:
     record_timing: bool = False
 
     def __post_init__(self):
-        if self.channel is None:
-            object.__setattr__(self, "channel", ChannelParams.for_water(self.water))
+        for name, cls in (
+            ("channel", ChannelParams),
+            ("noise", ReceiverNoise),
+            ("constants", PhysicalConstants),
+            ("delay", DelayModel),
+            ("weight_mode", WeightMode),
+        ):
+            if not isinstance(getattr(self, name), cls):
+                raise ConfigError(f"{name} must be a {cls.__name__}, got {getattr(self, name)!r}")
         if isinstance(self.node_count, int):
             counts = (self.node_count,)
         else:
@@ -94,6 +101,10 @@ class SimulationConfig:
         width, height = self.area
         if width <= 0.0 or height <= 0.0:
             raise ConfigError(f"area dimensions must be > 0, got {self.area}")
+        # build_graph squares coordinate offsets; where a square underflows,
+        # distinct nodes would count as coincident.
+        if width * width < sys.float_info.min or height * height < sys.float_info.min:
+            raise ConfigError(f"area dimensions are too small to square, got {self.area}")
         if self.max_range <= 0.0:
             raise ConfigError(f"max_range must be > 0, got {self.max_range}")
         if not _is_int(self.realizations) or self.realizations < 1:
@@ -105,11 +116,16 @@ class SimulationConfig:
                 raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
         if not self.protocols:
             raise ConfigError("at least one protocol must be selected")
+        if not all(isinstance(p, Protocol) for p in self.protocols):
+            raise ConfigError(f"protocols must be Protocol values, got {self.protocols!r}")
         if len(set(self.protocols)) != len(self.protocols):
             raise ConfigError(f"protocols repeat a value: {[p.value for p in self.protocols]}")
         for name, (x, y) in (("source_pos", self.source_pos), ("target_pos", self.target_pos)):
             if not (0.0 <= x <= width and 0.0 <= y <= height):
                 raise ConfigError(f"{name} {(x, y)} lies outside the {self.area} area")
+        (sx, sy), (tx, ty) = self.source_pos, self.target_pos
+        if (tx - sx) * (tx - sx) + (ty - sy) * (ty - sy) == 0.0 and (sx, sy) != (tx, ty):
+            raise ConfigError("source_pos and target_pos are too close to square their distance")
         separation = math.dist(self.source_pos, self.target_pos)
         if separation > math.hypot(width, height):
             log.warning(
@@ -131,13 +147,6 @@ class SimulationConfig:
         return self.node_count
 
 
-def default_campaign_config(**overrides) -> SimulationConfig:
-    """The stock campaign: clear ocean, 250x250 m, range 80 m, 500 trials
-    per node count over the 20..100 sweep."""
-    overrides.setdefault("node_count", DEFAULT_NODE_SWEEP)
-    return SimulationConfig(**overrides)
-
-
 def derive_trial_seed(master_seed: int, realization_index: int) -> int:
     """Deterministic per-trial seed from the master seed and trial index."""
     sequence = np.random.SeedSequence([int(master_seed), int(realization_index)])
@@ -148,20 +157,19 @@ def derive_trial_seed(master_seed: int, realization_index: int) -> int:
 class TrialResult:
     """Everything one trial produced, including the routes themselves."""
 
-    trial_seed: int
     graph: object
     outcomes: dict
     metrics: list[TrialMetrics]
 
 
-def run_single(config: SimulationConfig, trial_seed: int) -> TrialResult:
+def run_single(config: SimulationConfig, seed: int) -> TrialResult:
     """Deploy, build the graph and run every selected protocol once.
 
     A trial whose graph leaves source and target disconnected records a
     DISCONNECTED failure for all protocols without running them.
     """
     config.single_node_count()
-    positions = generate_deployment(config, trial_seed)
+    positions = generate_deployment(config, seed)
     graph = build_graph(positions, config.max_range, config.channel, config.noise, config.constants)
     connected = path_exists(graph, SOURCE_ID, TARGET_ID)
 
@@ -185,13 +193,7 @@ def run_single(config: SimulationConfig, trial_seed: int) -> TrialResult:
         outcomes[protocol] = outcome
 
     metrics = collect_trial(outcomes, config, timings)
-    return TrialResult(trial_seed=trial_seed, graph=graph, outcomes=outcomes, metrics=metrics)
-
-
-def run_trial(config: SimulationConfig, realization_index: int) -> list[TrialMetrics]:
-    """One seeded realization; a pure function of (config, index)."""
-    trial_seed = derive_trial_seed(config.master_seed, realization_index)
-    return run_single(config, trial_seed).metrics
+    return TrialResult(graph=graph, outcomes=outcomes, metrics=metrics)
 
 
 @dataclass(frozen=True)
@@ -251,22 +253,21 @@ def _run_index_range(config: SimulationConfig, first_index: int, seeds) -> list[
     return records
 
 
-def resolve_workers(n_workers: int | None = None) -> int:
-    """Worker count: explicit argument, else UOWSN_THREADS, else 1 (0 = auto)."""
-    if n_workers is None:
-        raw = os.environ.get(THREADS_ENV_VAR, "").strip()
-        if not raw:
-            return 1
-        try:
-            n_workers = int(raw)
-        except ValueError:
-            raise ConfigError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}")
-    if n_workers < 0:
-        raise ConfigError(f"worker count must be >= 0, got {n_workers}")
-    return n_workers if n_workers > 0 else (os.cpu_count() or 1)
+def resolve_workers() -> int:
+    """Worker count from UOWSN_THREADS: 1 when unset, 0 = auto."""
+    raw = os.environ.get(THREADS_ENV_VAR, "").strip()
+    if not raw:
+        return 1
+    try:
+        workers = int(raw)
+    except ValueError:
+        raise ConfigError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}")
+    if workers < 0:
+        raise ConfigError(f"worker count must be >= 0, got {workers}")
+    return workers if workers > 0 else (os.cpu_count() or 1)
 
 
-def run_campaign(config: SimulationConfig, n_workers: int | None = None) -> CampaignResult:
+def run_campaign(config: SimulationConfig) -> CampaignResult:
     """Execute the full sweep and aggregate per (protocol, node count).
 
     The result is a pure function of the config: each realization's seed
@@ -275,7 +276,7 @@ def run_campaign(config: SimulationConfig, n_workers: int | None = None) -> Camp
     process pool of at most ``min(workers, cpu count, tasks)`` processes,
     and their records are reassembled in task order.
     """
-    workers = min(resolve_workers(n_workers), os.cpu_count() or 1)
+    workers = min(resolve_workers(), os.cpu_count() or 1)
     chunk = max(1, math.ceil(config.realizations / (workers * 4)))
     seeds = [derive_trial_seed(config.master_seed, i) for i in range(config.realizations)]
     per_count_configs = [replace(config, node_count=n) for n in config.node_counts]
@@ -332,14 +333,14 @@ def aggregate_records(records, config: SimulationConfig) -> list[AggregateStats]
 def config_from_dict(raw: dict) -> SimulationConfig:
     """Build a SimulationConfig from a parsed config document.
 
-    Keys mirror the dataclass field names; unknown keys are rejected so
-    typos fail loudly.  Angles inside ``channel`` are radians; water names
-    are clear / coastal / turbid; protocol names crp / drp / srp; weight
-    mode paper / exact.
+    Keys mirror the dataclass field names, plus ``water``, which resolves
+    into ``channel``; unknown keys are rejected so typos fail loudly.
+    Angles inside ``channel`` are radians; water names are clear / coastal
+    / turbid; protocol names crp / drp / srp; weight mode paper / exact.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"config document must be a mapping, got {type(raw).__name__}")
-    unknown = set(raw) - {f.name for f in fields(SimulationConfig)}
+    unknown = set(raw) - {f.name for f in fields(SimulationConfig)} - {"water"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
@@ -348,9 +349,8 @@ def config_from_dict(raw: dict) -> SimulationConfig:
         for name in ("area", "source_pos", "target_pos"):
             if name in raw:
                 kwargs[name] = _pair(raw[name], name)
-        water = kwargs["water"] = WaterType(raw.get("water", WaterType.CLEAR_OCEAN))
-        if "channel" in raw:
-            kwargs["channel"] = ChannelParams.for_water(water, **raw["channel"])
+        water = WaterType(kwargs.pop("water", WaterType.CLEAR_OCEAN))
+        kwargs["channel"] = ChannelParams.for_water(water, **raw.get("channel", {}))
         nested = (("noise", ReceiverNoise), ("constants", PhysicalConstants), ("delay", DelayModel))
         for name, cls in nested:
             if name in raw:

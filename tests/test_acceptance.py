@@ -30,6 +30,7 @@ from uowsim import (
     PhysicalConstants,
     Protocol,
     ReceiverNoise,
+    SimulationConfig,
     WaterType,
     WeightMode,
     crp,
@@ -42,7 +43,7 @@ from uowsim import (
     single_link_ber,
 )
 from uowsim.channel import BER_FLOOR
-from uowsim.harness import default_campaign_config
+from uowsim.harness import DEFAULT_NODE_SWEEP
 from conftest import make_graph
 
 
@@ -63,7 +64,7 @@ def _report(number, description):
 
 @pytest.fixture(scope="module")
 def default_campaign():
-    config = default_campaign_config()
+    config = SimulationConfig(node_count=DEFAULT_NODE_SWEEP)
     started = time.perf_counter()
     result = run_campaign(config)
     elapsed = time.perf_counter() - started

@@ -10,10 +10,10 @@ from uowsim import (
     ChannelParams,
     PhysicalConstants,
     ReceiverNoise,
+    SimulationConfig,
     WaterType,
     chain_ber,
     channel,
-    default_campaign_config,
     e2e_ber,
     extinction_coefficient,
     link_power_and_ber,
@@ -282,10 +282,8 @@ def test_erfc_port_matches_scipy_on_campaign_arguments(monkeypatch):
         return port(x)
 
     monkeypatch.setattr(channel, "_erfc", recording)
-    run_campaign(
-        default_campaign_config(node_count=(20, 60, 100), realizations=10, master_seed=42),
-        n_workers=1,
-    )
+    monkeypatch.setenv("UOWSN_THREADS", "1")  # the recording sees this process only
+    run_campaign(SimulationConfig(node_count=(20, 60, 100), realizations=10, master_seed=42))
     x = np.concatenate(seen)
     assert len(x) > 10_000 and (x >= 1.0).any() and (x >= 8.0).any()
     assert _erfc_bit_mismatches(x) == 0

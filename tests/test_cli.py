@@ -254,6 +254,15 @@ def test_main_malformed_config_exits_2(tmp_path):
     not_utf8 = tmp_path / "not_utf8.json"
     not_utf8.write_bytes(b'{"max_range": \xff}')
     assert main(["route", "--config", str(not_utf8), "--out", str(tmp_path)]) == 2
+    # Distinct nodes whose squared separation underflows to 0.
+    for doc in (
+        {"area": [1e-170, 1e-170], "source_pos": [0, 0], "target_pos": [1e-170, 1e-170],
+         "node_count": 2},
+        {"source_pos": [0, 0], "target_pos": [1e-170, 0]},
+    ):
+        underflow = tmp_path / "underflow.json"
+        underflow.write_text(json.dumps(doc))
+        assert main(["route", "--config", str(underflow), "--out", str(tmp_path)]) == 2
     for command in ("link-budget", "ber-sweep"):
         for flag, value in (
             ("--divergences", "0"),

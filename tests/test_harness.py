@@ -20,9 +20,8 @@ from uowsim import (
     derive_trial_seed,
     run_campaign,
     run_single,
-    run_trial,
 )
-from uowsim.harness import default_campaign_config, resolve_workers
+from uowsim.harness import DEFAULT_NODE_SWEEP, resolve_workers
 
 
 def test_derive_trial_seed_is_stable():
@@ -44,29 +43,39 @@ def test_config_validation():
         SimulationConfig(max_range=0.0)
     with pytest.raises(ConfigError):
         SimulationConfig(protocols=())
+    # Enum and nested fields must have their own types, not names or None.
+    for bad in (
+        {"protocols": ("crp", "drp")},
+        {"protocols": (Protocol.CRP, "drp")},
+        {"weight_mode": "paper"},
+        {"channel": None},
+        {"noise": None},
+        {"constants": {"planck": 6.6e-34}},
+        {"delay": None},
+    ):
+        with pytest.raises(ConfigError):
+            SimulationConfig(node_count=40, **bad)
 
 
 def test_config_resolves_channel_from_water():
-    config = SimulationConfig(water=WaterType.TURBID_HARBOR)
+    config = config_from_dict({"water": "turbid"})
     assert config.channel.extinction == 2.19
-    explicit = SimulationConfig(
-        water=WaterType.TURBID_HARBOR,
-        channel=dataclasses.replace(config.channel, extinction=0.5),
-    )
+    explicit = config_from_dict({"water": "turbid", "channel": {"extinction": 0.5}})
     assert explicit.channel.extinction == 0.5
 
 
 def test_run_trial_is_deterministic():
     config = SimulationConfig(node_count=30, realizations=5)
-    assert run_trial(config, 3) == run_trial(config, 3)
-    assert run_trial(config, 3) != run_trial(config, 4)
+    third, fourth = (derive_trial_seed(config.master_seed, i) for i in (3, 4))
+    assert run_single(config, third).metrics == run_single(config, third).metrics
+    assert run_single(config, third).metrics != run_single(config, fourth).metrics
 
 
 def test_two_node_trial_single_hop():
     config = SimulationConfig(
         node_count=2, source_pos=(50.0, 125.0), target_pos=(100.0, 125.0)
     )
-    metrics = run_trial(config, 0)
+    metrics = run_single(config, derive_trial_seed(config.master_seed, 0)).metrics
     assert len(metrics) == 3
     bers = {m.e2e_ber for m in metrics}
     assert len(bers) == 1
@@ -77,7 +86,7 @@ def test_two_node_trial_single_hop():
 
 def test_two_node_trial_disconnected():
     config = SimulationConfig(node_count=2)  # endpoints 145 m apart, range 80
-    metrics = run_trial(config, 0)
+    metrics = run_single(config, derive_trial_seed(config.master_seed, 0)).metrics
     for m in metrics:
         assert not m.success
         assert m.failure_reason is FailureReason.DISCONNECTED
@@ -93,7 +102,7 @@ def test_run_single_respects_protocol_subset():
 def test_campaign_single_realization_matches_trial():
     config = SimulationConfig(node_count=40, realizations=1)
     result = run_campaign(config)
-    metrics = run_trial(config, 0)
+    metrics = run_single(config, derive_trial_seed(config.master_seed, 0)).metrics
     for stats, metric in zip(result.aggregates, metrics):
         assert stats.protocol is metric.protocol
         assert stats.trials == 1
@@ -116,10 +125,12 @@ def test_campaign_is_reproducible():
     assert first.aggregates == second.aggregates
 
 
-def test_campaign_parallel_equals_serial():
+def test_campaign_parallel_equals_serial(monkeypatch):
     config = SimulationConfig(node_count=(20, 30), realizations=12)
-    serial = run_campaign(config, n_workers=1)
-    parallel = run_campaign(config, n_workers=2)
+    monkeypatch.setenv("UOWSN_THREADS", "1")
+    serial = run_campaign(config)
+    monkeypatch.setenv("UOWSN_THREADS", "2")
+    parallel = run_campaign(config)
     assert serial.records == parallel.records
     assert serial.aggregates == parallel.aggregates
 
@@ -177,23 +188,26 @@ def test_campaign_records_are_index_ordered(monkeypatch):
 
 
 def test_default_campaign_config_sweep():
-    config = default_campaign_config()
+    config = SimulationConfig(node_count=DEFAULT_NODE_SWEEP)
     assert config.node_counts == (20, 30, 40, 50, 60, 70, 80, 90, 100)
     assert config.realizations == 500
-    assert config.water is WaterType.CLEAR_OCEAN
+    assert config.channel == ChannelParams.for_water(WaterType.CLEAR_OCEAN)
     assert config.weight_mode is WeightMode.EXACT_LOG
 
 
 def test_resolve_workers(monkeypatch):
     monkeypatch.delenv("UOWSN_THREADS", raising=False)
-    assert resolve_workers(None) == 1
-    assert resolve_workers(3) == 3
-    assert resolve_workers(0) >= 1
+    assert resolve_workers() == 1
+    monkeypatch.setenv("UOWSN_THREADS", "3")
+    assert resolve_workers() == 3
+    monkeypatch.setenv("UOWSN_THREADS", "0")
+    assert resolve_workers() >= 1
     monkeypatch.setenv("UOWSN_THREADS", "2")
-    assert resolve_workers(None) == 2
-    monkeypatch.setenv("UOWSN_THREADS", "zebra")
-    with pytest.raises(ConfigError):
-        resolve_workers(None)
+    assert resolve_workers() == 2
+    for bad in ("zebra", "-1"):
+        monkeypatch.setenv("UOWSN_THREADS", bad)
+        with pytest.raises(ConfigError):
+            resolve_workers()
 
 
 def test_campaign_pool_is_capped_at_cpus_and_tasks(monkeypatch):
@@ -217,9 +231,12 @@ def test_campaign_pool_is_capped_at_cpus_and_tasks(monkeypatch):
     monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
     config = SimulationConfig(node_count=(20, 30), realizations=40)
-    assert run_campaign(config, n_workers=8).records == run_campaign(config, n_workers=1).records
+    monkeypatch.setenv("UOWSN_THREADS", "1")
+    serial = run_campaign(config).records
+    monkeypatch.setenv("UOWSN_THREADS", "8")
+    assert run_campaign(config).records == serial
     assert built == [4]
-    run_campaign(SimulationConfig(node_count=(20,), realizations=1), n_workers=8)
+    run_campaign(SimulationConfig(node_count=(20,), realizations=1))
     assert built == [4]
 
 
@@ -329,6 +346,9 @@ _NESTED = {
     "constants": _keys_of(PhysicalConstants),
     "delay": _keys_of(DelayModel),
 }
+# The document also takes ``water``, which resolves into ``channel`` and is
+# not a SimulationConfig field.
+_TOP_LEVEL = _keys_of(SimulationConfig) + ["water"]
 # A nested section often comes alone, so that its values get past the
 # top-level checks and reach its dataclass's own.
 _CONFIG_DOCUMENTS = st.one_of(
@@ -337,7 +357,7 @@ _CONFIG_DOCUMENTS = st.one_of(
         for name, keys in _NESTED.items()
     ),
     _fields_of(
-        _keys_of(SimulationConfig),
+        _TOP_LEVEL,
         _JSON_VALUES | st.lists(_JSON_NUMBERS, min_size=2, max_size=2),
         3,
     ),

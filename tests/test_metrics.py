@@ -29,7 +29,6 @@ def _route(hop_bers, hop_distances):
         hop_bers=tuple(hop_bers),
         hop_distances=tuple(hop_distances),
         e2e_ber=e2e_ber(hop_bers),
-        evaluations=0,
     )
 
 
@@ -86,7 +85,7 @@ def test_delay_lower_bound_and_monotonicity():
 
 
 def _success(route):
-    return RoutingOutcome(route=route, failure_reason=None, evaluations=route.evaluations)
+    return RoutingOutcome(route=route, failure_reason=None, evaluations=0)
 
 
 def _failure(reason, evaluations=0):

@@ -380,9 +380,10 @@ def test_greedy_routes_are_walks_and_srp_keeps_to_the_quadrant(case):
 
 def test_route_dump_format():
     graph = _triangle(0.3, 0.05, 0.05)
-    route = crp(graph, 0, 1, WeightMode.EXACT_LOG).route
-    lines = route_dump_lines(Protocol.CRP, graph, route)
+    outcome = crp(graph, 0, 1, WeightMode.EXACT_LOG)
+    route = outcome.route
+    lines = route_dump_lines(Protocol.CRP, graph, outcome)
     assert len(lines) == len(route.hops) + 1
     assert lines[0].startswith("crp 0 0 ")
     assert lines[-1].split()[:2] == ["crp", "e2e"]
-    assert lines[-1].split()[4] == str(route.evaluations)
+    assert lines[-1].split()[4] == str(outcome.evaluations)
