@@ -10,7 +10,6 @@ from .channel import (
     WaterType,
     chain_ber,
     e2e_ber,
-    extinction_coefficient,
     link_power_and_ber,
     photon_arrival_rate,
     received_power_los,
@@ -38,7 +37,6 @@ from .routing import (
     crp,
     drp,
     quadrant_filter,
-    route_dump_lines,
     srp,
 )
 from .topology import (

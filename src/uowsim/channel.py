@@ -44,11 +44,6 @@ _EXTINCTION_PER_M = {
 }
 
 
-def extinction_coefficient(water: WaterType) -> float:
-    """Tabulated extinction coefficient for a water type, in 1/m."""
-    return _EXTINCTION_PER_M[water]
-
-
 def require_finite(error, **values) -> None:
     """Raise ``error`` unless each value is a finite real number.
 
@@ -103,9 +98,11 @@ class ChannelParams:
             raise ValueError(
                 f"trajectory_angle must be in [0, pi/2), got {self.trajectory_angle}"
             )
-        if not 0.0 < self.divergence_angle <= math.pi:
+        # The spreading divides by 1 - cos(angle), which rounds to 0 below
+        # about 1.05e-8 rad.
+        if not 0.0 < self.divergence_angle <= math.pi or math.cos(self.divergence_angle) == 1.0:
             raise ValueError(
-                f"divergence_angle must be in (0, pi], got {self.divergence_angle}"
+                f"divergence_angle must be in (0, pi] with cos < 1, got {self.divergence_angle}"
             )
 
     @classmethod
@@ -119,7 +116,7 @@ class ChannelParams:
         agree with it.  One of them alone is an error.
         """
         if absorption is None and scattering is None:
-            return cls(**{"extinction": extinction_coefficient(water), **overrides})
+            return cls(**{"extinction": _EXTINCTION_PER_M[water], **overrides})
         if absorption is None or scattering is None:
             raise ValueError("absorption and scattering must be given together")
         require_finite(ValueError, absorption=absorption, scattering=scattering)

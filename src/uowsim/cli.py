@@ -20,7 +20,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .channel import ChannelParams, WaterType, extinction_coefficient, received_power_los, single_link_ber
+from .channel import ChannelParams, WaterType, received_power_los, single_link_ber
 from .harness import (
     DEFAULT_NODE_SWEEP,
     ConfigError,
@@ -29,7 +29,8 @@ from .harness import (
     run_campaign,
     run_single,
 )
-from .routing import Protocol, route_dump_lines
+from .routing import Protocol, RoutingOutcome
+from .topology import NetworkGraph
 
 DEFAULT_DISTANCES = tuple(float(d) for d in range(5, 105, 5))
 DEFAULT_DIVERGENCES_DEG = (30.0, 60.0, 90.0)
@@ -47,23 +48,19 @@ class OutputRecordSet:
     columns: tuple[tuple[str, str], ...]
     rows: tuple[tuple, ...]
 
-    def to_lines(self) -> list[str]:
-        lines = [",".join(name for name, _ in self.columns)]
+    def to_lines(self):
+        """Yield the header line, then one line per row: lazily, so that
+        `write` never holds every line and the joined text at once."""
+        yield ",".join(name for name, _ in self.columns)
         for row in self.rows:
             if len(row) != len(self.columns):
                 raise ValueError(
                     f"row width {len(row)} != schema width {len(self.columns)}"
                 )
-            lines.append(
-                ",".join(_format_cell(value, kind) for value, (_, kind) in zip(row, self.columns))
-            )
-        return lines
-
-    def to_text(self) -> str:
-        return "\n".join(self.to_lines()) + "\n"
+            yield ",".join(_format_cell(value, kind) for value, (_, kind) in zip(row, self.columns))
 
     def write(self, path) -> None:
-        Path(path).write_text(self.to_text(), encoding="utf-8", newline="\n")
+        _write_lines(Path(path), self.to_lines())
 
 
 def _format_cell(value, kind: str) -> str:
@@ -128,8 +125,11 @@ CAMPAIGN_AGGREGATE_COLUMNS = (
 
 def _sweep_params(base: ChannelParams, water: WaterType, divergence_deg: float) -> ChannelParams:
     """Base channel parameters with extinction and divergence pinned by the sweep."""
-    divergence = math.radians(divergence_deg)
-    return replace(base, extinction=extinction_coefficient(water), divergence_angle=divergence)
+    extinction = ChannelParams.for_water(water).extinction
+    try:
+        return replace(base, extinction=extinction, divergence_angle=math.radians(divergence_deg))
+    except ValueError as exc:
+        raise ConfigError(f"divergence {divergence_deg} degrees: {exc}") from exc
 
 
 def cmd_link_budget(config: SimulationConfig, distances, waters, divergences_deg) -> OutputRecordSet:
@@ -166,9 +166,6 @@ def _require_sweep(distances, waters, divergences_deg):
     # The link model divides by d * d, which underflows to 0 below about 1e-162.
     if not all(0.0 < d < math.inf and d * d > 0.0 for d in distances):
         raise ConfigError("distances must be finite and > 0, with a square above 0")
-    # ChannelParams' own range, checked on the radians it will be given.
-    if not all(0.0 < math.radians(a) <= math.pi for a in divergences_deg):
-        raise ConfigError("divergences must be in (0, 180] degrees")
 
 
 def _metric_cells(metric) -> tuple:
@@ -183,6 +180,26 @@ def _metric_cells(metric) -> tuple:
         metric.evaluations,
         metric.wall_clock_ns,
     )
+
+
+def route_dump_lines(protocol: Protocol, graph: NetworkGraph, outcome: RoutingOutcome) -> list[str]:
+    """Overlay-friendly dump of a successful outcome's route.
+
+    One ``protocol hop_index node_id x y ber_to_next`` line per visited
+    node (0.0 for the final node's ber_to_next), then a trailer line
+    ``protocol e2e <e2e_ber> <total_distance_m> <evaluations>``.
+    """
+    name = protocol.value
+    route = outcome.route
+    lines = []
+    for index, node_id in enumerate(route.hops):
+        x, y = graph.positions[node_id]
+        ber_to_next = route.hop_bers[index] if index < route.hop_count else 0.0
+        lines.append(f"{name} {index} {node_id} {x:.8e} {y:.8e} {ber_to_next:.8e}")
+    lines.append(
+        f"{name} e2e {route.e2e_ber:.8e} {route.total_distance:.8e} {outcome.evaluations}"
+    )
+    return lines
 
 
 def cmd_route(config: SimulationConfig, seed: int):

@@ -10,7 +10,6 @@ realization, protocol) order, which keeps results bit-identical regardless
 of parallelism.
 """
 
-import logging
 import math
 import os
 import sys
@@ -32,8 +31,6 @@ from .routing import (
     srp,
 )
 from .topology import SOURCE_ID, TARGET_ID, build_graph, generate_deployment, path_exists
-
-log = logging.getLogger(__name__)
 
 THREADS_ENV_VAR = "UOWSN_THREADS"
 
@@ -91,6 +88,11 @@ class SimulationConfig:
                 raise ConfigError(f"node_count values must be ints >= 2, got {n!r}")
         if len(set(counts)) != len(counts):
             raise ConfigError(f"node_count sweep repeats a value: {counts}")
+        for name in ("area", "source_pos", "target_pos"):
+            pair = getattr(self, name)
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise ConfigError(f"{name} must be a pair of numbers, got {pair!r}")
+            object.__setattr__(self, name, tuple(pair))
         require_finite(
             ConfigError,
             area=self.area,
@@ -114,8 +116,9 @@ class SimulationConfig:
         for name in ("srp_fallback", "record_timing"):
             if not isinstance(getattr(self, name), bool):
                 raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
-        if not self.protocols:
-            raise ConfigError("at least one protocol must be selected")
+        if not isinstance(self.protocols, (list, tuple)) or not self.protocols:
+            raise ConfigError(f"protocols must be a non-empty list or tuple, got {self.protocols!r}")
+        object.__setattr__(self, "protocols", tuple(self.protocols))
         if not all(isinstance(p, Protocol) for p in self.protocols):
             raise ConfigError(f"protocols must be Protocol values, got {self.protocols!r}")
         if len(set(self.protocols)) != len(self.protocols):
@@ -126,11 +129,6 @@ class SimulationConfig:
         (sx, sy), (tx, ty) = self.source_pos, self.target_pos
         if (tx - sx) * (tx - sx) + (ty - sy) * (ty - sy) == 0.0 and (sx, sy) != (tx, ty):
             raise ConfigError("source_pos and target_pos are too close to square their distance")
-        separation = math.dist(self.source_pos, self.target_pos)
-        if separation > math.hypot(width, height):
-            log.warning(
-                "source-target separation %.1f m exceeds the area diagonal", separation
-            )
 
     @property
     def node_counts(self) -> tuple[int, ...]:
@@ -168,7 +166,6 @@ def run_single(config: SimulationConfig, seed: int) -> TrialResult:
     A trial whose graph leaves source and target disconnected records a
     DISCONNECTED failure for all protocols without running them.
     """
-    config.single_node_count()
     positions = generate_deployment(config, seed)
     graph = build_graph(positions, config.max_range, config.channel, config.noise, config.constants)
     connected = path_exists(graph, SOURCE_ID, TARGET_ID)
@@ -346,9 +343,6 @@ def config_from_dict(raw: dict) -> SimulationConfig:
 
     kwargs = dict(raw)
     try:
-        for name in ("area", "source_pos", "target_pos"):
-            if name in raw:
-                kwargs[name] = _pair(raw[name], name)
         water = WaterType(kwargs.pop("water", WaterType.CLEAR_OCEAN))
         kwargs["channel"] = ChannelParams.for_water(water, **raw.get("channel", {}))
         nested = (("noise", ReceiverNoise), ("constants", PhysicalConstants), ("delay", DelayModel))
@@ -368,13 +362,6 @@ def config_from_dict(raw: dict) -> SimulationConfig:
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _pair(value, name: str) -> tuple:
-    """A two-element list as a tuple; SimulationConfig checks the numbers."""
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigError(f"{name} must be a pair of numbers, got {value!r}")
-    return tuple(value)
 
 
 def _mean_std(values):

@@ -96,12 +96,6 @@ def edge_weights(bers, mode: WeightMode) -> list[float]:
     return [math.inf if b >= 0.5 else -math.log1p(-2.0 * b) for b in bers]
 
 
-def _check_ids(graph: NetworkGraph, source: int, target: int):
-    for node_id in (source, target):
-        if not graph.has_node(node_id):
-            raise ValueError(f"unknown node id {node_id}")
-
-
 def _empty_route(node_id: int) -> RoutingOutcome:
     route = Route(hops=(node_id,), hop_bers=(), hop_distances=(), e2e_ber=0.0)
     return RoutingOutcome(route=route, failure_reason=None, evaluations=0)
@@ -149,7 +143,7 @@ def crp(
     settled node counts one evaluation.  An edge of infinite weight never
     relaxes, since no tentative distance is below infinity.
     """
-    _check_ids(graph, source, target)
+    graph.check_nodes(source, target)
     if source == target:
         return _empty_route(source)
 
@@ -202,7 +196,7 @@ def _greedy_walk(
     toward the lower node id.  The walk fails with ``stuck`` when there is
     no candidate and with HOP_LIMIT after N-1 hops.
     """
-    _check_ids(graph, source, target)
+    graph.check_nodes(source, target)
     if source == target:
         return _empty_route(source)
 
@@ -284,23 +278,3 @@ def quadrant_filter(current, target, candidates) -> list[int]:
         for i, (x, y) in enumerate(candidates)
         if (x - cx) * dx >= 0.0 and (y - cy) * dy >= 0.0
     ]
-
-
-def route_dump_lines(protocol: Protocol, graph: NetworkGraph, outcome: RoutingOutcome) -> list[str]:
-    """Overlay-friendly dump of a successful outcome's route.
-
-    One ``protocol hop_index node_id x y ber_to_next`` line per visited
-    node (0.0 for the final node's ber_to_next), then a trailer line
-    ``protocol e2e <e2e_ber> <total_distance_m> <evaluations>``.
-    """
-    name = protocol.value
-    route = outcome.route
-    lines = []
-    for index, node_id in enumerate(route.hops):
-        x, y = graph.positions[node_id]
-        ber_to_next = route.hop_bers[index] if index < route.hop_count else 0.0
-        lines.append(f"{name} {index} {node_id} {x:.8e} {y:.8e} {ber_to_next:.8e}")
-    lines.append(
-        f"{name} e2e {route.e2e_ber:.8e} {route.total_distance:.8e} {outcome.evaluations}"
-    )
-    return lines

@@ -84,8 +84,11 @@ class NetworkGraph:
     def edge_count(self) -> int:
         return len(self.ber)
 
-    def has_node(self, node_id: int) -> bool:
-        return 0 <= node_id < len(self.positions)
+    def check_nodes(self, *node_ids: int) -> None:
+        """Raise ValueError unless every id names a node of the graph."""
+        for node_id in node_ids:
+            if not 0 <= node_id < len(self.positions):
+                raise ValueError(f"unknown node id {node_id}")
 
     def edge_id(self, u: int, v: int) -> int | None:
         """Index of the edge (u, v) in the per-edge lists, or None."""
@@ -103,16 +106,12 @@ class NetworkGraph:
 def generate_deployment(config, seed) -> np.ndarray:
     """Place source, target and uniformly random relays for one trial.
 
-    ``config`` needs ``node_count`` (int), ``area`` and the two endpoint
-    positions.  ``seed`` feeds numpy's PCG64 generator; identical inputs
-    give identical arrays.  Returns the (n, 2) positions: row 0 is the
-    source, row 1 the target and the rest are relays.
+    ``config`` is a `SimulationConfig` with a single ``node_count``.
+    ``seed`` feeds numpy's PCG64 generator; identical inputs give identical
+    arrays.  Returns the (n, 2) positions: row 0 is the source, row 1 the
+    target and the rest are relays.
     """
-    n = config.node_count
-    if not isinstance(n, int):
-        raise ValueError(f"deployment needs a single node_count, got {n!r}")
-    if n < 2:
-        raise ValueError(f"node_count must be >= 2, got {n}")
+    n = config.single_node_count()
     width, height = config.area
     positions = np.empty((n, 2))
     positions[SOURCE_ID] = config.source_pos
@@ -171,9 +170,7 @@ def build_graph(
 
 def path_exists(graph: NetworkGraph, source: int, target: int) -> bool:
     """True when an undirected path connects the two node ids (BFS)."""
-    for node_id in (source, target):
-        if not graph.has_node(node_id):
-            raise ValueError(f"unknown node id {node_id}")
+    graph.check_nodes(source, target)
     if source == target:
         return True
     indptr, indices = graph.indptr, graph.indices

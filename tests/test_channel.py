@@ -15,7 +15,6 @@ from uowsim import (
     chain_ber,
     channel,
     e2e_ber,
-    extinction_coefficient,
     link_power_and_ber,
     photon_arrival_rate,
     received_power_los,
@@ -33,9 +32,9 @@ BER_CLEAR_50M = 0.49999618051689926
 
 
 def test_extinction_table():
-    assert extinction_coefficient(WaterType.CLEAR_OCEAN) == 0.15
-    assert extinction_coefficient(WaterType.COASTAL_OCEAN) == 0.30
-    assert extinction_coefficient(WaterType.TURBID_HARBOR) == 2.19
+    assert ChannelParams.for_water(WaterType.CLEAR_OCEAN).extinction == 0.15
+    assert ChannelParams.for_water(WaterType.COASTAL_OCEAN).extinction == 0.30
+    assert ChannelParams.for_water(WaterType.TURBID_HARBOR).extinction == 2.19
 
 
 @pytest.mark.parametrize(

@@ -118,7 +118,7 @@ def test_recordset_roundtrip():
         (sweep, LINK_BUDGET_COLUMNS),
         (bers, BER_SWEEP_COLUMNS),
     ):
-        lines = rs.to_text().splitlines()
+        lines = list(rs.to_lines())
         assert lines[0] == ",".join(name for name, _ in columns)
         assert len(lines) == len(rs.rows) + 1
         for line in lines[1:]:
@@ -263,12 +263,18 @@ def test_main_malformed_config_exits_2(tmp_path):
         underflow = tmp_path / "underflow.json"
         underflow.write_text(json.dumps(doc))
         assert main(["route", "--config", str(underflow), "--out", str(tmp_path)]) == 2
+    # A divergence whose cosine rounds to 1 leaves the spreading undefined.
+    tiny_divergence = tmp_path / "tiny_divergence.json"
+    tiny_divergence.write_text(json.dumps({"channel": {"divergence_angle": 1e-9}, "node_count": 20}))
+    for command in ("route", "campaign"):
+        assert main([command, "--config", str(tiny_divergence), "--out", str(tmp_path)]) == 2
     for command in ("link-budget", "ber-sweep"):
         for flag, value in (
             ("--divergences", "0"),
             ("--divergences", "200"),
             ("--divergences", "nan"),
             ("--divergences", "1e-322"),
+            ("--divergences", "1e-7"),
             ("--distances", "nan"),
             ("--distances", "inf"),
             ("--distances", "1e400"),

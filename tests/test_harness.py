@@ -43,6 +43,13 @@ def test_config_validation():
         SimulationConfig(max_range=0.0)
     with pytest.raises(ConfigError):
         SimulationConfig(protocols=())
+    with pytest.raises(ConfigError):
+        SimulationConfig(protocols=Protocol.CRP)
+    # Coordinate pairs are checked for length and stored as tuples.
+    for bad in ({"area": (1.0,)}, {"source_pos": (1.0, 2.0, 3.0)}):
+        with pytest.raises(ConfigError):
+            SimulationConfig(**bad)
+    assert SimulationConfig(area=[250, 250]).area == (250, 250)
     # Enum and nested fields must have their own types, not names or None.
     for bad in (
         {"protocols": ("crp", "drp")},

@@ -16,9 +16,9 @@ from uowsim import (
     drp,
     generate_deployment,
     quadrant_filter,
-    route_dump_lines,
     srp,
 )
+from uowsim.cli import route_dump_lines
 from conftest import graph_edges, make_graph
 
 
