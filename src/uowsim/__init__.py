@@ -22,6 +22,7 @@ from .harness import (
     SimulationConfig,
     TrialRecord,
     TrialResult,
+    WorkerDiedError,
     config_from_dict,
     derive_trial_seed,
     run_campaign,

@@ -149,6 +149,8 @@ class ReceiverNoise:
         require_finite(ValueError, **vars(self))
         if self.dark_count_rate < 0.0 or self.background_rate < 0.0:
             raise ValueError("noise rates must be >= 0")
+        if self.dark_count_rate + self.background_rate > sys.float_info.max:
+            raise ValueError("noise rates must have a finite sum")
         if not 0.0 <= self.detector_efficiency <= 1.0:
             raise ValueError(
                 f"detector_efficiency must be in [0, 1], got {self.detector_efficiency}"
@@ -198,6 +200,14 @@ def received_power_los(params: ChannelParams, distance: float) -> float:
     )
 
 
+def photon_rate_denominator(noise: ReceiverNoise, constants: PhysicalConstants) -> float:
+    """What the photon arrival rate divides the detected power by, in J m.
+
+    `SimulationConfig` rejects a value that is 0 or not finite.
+    """
+    return noise.pulse_duration * noise.data_rate * constants.planck * constants.light_speed_water
+
+
 def photon_arrival_rate(
     received_power: float,
     noise: ReceiverNoise,
@@ -207,6 +217,7 @@ def photon_arrival_rate(
     """Signal photon arrival rate at the detector, counts per second."""
     if received_power < 0.0:
         raise ValueError(f"received_power must be >= 0, got {received_power}")
+    # photon_rate_denominator, inlined: a sweep calls this once per row.
     return (received_power * noise.detector_efficiency * params.wavelength) / (
         noise.pulse_duration
         * noise.data_rate
@@ -230,11 +241,47 @@ def single_link_ber(
     rate_signal = photon_arrival_rate(received_power, noise, params, constants)
     rate_zero = noise.dark_count_rate + noise.background_rate
     rate_one = rate_zero + rate_signal
+    if rate_one == math.inf:
+        return _ber_past_float_rate(received_power, noise, params, constants)
     denom = math.sqrt(rate_one) + math.sqrt(rate_zero)
     # sqrt(r1) - sqrt(r0) evaluated as rp / (sqrt(r1) + sqrt(r0)) to avoid
     # cancellation when the signal rate is far below the noise rates.
     diff = rate_signal / denom if denom > 0.0 else 0.0
     ber = 0.5 * math.erfc(math.sqrt(noise.pulse_duration / 2.0) * diff)
+    return 0.0 if ber < BER_FLOOR else ber
+
+
+def _ber_past_float_rate(
+    received_power: float,
+    noise: ReceiverNoise,
+    params: ChannelParams,
+    constants: PhysicalConstants,
+) -> float:
+    """`single_link_ber` of a link whose photon rate r0 + rs overflows a float.
+
+    The erfc argument sqrt(T/2) * rs / (sqrt(r0 + rs) + sqrt(r0)) equals
+    sqrt(s/2) / (sqrt(1 + q) + sqrt(q)), with s = rs * T signal photons per
+    pulse and q = r0 / rs, and both are taken from logarithms, so neither
+    overflows.  As the power grows the BER tends to 0; as the pulse
+    duration T shrinks, s tends to a finite count and so does the BER.
+    """
+    if received_power == math.inf:
+        return 0.0
+    log_rate = (
+        math.log(received_power)
+        + math.log(noise.detector_efficiency)
+        + math.log(params.wavelength)
+        - math.log(photon_rate_denominator(noise, constants))
+    )
+    log_photons = log_rate + math.log(noise.pulse_duration)
+    # exp overflows above about 709.8.  Past 700, s/2 > 1e303 and q < 1e17
+    # (r0 is finite, so rs > 1e292), which put the argument far above 27.
+    if log_photons > 700.0:
+        return 0.0
+    rate_zero = noise.dark_count_rate + noise.background_rate
+    q = math.exp(math.log(rate_zero) - log_rate) if rate_zero > 0.0 else 0.0
+    argument = math.sqrt(math.exp(log_photons) / 2.0) / (math.sqrt(1.0 + q) + math.sqrt(q))
+    ber = 0.5 * math.erfc(argument)
     return 0.0 if ber < BER_FLOOR else ber
 
 
@@ -284,18 +331,21 @@ def link_power_and_ber(
         / (2.0 * math.pi * (1.0 - math.cos(params.divergence_angle)) * d * d)
     )
     rate_signal = (power * noise.detector_efficiency * params.wavelength) / (
-        noise.pulse_duration
-        * noise.data_rate
-        * constants.planck
-        * constants.light_speed_water
+        photon_rate_denominator(noise, constants)
     )
     rate_zero = noise.dark_count_rate + noise.background_rate
-    denom = np.sqrt(rate_zero + rate_signal) + math.sqrt(rate_zero)
+    rate_one = rate_zero + rate_signal
+    denom = np.sqrt(rate_one) + math.sqrt(rate_zero)
     diff = np.divide(
         rate_signal, denom, out=np.zeros_like(rate_signal), where=denom > 0.0
     )
     ber = 0.5 * _erfc(math.sqrt(noise.pulse_duration / 2.0) * diff)
     ber = np.where(ber < BER_FLOOR, 0.0, ber)
+    overflowed = np.flatnonzero(rate_one == math.inf)
+    if len(overflowed):
+        ber[overflowed] = [
+            _ber_past_float_rate(p, noise, params, constants) for p in power[overflowed].tolist()
+        ]
     return power, ber
 
 

@@ -16,8 +16,8 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
+from itertools import repeat
 from pathlib import Path
 
 from .channel import ChannelParams, WaterType, received_power_los, single_link_ber
@@ -25,6 +25,7 @@ from .harness import (
     DEFAULT_NODE_SWEEP,
     ConfigError,
     SimulationConfig,
+    WorkerDiedError,
     config_from_dict,
     run_campaign,
     run_single,
@@ -73,6 +74,21 @@ def _format_cell(value, kind: str) -> str:
     if kind == "bool":
         return "true" if value else "false"
     return str(value)
+
+
+@dataclass(frozen=True)
+class SweepRecordSet(OutputRecordSet):
+    """A sweep table whose rows are ``(prefix, distance cell, value)``.
+
+    ``prefix`` is the row's water and divergence cells with their commas,
+    formatted once per block, and the distance cell is formatted once per
+    distance, both by `_format_cell`; only the value is formatted per row.
+    """
+
+    def to_lines(self):
+        yield ",".join(name for name, _ in self.columns)
+        for prefix, distance, value in self.rows:
+            yield f"{prefix}{distance},{_format_cell(value, 'float')}"
 
 
 LINK_BUDGET_COLUMNS = (
@@ -132,32 +148,37 @@ def _sweep_params(base: ChannelParams, water: WaterType, divergence_deg: float) 
         raise ConfigError(f"divergence {divergence_deg} degrees: {exc}") from exc
 
 
-def cmd_link_budget(config: SimulationConfig, distances, waters, divergences_deg) -> OutputRecordSet:
+def cmd_link_budget(config: SimulationConfig, distances, waters, divergences_deg) -> SweepRecordSet:
     """Received power over the water x divergence x distance grid."""
-    _require_sweep(distances, waters, divergences_deg)
-    rows = []
-    for water in waters:
-        for div_deg in divergences_deg:
-            params = _sweep_params(config.channel, water, div_deg)
-            for distance in distances:
-                rows.append(
-                    (water.value, div_deg, distance, received_power_los(params, distance))
-                )
-    return OutputRecordSet(LINK_BUDGET_COLUMNS, tuple(rows))
+    return _sweep(config, distances, waters, divergences_deg, with_ber=False)
 
 
-def cmd_ber_sweep(config: SimulationConfig, distances, waters, divergences_deg) -> OutputRecordSet:
+def cmd_ber_sweep(config: SimulationConfig, distances, waters, divergences_deg) -> SweepRecordSet:
     """Single-link BER over the water x divergence x distance grid."""
+    return _sweep(config, distances, waters, divergences_deg, with_ber=True)
+
+
+def _sweep(config, distances, waters, divergences_deg, with_ber: bool) -> SweepRecordSet:
+    """The rows of either sweep, one (water, divergence) block at a time.
+
+    Each distance cell and each block's ``water,divergence,`` prefix is
+    formatted once.  Every row calls ``received_power_los``, and with
+    ``with_ber`` also ``single_link_ber``, through this module's globals.
+    """
     _require_sweep(distances, waters, divergences_deg)
+    distance_cells = [_format_cell(distance, "float") for distance in distances]
+    noise, constants = config.noise, config.constants
     rows = []
     for water in waters:
         for div_deg in divergences_deg:
             params = _sweep_params(config.channel, water, div_deg)
-            for distance in distances:
-                power = received_power_los(params, distance)
-                ber = single_link_ber(power, config.noise, params, config.constants)
-                rows.append((water.value, div_deg, distance, ber))
-    return OutputRecordSet(BER_SWEEP_COLUMNS, tuple(rows))
+            prefix = f"{_format_cell(water.value, 'str')},{_format_cell(div_deg, 'float')},"
+            values = [received_power_los(params, distance) for distance in distances]
+            if with_ber:
+                values = [single_link_ber(power, noise, params, constants) for power in values]
+            rows.extend(zip(repeat(prefix), distance_cells, values))
+    columns = BER_SWEEP_COLUMNS if with_ber else LINK_BUDGET_COLUMNS
+    return SweepRecordSet(columns, tuple(rows))
 
 
 def _require_sweep(distances, waters, divergences_deg):
@@ -395,7 +416,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 3
-    except BrokenProcessPool as exc:
+    except WorkerDiedError as exc:
         print(f"error: a campaign worker process died: {exc}", file=sys.stderr)
         return 4
     return 0

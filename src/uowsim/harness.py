@@ -14,12 +14,18 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .channel import ChannelParams, PhysicalConstants, ReceiverNoise, WaterType, require_finite
+from .channel import (
+    ChannelParams,
+    PhysicalConstants,
+    ReceiverNoise,
+    WaterType,
+    photon_rate_denominator,
+    require_finite,
+)
 from .metrics import DelayModel, TrialMetrics, collect_trial
 from .routing import (
     FailureReason,
@@ -39,6 +45,10 @@ DEFAULT_NODE_SWEEP = (20, 30, 40, 50, 60, 70, 80, 90, 100)
 
 class ConfigError(ValueError):
     """Invalid simulation configuration."""
+
+
+class WorkerDiedError(RuntimeError):
+    """A campaign's pool lost a worker process."""
 
 
 @dataclass(frozen=True)
@@ -126,6 +136,12 @@ class SimulationConfig:
         for name, (x, y) in (("source_pos", self.source_pos), ("target_pos", self.target_pos)):
             if not (0.0 <= x <= width and 0.0 <= y <= height):
                 raise ConfigError(f"{name} {(x, y)} lies outside the {self.area} area")
+        denominator = photon_rate_denominator(self.noise, self.constants)
+        if not 0.0 < denominator <= sys.float_info.max:
+            raise ConfigError(
+                f"pulse_duration * data_rate * planck * light_speed_water must be finite "
+                f"and > 0, got {denominator}"
+            )
         (sx, sy), (tx, ty) = self.source_pos, self.target_pos
         if (tx - sx) * (tx - sx) + (ty - sy) * (ty - sy) == 0.0 and (sx, sy) != (tx, ty):
             raise ConfigError("source_pos and target_pos are too close to square their distance")
@@ -264,6 +280,17 @@ def resolve_workers() -> int:
     return workers if workers > 0 else (os.cpu_count() or 1)
 
 
+def _pool(workers: int):
+    """A process pool of ``workers`` processes.
+
+    The pool's modules (multiprocessing, subprocess) are imported here, not
+    at module load, so that a serial run does not pay for them.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def run_campaign(config: SimulationConfig) -> CampaignResult:
     """Execute the full sweep and aggregate per (protocol, node count).
 
@@ -271,7 +298,8 @@ def run_campaign(config: SimulationConfig) -> CampaignResult:
     is derived once, the realizations are cut into (per-count config,
     first index, seeds) tasks that run inline on one worker or on a
     process pool of at most ``min(workers, cpu count, tasks)`` processes,
-    and their records are reassembled in task order.
+    and their records are reassembled in task order.  A pool that loses a
+    worker raises `WorkerDiedError`.
     """
     workers = min(resolve_workers(), os.cpu_count() or 1)
     chunk = max(1, math.ceil(config.realizations / (workers * 4)))
@@ -286,8 +314,13 @@ def run_campaign(config: SimulationConfig) -> CampaignResult:
     if workers <= 1:
         chunks = [_run_index_range(*task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_run_index_range, *zip(*tasks)))
+        from concurrent.futures.process import BrokenProcessPool
+
+        try:
+            with _pool(workers) as pool:
+                chunks = list(pool.map(_run_index_range, *zip(*tasks)))
+        except BrokenProcessPool as exc:
+            raise WorkerDiedError(str(exc)) from exc
     records = [record for part in chunks for record in part]
     return CampaignResult(records=records, aggregates=aggregate_records(records, config))
 

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 from scipy import special
 
-from oracles import erfc_reference, fold_reference, parity_e2e_reference
+from oracles import (
+    erfc_reference,
+    fold_reference,
+    parity_e2e_reference,
+    single_link_ber_reference,
+)
 from uowsim import (
     ChannelParams,
     PhysicalConstants,
@@ -78,6 +83,8 @@ def test_receiver_noise_validation():
         ReceiverNoise(pulse_duration=0.0)
     with pytest.raises(ValueError):
         ReceiverNoise(detector_efficiency=2.0)
+    with pytest.raises(ValueError):  # each rate is finite, their sum is not
+        ReceiverNoise(dark_count_rate=1e308, background_rate=1e308)
 
 
 def test_channel_params_validation():
@@ -304,6 +311,37 @@ def test_vectorized_links_match_scalars():
         assert p == pytest.approx(received_power_los(params, d), rel=1e-12)
         scalar = single_link_ber(received_power_los(params, d), noise, params, constants)
         assert b == pytest.approx(scalar, rel=1e-12)
+
+
+def test_overflowing_photon_rate_matches_oracle():
+    # A 1e-307 s pulse at 1e35 b/s keeps the rate's denominator a normal
+    # float, so below about 1.2 m the photon rate overflows while the signal
+    # photons per pulse stay few enough for a BER above 0.
+    params, constants = ChannelParams(tx_power=4e25), PhysicalConstants()
+    noise = ReceiverNoise(pulse_duration=1e-307, data_rate=1e35)
+    distances = np.array([0.3, 0.5, 0.8, 1.0, 1.5, 3.0, 10.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers, bers = link_power_and_ber(distances, params, noise, constants)
+    overflowed = 0
+    for power, ber in zip(powers.tolist(), bers.tolist()):
+        rate = photon_arrival_rate(power, noise, params, constants)
+        overflowed += rate == math.inf
+        reference = single_link_ber_reference(
+            power, noise.dark_count_rate, noise.background_rate, noise.detector_efficiency,
+            params.wavelength, noise.pulse_duration, noise.data_rate, constants.planck,
+            constants.light_speed_water,
+        )
+        assert 0.0 < ber < 0.5
+        assert ber == pytest.approx(float(reference), rel=1e-9)
+        assert single_link_ber(power, noise, params, constants) == pytest.approx(ber, rel=1e-12)
+    assert overflowed == 4
+    # As the power grows past the float range, the BER tends to 0.
+    huge = ChannelParams(tx_power=1e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers, bers = link_power_and_ber([1e-5, 1.0, 50.0], huge, ReceiverNoise(), constants)
+    assert powers[0] == math.inf and bers.tolist() == [0.0, 0.0, 0.0]
+    for power in powers.tolist():
+        assert single_link_ber(power, ReceiverNoise(), huge, constants) == 0.0
 
 
 def test_fold_reference_agrees_with_parity():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -22,7 +23,14 @@ from uowsim.cli import (
     cmd_route,
     main,
 )
-from uowsim.channel import WaterType
+from uowsim.channel import (
+    ChannelParams,
+    PhysicalConstants,
+    ReceiverNoise,
+    WaterType,
+    received_power_los,
+    single_link_ber,
+)
 
 P_RX_CLEAR_50M = 2.6816175219259665e-19
 BER_CLEAR_50M = 0.49999618051689926
@@ -32,10 +40,20 @@ REPO_DIR = Path(__file__).resolve().parent.parent
 SRC_DIR = REPO_DIR / "src"
 
 
+def _sweep_rows(rs):
+    """Each sweep row as (water, divergence, distance, value), with the
+    water and the two grid values read back from their formatted cells."""
+    rows = []
+    for prefix, distance_cell, value in rs.rows:
+        water, divergence_cell, _ = prefix.split(",")
+        rows.append((water, float(divergence_cell), float(distance_cell), value))
+    return rows
+
+
 def test_link_budget_single_row_matches_oracle():
     rs = cmd_link_budget(SimulationConfig(), [50.0], [WaterType.CLEAR_OCEAN], [60.0])
     assert len(rs.rows) == 1
-    water, div, dist, power = rs.rows[0]
+    water, div, dist, power = _sweep_rows(rs)[0]
     assert (water, div, dist) == ("clear", 60.0, 50.0)
     assert power == pytest.approx(P_RX_CLEAR_50M, rel=1e-10)
 
@@ -45,7 +63,7 @@ def test_link_budget_orderings():
     distances = [float(d) for d in range(10, 110, 10)]
     rs = cmd_link_budget(SimulationConfig(), distances, waters, [60.0])
     by_water = {}
-    for water, _, dist, power in rs.rows:
+    for water, _, dist, power in _sweep_rows(rs):
         by_water.setdefault(water, []).append((dist, power))
     # strictly decreasing in distance per water
     for series in by_water.values():
@@ -63,7 +81,7 @@ def test_ber_sweep_rows():
         [WaterType.CLEAR_OCEAN, WaterType.TURBID_HARBOR],
         [60.0],
     )
-    cells = {(row[0], row[2]): row[3] for row in rs.rows}
+    cells = {(row[0], row[2]): row[3] for row in _sweep_rows(rs)}
     assert cells[("clear", 50.0)] == pytest.approx(BER_CLEAR_50M, rel=1e-10)
     assert cells[("clear", 50.0)] < cells[("turbid", 50.0)]
     assert cells[("turbid", 100.0)] == pytest.approx(0.5, rel=1e-9)
@@ -263,6 +281,19 @@ def test_main_malformed_config_exits_2(tmp_path):
         underflow = tmp_path / "underflow.json"
         underflow.write_text(json.dumps(doc))
         assert main(["route", "--config", str(underflow), "--out", str(tmp_path)]) == 2
+    # The photon rate's denominator underflows to 0 or overflows, or the
+    # noise rates have no finite sum.
+    for doc in (
+        {"noise": {"pulse_duration": 1e-300}},
+        {"constants": {"planck": 1e308}},
+        {"noise": {"dark_count_rate": 1e308, "background_rate": 1e308}},
+    ):
+        bad_rate = tmp_path / "bad_rate.json"
+        bad_rate.write_text(json.dumps({**doc, "node_count": 20}))
+        assert main(["route", "--config", str(bad_rate), "--out", str(tmp_path)]) == 2
+        bad_rate.write_text(json.dumps(doc))
+        sweep = ["ber-sweep", "--distances", "1,50", "--divergences", "30", "--water", "clear"]
+        assert main(sweep + ["--config", str(bad_rate), "--out", str(tmp_path)]) == 2
     # A divergence whose cosine rounds to 1 leaves the spreading undefined.
     tiny_divergence = tmp_path / "tiny_divergence.json"
     tiny_divergence.write_text(json.dumps({"channel": {"divergence_angle": 1e-9}, "node_count": 20}))
@@ -281,6 +312,89 @@ def test_main_malformed_config_exits_2(tmp_path):
             ("--distances", "1e-200"),
         ):
             assert main([command, flag, value, "--out", str(tmp_path)]) == 2
+
+
+def test_main_overflowing_photon_rate_gives_ber_0(tmp_path):
+    # A photon rate past the float range means a BER at its limit for a
+    # growing power, 0, not NaN; the route's e2e BER folds those links.
+    out = ["--out", str(tmp_path)]
+    sweep = ["ber-sweep", "--divergences", "30", "--water", "clear", *out]
+
+    def rows(filename):
+        return [line.split(",") for line in (tmp_path / filename).read_text().splitlines()[1:]]
+
+    for doc in ({"channel": {"tx_power": 1e308}}, {"channel": {"wavelength": 1e300}}):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        assert main(sweep + ["--distances", "1,50", "--config", str(config)]) == 0
+        assert [row[3] for row in rows("ber_sweep.csv")] == ["0.00000000e+00"] * 2
+        config.write_text(json.dumps({**doc, "node_count": 20}))
+        assert main(["route", "--config", str(config), *out]) == 0
+        e2e_bers = {row[5] for row in rows("route_summary.csv") if row[2] == "true"}
+        assert e2e_bers == {"0.00000000e+00"}
+    # With the stock config, the power at 1e-150 m is 8.2e291 W.
+    assert main(sweep + ["--distances", "1e-150,1e-100"]) == 0
+    assert [row[3] for row in rows("ber_sweep.csv")] == ["0.00000000e+00"] * 2
+
+
+def test_main_sweep_bytes_match_rows_formatted_one_by_one(tmp_path):
+    # Unsorted, repeated and extreme distances: formatting each distance and
+    # each block's prefix once must not reorder, merge or drop rows.
+    distances = [100.0, 5.0, 5.0, 1e-3, 1e-100]
+    waters = [WaterType.TURBID_HARBOR, WaterType.CLEAR_OCEAN]
+    divergences = [60.0, 7.5]
+    grid = [
+        "--distances", "100,5,5,1e-3,1e-100",
+        "--water", "turbid,clear",
+        "--divergences", "60,7.5",
+        "--out", str(tmp_path),
+    ]
+    noise, constants = ReceiverNoise(), PhysicalConstants()
+    for command, filename, columns in (
+        ("link-budget", "link_budget.csv", LINK_BUDGET_COLUMNS),
+        ("ber-sweep", "ber_sweep.csv", BER_SWEEP_COLUMNS),
+    ):
+        assert main([command, *grid]) == 0
+        expected = [",".join(name for name, _ in columns)]
+        for water in waters:
+            for divergence in divergences:
+                params = ChannelParams.for_water(water, divergence_angle=math.radians(divergence))
+                for distance in distances:
+                    value = received_power_los(params, distance)
+                    if command == "ber-sweep":
+                        value = single_link_ber(value, noise, params, constants)
+                    row = (water.value, divergence, distance, value)
+                    expected.append(
+                        ",".join(_format_cell(cell, kind) for cell, (_, kind) in zip(row, columns))
+                    )
+        assert (tmp_path / filename).read_text().splitlines() == expected
+
+
+def test_sweeps_call_the_channel_once_per_row(tmp_path, monkeypatch):
+    # perfbench/tracing.py counts these calls through uowsim.cli's globals
+    # and checks them against the row counts.
+    import uowsim.cli as cli
+
+    calls = {"received_power_los": 0, "single_link_ber": 0}
+
+    def counting(name):
+        function = getattr(cli, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return function(*args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counting(name))
+    grid = ["--distances", "5,10,20", "--water", "clear,turbid", "--divergences", "30,60"]
+    assert main(["link-budget", *grid, "--out", str(tmp_path)]) == 0
+    assert calls == {"received_power_los": 12, "single_link_ber": 0}
+    assert main(["ber-sweep", *grid, "--out", str(tmp_path)]) == 0
+    assert calls == {"received_power_los": 24, "single_link_ber": 12}
+    for filename in ("link_budget.csv", "ber_sweep.csv"):
+        assert len((tmp_path / filename).read_text().splitlines()) == 1 + 12
 
 
 def test_main_unwritable_out_exits_3(tmp_path):
@@ -319,7 +433,7 @@ def _campaign_on_pool_raising(monkeypatch, tmp_path, error):
         def map(self, fn, *iterables):
             raise error
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(harness, "_pool", Pool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     monkeypatch.setenv("UOWSN_THREADS", "2")
     return main(["campaign", "--nodes", "20", "--realizations", "2", "--out", str(tmp_path)])

@@ -235,7 +235,7 @@ def test_campaign_pool_is_capped_at_cpus_and_tasks(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(harness, "_pool", InlinePool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
     config = SimulationConfig(node_count=(20, 30), realizations=40)
     monkeypatch.setenv("UOWSN_THREADS", "1")
