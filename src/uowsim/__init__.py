@@ -5,7 +5,6 @@ from .channel import (
     LIGHT_SPEED_WATER,
     PLANCK,
     ChannelParams,
-    PhysicalConstants,
     ReceiverNoise,
     WaterType,
     chain_ber,

@@ -20,7 +20,6 @@ from enum import Enum
 import numpy as np
 
 PLANCK = 6.62607015e-34  # J*s
-LIGHT_SPEED_VACUUM = 299792458.0  # m/s
 #: Speed of light in seawater (vacuum speed / refractive index 1.33).
 LIGHT_SPEED_WATER = 2.2541e8  # m/s
 
@@ -159,25 +158,15 @@ class ReceiverNoise:
             raise ValueError(f"pulse_duration must be > 0, got {self.pulse_duration}")
         if self.data_rate <= 0.0:
             raise ValueError(f"data_rate must be > 0, got {self.data_rate}")
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    planck: float = PLANCK
-    light_speed_water: float = LIGHT_SPEED_WATER
-
-    def __post_init__(self):
-        require_finite(ValueError, **vars(self))
-        if self.planck <= 0.0 or self.light_speed_water <= 0.0:
-            raise ValueError("physical constants must be > 0")
-        if self.light_speed_water >= LIGHT_SPEED_VACUUM:
+        denominator = photon_rate_denominator(self)
+        if not 0.0 < denominator <= sys.float_info.max:
             raise ValueError(
-                f"light_speed_water must be below the vacuum speed, "
-                f"got {self.light_speed_water}"
+                f"pulse_duration * data_rate * PLANCK * LIGHT_SPEED_WATER must be finite "
+                f"and > 0, got {denominator}"
             )
 
 
-def received_power_los(params: ChannelParams, distance: float) -> float:
+def received_power_los(distance: float, params: ChannelParams) -> float:
     """Received optical power of a line-of-sight link, in watts.
 
     Strictly decreasing in distance, extinction and divergence angle.
@@ -200,37 +189,28 @@ def received_power_los(params: ChannelParams, distance: float) -> float:
     )
 
 
-def photon_rate_denominator(noise: ReceiverNoise, constants: PhysicalConstants) -> float:
+def photon_rate_denominator(noise: ReceiverNoise) -> float:
     """What the photon arrival rate divides the detected power by, in J m.
 
-    `SimulationConfig` rejects a value that is 0 or not finite.
+    `ReceiverNoise` rejects a value that is 0 or not finite.
     """
-    return noise.pulse_duration * noise.data_rate * constants.planck * constants.light_speed_water
+    return noise.pulse_duration * noise.data_rate * PLANCK * LIGHT_SPEED_WATER
 
 
 def photon_arrival_rate(
-    received_power: float,
-    noise: ReceiverNoise,
-    params: ChannelParams,
-    constants: PhysicalConstants,
+    received_power: float, params: ChannelParams, noise: ReceiverNoise
 ) -> float:
     """Signal photon arrival rate at the detector, counts per second."""
     if received_power < 0.0:
         raise ValueError(f"received_power must be >= 0, got {received_power}")
     # photon_rate_denominator, inlined: a sweep calls this once per row.
     return (received_power * noise.detector_efficiency * params.wavelength) / (
-        noise.pulse_duration
-        * noise.data_rate
-        * constants.planck
-        * constants.light_speed_water
+        noise.pulse_duration * noise.data_rate * PLANCK * LIGHT_SPEED_WATER
     )
 
 
 def single_link_ber(
-    received_power: float,
-    noise: ReceiverNoise,
-    params: ChannelParams,
-    constants: PhysicalConstants,
+    received_power: float, params: ChannelParams, noise: ReceiverNoise
 ) -> float:
     """Bit error probability of one OOK link, in [0, 0.5].
 
@@ -238,11 +218,11 @@ def single_link_ber(
     the result is chance level 0.5.  Values below ``BER_FLOOR`` are clamped
     to exactly 0.0.
     """
-    rate_signal = photon_arrival_rate(received_power, noise, params, constants)
+    rate_signal = photon_arrival_rate(received_power, params, noise)
     rate_zero = noise.dark_count_rate + noise.background_rate
     rate_one = rate_zero + rate_signal
     if rate_one == math.inf:
-        return _ber_past_float_rate(received_power, noise, params, constants)
+        return _ber_past_float_rate(received_power, params, noise)
     denom = math.sqrt(rate_one) + math.sqrt(rate_zero)
     # sqrt(r1) - sqrt(r0) evaluated as rp / (sqrt(r1) + sqrt(r0)) to avoid
     # cancellation when the signal rate is far below the noise rates.
@@ -252,10 +232,7 @@ def single_link_ber(
 
 
 def _ber_past_float_rate(
-    received_power: float,
-    noise: ReceiverNoise,
-    params: ChannelParams,
-    constants: PhysicalConstants,
+    received_power: float, params: ChannelParams, noise: ReceiverNoise
 ) -> float:
     """`single_link_ber` of a link whose photon rate r0 + rs overflows a float.
 
@@ -271,7 +248,7 @@ def _ber_past_float_rate(
         math.log(received_power)
         + math.log(noise.detector_efficiency)
         + math.log(params.wavelength)
-        - math.log(photon_rate_denominator(noise, constants))
+        - math.log(photon_rate_denominator(noise))
     )
     log_photons = log_rate + math.log(noise.pulse_duration)
     # exp overflows above about 709.8.  Past 700, s/2 > 1e303 and q < 1e17
@@ -305,12 +282,7 @@ def e2e_ber(link_bers) -> float:
     return total
 
 
-def link_power_and_ber(
-    distances,
-    params: ChannelParams,
-    noise: ReceiverNoise,
-    constants: PhysicalConstants,
-):
+def link_power_and_ber(distances, params: ChannelParams, noise: ReceiverNoise):
     """Vectorised received power and single-link BER for many link lengths.
 
     Same model as `received_power_los` / `single_link_ber`, evaluated with
@@ -321,30 +293,33 @@ def link_power_and_ber(
     if np.any(d <= 0.0):
         raise ValueError("all distances must be > 0")
     cos_traj = math.cos(params.trajectory_angle)
-    power = (
-        params.tx_power
-        * params.tx_efficiency
-        * params.rx_efficiency
-        * np.exp(-params.extinction * d / cos_traj)
-        * params.aperture_area
-        * cos_traj
-        / (2.0 * math.pi * (1.0 - math.cos(params.divergence_angle)) * d * d)
-    )
-    rate_signal = (power * noise.detector_efficiency * params.wavelength) / (
-        photon_rate_denominator(noise, constants)
-    )
-    rate_zero = noise.dark_count_rate + noise.background_rate
-    rate_one = rate_zero + rate_signal
-    denom = np.sqrt(rate_one) + math.sqrt(rate_zero)
-    diff = np.divide(
-        rate_signal, denom, out=np.zeros_like(rate_signal), where=denom > 0.0
-    )
+    # A power or photon rate past the float range gives inf, and inf / inf
+    # NaN; the loop below redoes those elements without overflow.
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = (
+            params.tx_power
+            * params.tx_efficiency
+            * params.rx_efficiency
+            * np.exp(-params.extinction * d / cos_traj)
+            * params.aperture_area
+            * cos_traj
+            / (2.0 * math.pi * (1.0 - math.cos(params.divergence_angle)) * d * d)
+        )
+        rate_signal = (power * noise.detector_efficiency * params.wavelength) / (
+            photon_rate_denominator(noise)
+        )
+        rate_zero = noise.dark_count_rate + noise.background_rate
+        rate_one = rate_zero + rate_signal
+        denom = np.sqrt(rate_one) + math.sqrt(rate_zero)
+        diff = np.divide(
+            rate_signal, denom, out=np.zeros_like(rate_signal), where=denom > 0.0
+        )
     ber = 0.5 * _erfc(math.sqrt(noise.pulse_duration / 2.0) * diff)
     ber = np.where(ber < BER_FLOOR, 0.0, ber)
     overflowed = np.flatnonzero(rate_one == math.inf)
     if len(overflowed):
         ber[overflowed] = [
-            _ber_past_float_rate(p, noise, params, constants) for p in power[overflowed].tolist()
+            _ber_past_float_rate(p, params, noise) for p in power[overflowed].tolist()
         ]
     return power, ber
 

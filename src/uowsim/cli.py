@@ -164,18 +164,23 @@ def _sweep(config, distances, waters, divergences_deg, with_ber: bool) -> SweepR
     Each distance cell and each block's ``water,divergence,`` prefix is
     formatted once.  Every row calls ``received_power_los``, and with
     ``with_ber`` also ``single_link_ber``, through this module's globals.
+    A received power past the float range has no row to write: without
+    ``with_ber`` it is a ConfigError, with it the BER takes its limit, 0.
     """
     _require_sweep(distances, waters, divergences_deg)
     distance_cells = [_format_cell(distance, "float") for distance in distances]
-    noise, constants = config.noise, config.constants
+    noise = config.noise
     rows = []
     for water in waters:
         for div_deg in divergences_deg:
             params = _sweep_params(config.channel, water, div_deg)
             prefix = f"{_format_cell(water.value, 'str')},{_format_cell(div_deg, 'float')},"
-            values = [received_power_los(params, distance) for distance in distances]
+            values = [received_power_los(distance, params) for distance in distances]
             if with_ber:
-                values = [single_link_ber(power, noise, params, constants) for power in values]
+                values = [single_link_ber(power, params, noise) for power in values]
+            elif math.inf in values:
+                distance = distances[values.index(math.inf)]
+                raise ConfigError(f"received power at distance {distance} m overflows a float")
             rows.extend(zip(repeat(prefix), distance_cells, values))
     columns = BER_SWEEP_COLUMNS if with_ber else LINK_BUDGET_COLUMNS
     return SweepRecordSet(columns, tuple(rows))

@@ -18,14 +18,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .channel import (
-    ChannelParams,
-    PhysicalConstants,
-    ReceiverNoise,
-    WaterType,
-    photon_rate_denominator,
-    require_finite,
-)
+from .channel import ChannelParams, ReceiverNoise, WaterType, require_finite
 from .metrics import DelayModel, TrialMetrics, collect_trial
 from .routing import (
     FailureReason,
@@ -65,7 +58,6 @@ class SimulationConfig:
     max_range: float = 80.0
     channel: ChannelParams = field(default_factory=ChannelParams)
     noise: ReceiverNoise = field(default_factory=ReceiverNoise)
-    constants: PhysicalConstants = field(default_factory=PhysicalConstants)
     source_pos: tuple[float, float] = (52.5, 125.0)
     target_pos: tuple[float, float] = (197.5, 125.0)
     protocols: tuple[Protocol, ...] = (Protocol.CRP, Protocol.DRP, Protocol.SRP)
@@ -80,7 +72,6 @@ class SimulationConfig:
         for name, cls in (
             ("channel", ChannelParams),
             ("noise", ReceiverNoise),
-            ("constants", PhysicalConstants),
             ("delay", DelayModel),
             ("weight_mode", WeightMode),
         ):
@@ -128,20 +119,15 @@ class SimulationConfig:
                 raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
         if not isinstance(self.protocols, (list, tuple)) or not self.protocols:
             raise ConfigError(f"protocols must be a non-empty list or tuple, got {self.protocols!r}")
-        object.__setattr__(self, "protocols", tuple(self.protocols))
         if not all(isinstance(p, Protocol) for p in self.protocols):
             raise ConfigError(f"protocols must be Protocol values, got {self.protocols!r}")
         if len(set(self.protocols)) != len(self.protocols):
             raise ConfigError(f"protocols repeat a value: {[p.value for p in self.protocols]}")
+        # Enum order, so that every output lists the protocols the same way.
+        object.__setattr__(self, "protocols", tuple(p for p in Protocol if p in self.protocols))
         for name, (x, y) in (("source_pos", self.source_pos), ("target_pos", self.target_pos)):
             if not (0.0 <= x <= width and 0.0 <= y <= height):
                 raise ConfigError(f"{name} {(x, y)} lies outside the {self.area} area")
-        denominator = photon_rate_denominator(self.noise, self.constants)
-        if not 0.0 < denominator <= sys.float_info.max:
-            raise ConfigError(
-                f"pulse_duration * data_rate * planck * light_speed_water must be finite "
-                f"and > 0, got {denominator}"
-            )
         (sx, sy), (tx, ty) = self.source_pos, self.target_pos
         if (tx - sx) * (tx - sx) + (ty - sy) * (ty - sy) == 0.0 and (sx, sy) != (tx, ty):
             raise ConfigError("source_pos and target_pos are too close to square their distance")
@@ -183,7 +169,7 @@ def run_single(config: SimulationConfig, seed: int) -> TrialResult:
     DISCONNECTED failure for all protocols without running them.
     """
     positions = generate_deployment(config, seed)
-    graph = build_graph(positions, config.max_range, config.channel, config.noise, config.constants)
+    graph = build_graph(positions, config.max_range, config.channel, config.noise)
     connected = path_exists(graph, SOURCE_ID, TARGET_ID)
 
     outcomes = {}
@@ -378,8 +364,7 @@ def config_from_dict(raw: dict) -> SimulationConfig:
     try:
         water = WaterType(kwargs.pop("water", WaterType.CLEAR_OCEAN))
         kwargs["channel"] = ChannelParams.for_water(water, **raw.get("channel", {}))
-        nested = (("noise", ReceiverNoise), ("constants", PhysicalConstants), ("delay", DelayModel))
-        for name, cls in nested:
+        for name, cls in (("noise", ReceiverNoise), ("delay", DelayModel)):
             if name in raw:
                 kwargs[name] = cls(**raw[name])
         if "protocols" in raw:

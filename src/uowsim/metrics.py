@@ -8,8 +8,8 @@ between protocols are meaningful for comparison purposes.
 
 from dataclasses import dataclass
 
-from .channel import require_finite
-from .routing import FailureReason, Protocol, Route, RoutingOutcome
+from .channel import LIGHT_SPEED_WATER, require_finite
+from .routing import FailureReason, Protocol, Route
 
 
 @dataclass(frozen=True)
@@ -17,8 +17,8 @@ class DelayModel:
     """Per-packet constants of the delay computation.
 
     ``packet_bits`` bits per packet, ``per_hop_processing`` seconds.  The
-    data rate is the receiver's ``noise.data_rate`` and the speed of light
-    is ``constants.light_speed_water`` of the simulation config.
+    data rate is the receiver's ``noise.data_rate`` of the simulation config
+    and the speed of light is ``LIGHT_SPEED_WATER``.
     """
 
     packet_bits: float = 1024.0
@@ -56,11 +56,11 @@ class TrialMetrics:
 def e2e_delay(route: Route, config) -> float:
     """End-to-end delay of a route in seconds (empty route -> 0).
 
-    ``config`` is a SimulationConfig; its ``delay``, ``noise.data_rate`` and
-    ``constants.light_speed_water`` set the figures.
+    ``config`` is a SimulationConfig; its ``delay`` and ``noise.data_rate``
+    set the figures, and light travels at ``LIGHT_SPEED_WATER``.
     """
     delay = config.delay
-    propagation = route.total_distance / config.constants.light_speed_water
+    propagation = route.total_distance / LIGHT_SPEED_WATER
     per_hop = delay.packet_bits / config.noise.data_rate + delay.per_hop_processing
     return propagation + route.hop_count * per_hop
 
@@ -71,14 +71,11 @@ def collect_trial(outcomes, config, timings=None) -> list[TrialMetrics]:
     ``outcomes`` maps Protocol -> RoutingOutcome for one trial; ``config``
     is the SimulationConfig the delay is computed under; ``timings``
     optionally maps Protocol -> wall-clock nanoseconds (0 when absent).
-    Records come back in Protocol enum order.
+    Records come back in the order of ``outcomes``.
     """
     timings = timings or {}
     records = []
-    for protocol in Protocol:
-        if protocol not in outcomes:
-            continue
-        outcome: RoutingOutcome = outcomes[protocol]
+    for protocol, outcome in outcomes.items():
         route = outcome.route
         records.append(
             TrialMetrics(

@@ -136,7 +136,6 @@ def build_graph(
     max_range: float,
     params: channel.ChannelParams,
     noise: channel.ReceiverNoise,
-    constants: channel.PhysicalConstants,
 ) -> NetworkGraph:
     """Connect every node pair within range and price the links.
 
@@ -163,7 +162,7 @@ def build_graph(
             DEGENERATE_DISTANCE,
         )
     effective = np.where(degenerate, DEGENERATE_DISTANCE, pair_dists)
-    _, bers = channel.link_power_and_ber(effective, params, noise, constants)
+    _, bers = channel.link_power_and_ber(effective, params, noise)
     bers = np.where(degenerate, 0.0, bers)
     return NetworkGraph(positions, us, vs, effective, bers)
 

@@ -5,15 +5,14 @@ import pytest
 from uowsim import (
     ChannelParams,
     NetworkGraph,
-    PhysicalConstants,
     ReceiverNoise,
 )
 
 
 @pytest.fixture
 def default_setup():
-    """Stock channel, noise and constants."""
-    return ChannelParams(), ReceiverNoise(), PhysicalConstants()
+    """Stock channel and noise."""
+    return ChannelParams(), ReceiverNoise()
 
 
 def make_graph(positions, edge_bers, edge_distances=None):

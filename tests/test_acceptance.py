@@ -26,8 +26,9 @@ import pytest
 
 import oracles
 from uowsim import (
+    LIGHT_SPEED_WATER,
+    PLANCK,
     ChannelParams,
-    PhysicalConstants,
     Protocol,
     ReceiverNoise,
     SimulationConfig,
@@ -74,7 +75,6 @@ def default_campaign():
 def test_criterion_1_channel_oracle_equivalence():
     with _report(1, "channel functions match arbitrary-precision references"):
         rng = np.random.default_rng(20240801)
-        constants = PhysicalConstants()
         started = time.perf_counter()
         for _ in range(100):
             params = ChannelParams(
@@ -96,7 +96,7 @@ def test_criterion_1_channel_oracle_equivalence():
             )
             distance = rng.uniform(1.0, 100.0)
 
-            power = received_power_los(params, distance)
+            power = received_power_los(distance, params)
             power_ref = oracles.received_power_reference(
                 params.tx_power,
                 params.tx_efficiency,
@@ -109,19 +109,19 @@ def test_criterion_1_channel_oracle_equivalence():
             )
             assert abs(power - power_ref) / power_ref <= 1e-10
 
-            rate = photon_arrival_rate(power, noise, params, constants)
+            rate = photon_arrival_rate(power, params, noise)
             rate_ref = oracles.photon_rate_reference(
                 power,
                 noise.detector_efficiency,
                 params.wavelength,
                 noise.pulse_duration,
                 noise.data_rate,
-                constants.planck,
-                constants.light_speed_water,
+                PLANCK,
+                LIGHT_SPEED_WATER,
             )
             assert abs(rate - rate_ref) / rate_ref <= 1e-10
 
-            ber = single_link_ber(power, noise, params, constants)
+            ber = single_link_ber(power, params, noise)
             ber_ref = oracles.single_link_ber_reference(
                 power,
                 noise.dark_count_rate,
@@ -130,8 +130,8 @@ def test_criterion_1_channel_oracle_equivalence():
                 params.wavelength,
                 noise.pulse_duration,
                 noise.data_rate,
-                constants.planck,
-                constants.light_speed_water,
+                PLANCK,
+                LIGHT_SPEED_WATER,
             )
             if ber_ref < BER_FLOOR:
                 assert ber == 0.0  # documented clamp below 1e-300
@@ -159,22 +159,22 @@ def test_criterion_2_e2e_ber_brute_force():
 
 def test_criterion_3_water_and_divergence_orderings():
     with _report(3, "water ordering and divergence monotonicity over the figure sweeps"):
-        noise, constants = ReceiverNoise(), PhysicalConstants()
+        noise = ReceiverNoise()
         waters = (WaterType.CLEAR_OCEAN, WaterType.COASTAL_OCEAN, WaterType.TURBID_HARBOR)
         for distance in [float(d) for d in range(5, 105, 5)]:
             powers = {}
             bers = {}
             for water in waters:
                 params = ChannelParams.for_water(water)
-                powers[water] = received_power_los(params, distance)
-                bers[water] = single_link_ber(powers[water], noise, params, constants)
+                powers[water] = received_power_los(distance, params)
+                bers[water] = single_link_ber(powers[water], params, noise)
             assert powers[waters[0]] > powers[waters[1]] > powers[waters[2]]
             assert bers[waters[0]] <= bers[waters[1]] <= bers[waters[2]]
             for water in waters:
                 sweep = [
                     received_power_los(
-                        ChannelParams.for_water(water, divergence_angle=math.radians(deg)),
                         distance,
+                        ChannelParams.for_water(water, divergence_angle=math.radians(deg)),
                     )
                     for deg in (30.0, 60.0, 90.0)
                 ]

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -25,7 +26,6 @@ from uowsim.cli import (
 )
 from uowsim.channel import (
     ChannelParams,
-    PhysicalConstants,
     ReceiverNoise,
     WaterType,
     received_power_los,
@@ -238,6 +238,26 @@ def test_main_campaign_flag_overrides(tmp_path):
     assert all(line.startswith("crp,20,") for line in lines[1:])
 
 
+def test_main_lists_protocols_in_one_order(tmp_path):
+    # The order of --protocols does not reach the outputs: every file lists
+    # the protocols in enum order.
+    runs = {}
+    for order in ("srp,crp", "crp,srp"):
+        out = tmp_path / order
+        common = ["--protocols", order, "--nodes", "20", "--out", str(out)]
+        assert main(["campaign", *common, "--realizations", "2"]) == 0
+        assert main(["route", *common]) == 0
+        runs[order] = out
+    for name, rounds in (
+        ("campaign_trials.csv", 2),  # one round per realization
+        ("campaign_aggregate.csv", 1),
+        ("route_summary.csv", 1),
+    ):
+        lines = (runs["srp,crp"] / name).read_text().splitlines()[1:]
+        assert [line.split(",")[0] for line in lines] == ["crp", "srp"] * rounds, name
+        assert (runs["srp,crp"] / name).read_bytes() == (runs["crp,srp"] / name).read_bytes()
+
+
 def test_main_respects_threads_env(tmp_path, monkeypatch):
     out_serial = tmp_path / "serial"
     assert main(["campaign", "--out", str(out_serial), "--nodes", "20", "--realizations", "6"]) == 0
@@ -285,7 +305,7 @@ def test_main_malformed_config_exits_2(tmp_path):
     # noise rates have no finite sum.
     for doc in (
         {"noise": {"pulse_duration": 1e-300}},
-        {"constants": {"planck": 1e308}},
+        {"noise": {"pulse_duration": 1e30, "data_rate": 1e300}},
         {"noise": {"dark_count_rate": 1e308, "background_rate": 1e308}},
     ):
         bad_rate = tmp_path / "bad_rate.json"
@@ -314,7 +334,7 @@ def test_main_malformed_config_exits_2(tmp_path):
             assert main([command, flag, value, "--out", str(tmp_path)]) == 2
 
 
-def test_main_overflowing_photon_rate_gives_ber_0(tmp_path):
+def test_main_overflowing_photon_rate_gives_ber_0(tmp_path, capsys):
     # A photon rate past the float range means a BER at its limit for a
     # growing power, 0, not NaN; the route's e2e BER folds those links.
     out = ["--out", str(tmp_path)]
@@ -329,12 +349,20 @@ def test_main_overflowing_photon_rate_gives_ber_0(tmp_path):
         assert main(sweep + ["--distances", "1,50", "--config", str(config)]) == 0
         assert [row[3] for row in rows("ber_sweep.csv")] == ["0.00000000e+00"] * 2
         config.write_text(json.dumps({**doc, "node_count": 20}))
-        assert main(["route", "--config", str(config), *out]) == 0
+        # numpy's overflow and NaN warnings too: the limit is not a fault.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["route", "--config", str(config), *out]) == 0
         e2e_bers = {row[5] for row in rows("route_summary.csv") if row[2] == "true"}
         assert e2e_bers == {"0.00000000e+00"}
-    # With the stock config, the power at 1e-150 m is 8.2e291 W.
-    assert main(sweep + ["--distances", "1e-150,1e-100"]) == 0
-    assert [row[3] for row in rows("ber_sweep.csv")] == ["0.00000000e+00"] * 2
+    # With the stock config, the power at 1e-150 m is 8.2e291 W, and at
+    # 1e-160 m about 8e311 W, past the float range.
+    assert main(sweep + ["--distances", "1e-150,1e-100,1e-160"]) == 0
+    assert [row[3] for row in rows("ber_sweep.csv")] == ["0.00000000e+00"] * 3
+    # link-budget has no power to write there.
+    budget = ["link-budget", "--divergences", "30", "--water", "clear", *out]
+    assert main(budget + ["--distances", "1,1e-160"]) == 2
+    assert "distance 1e-160 m" in capsys.readouterr().err
 
 
 def test_main_sweep_bytes_match_rows_formatted_one_by_one(tmp_path):
@@ -349,7 +377,7 @@ def test_main_sweep_bytes_match_rows_formatted_one_by_one(tmp_path):
         "--divergences", "60,7.5",
         "--out", str(tmp_path),
     ]
-    noise, constants = ReceiverNoise(), PhysicalConstants()
+    noise = ReceiverNoise()
     for command, filename, columns in (
         ("link-budget", "link_budget.csv", LINK_BUDGET_COLUMNS),
         ("ber-sweep", "ber_sweep.csv", BER_SWEEP_COLUMNS),
@@ -360,9 +388,9 @@ def test_main_sweep_bytes_match_rows_formatted_one_by_one(tmp_path):
             for divergence in divergences:
                 params = ChannelParams.for_water(water, divergence_angle=math.radians(divergence))
                 for distance in distances:
-                    value = received_power_los(params, distance)
+                    value = received_power_los(distance, params)
                     if command == "ber-sweep":
-                        value = single_link_ber(value, noise, params, constants)
+                        value = single_link_ber(value, params, noise)
                     row = (water.value, divergence, distance, value)
                     expected.append(
                         ",".join(_format_cell(cell, kind) for cell, (_, kind) in zip(row, columns))

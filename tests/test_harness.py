@@ -10,7 +10,6 @@ from uowsim import (
     ConfigError,
     DelayModel,
     FailureReason,
-    PhysicalConstants,
     Protocol,
     ReceiverNoise,
     SimulationConfig,
@@ -57,7 +56,6 @@ def test_config_validation():
         {"weight_mode": "paper"},
         {"channel": None},
         {"noise": None},
-        {"constants": {"planck": 6.6e-34}},
         {"delay": None},
     ):
         with pytest.raises(ConfigError):
@@ -217,25 +215,24 @@ def test_resolve_workers(monkeypatch):
             resolve_workers()
 
 
+class _InlinePool:
+    """Stand-in for `harness._pool`'s process pool: maps in this process."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
 def test_campaign_pool_is_capped_at_cpus_and_tasks(monkeypatch):
     import uowsim.harness as harness
 
     built = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            built.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(harness, "_pool", InlinePool)
+    monkeypatch.setattr(harness, "_pool", lambda workers: built.append(workers) or _InlinePool())
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
     config = SimulationConfig(node_count=(20, 30), realizations=40)
     monkeypatch.setenv("UOWSN_THREADS", "1")
@@ -245,6 +242,33 @@ def test_campaign_pool_is_capped_at_cpus_and_tasks(monkeypatch):
     assert built == [4]
     run_campaign(SimulationConfig(node_count=(20,), realizations=1))
     assert built == [4]
+
+
+@pytest.mark.parametrize("realizations", [1, 7, 13])
+def test_campaign_records_do_not_depend_on_workers_or_chunks(monkeypatch, realizations):
+    import uowsim.harness as harness
+
+    chunk_sizes = set()
+    run_index_range = harness._run_index_range
+
+    def recording(config, first_index, seeds):
+        chunk_sizes.add(len(seeds))
+        return run_index_range(config, first_index, seeds)
+
+    monkeypatch.setattr(harness, "_run_index_range", recording)
+    monkeypatch.setattr(harness, "_pool", lambda workers: _InlinePool())
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+    config = SimulationConfig(node_count=(20, 30), realizations=realizations)
+    monkeypatch.setenv("UOWSN_THREADS", "1")
+    serial = run_campaign(config)
+    for threads in ("2", "3", "5", "8"):
+        monkeypatch.setenv("UOWSN_THREADS", threads)
+        result = run_campaign(config)
+        assert result.records == serial.records, threads
+        assert result.aggregates == serial.aggregates, threads
+    # The worker counts cut 7 or 13 realizations into chunks of several sizes.
+    if realizations > 1:
+        assert len(chunk_sizes) > 1
 
 
 def test_config_from_dict_roundtrip_and_errors():
@@ -312,6 +336,7 @@ def test_config_from_dict_roundtrip_and_errors():
         {"channel": {"absorption": 0.2}},
         {"water": "turbid", "channel": {"scattering": 5.0}},
         {"channel": {"absorption": 1e308, "scattering": 1e308}},
+        {"constants": {"planck": 6.62607015e-34}},  # a module constant, not a key
     ):
         with pytest.raises(ConfigError):
             config_from_dict(bad)
@@ -350,7 +375,6 @@ def _fields_of(keys, values, max_size):
 _NESTED = {
     "channel": _keys_of(ChannelParams) + ["absorption", "scattering"],
     "noise": _keys_of(ReceiverNoise),
-    "constants": _keys_of(PhysicalConstants),
     "delay": _keys_of(DelayModel),
 }
 # The document also takes ``water``, which resolves into ``channel`` and is

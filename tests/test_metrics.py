@@ -3,6 +3,7 @@ import json
 import pytest
 
 from uowsim import (
+    LIGHT_SPEED_WATER,
     DelayModel,
     FailureReason,
     Protocol,
@@ -79,7 +80,7 @@ def test_delay_lower_bound_and_monotonicity():
         dists = rng.uniform(1.0, 80.0, size=count).tolist()
         route = _route([0.1] * count, dists)
         delay = e2e_delay(route, config)
-        assert delay >= sum(dists) / config.constants.light_speed_water
+        assert delay >= sum(dists) / LIGHT_SPEED_WATER
         longer = _route([0.1] * (count + 1), dists + [float(rng.uniform(1.0, 80.0))])
         assert e2e_delay(longer, config) > delay
 

@@ -93,9 +93,9 @@ def test_crp_routes_through_zero_weight_edge(default_setup):
         assert route.hop_bers[1] == 0.0
         assert route.e2e_ber == pytest.approx(0.1 * 0.8 + 0.9 * 0.2, rel=1e-12)
     # Coincident source and target: build_graph prices the link at ber 0.
-    params, noise, constants = default_setup
+    params, noise = default_setup
     coincident = build_graph(
-        np.array([(10.0, 10.0), (10.0, 10.0)]), 80.0, params, noise, constants
+        np.array([(10.0, 10.0), (10.0, 10.0)]), 80.0, params, noise
     )
     outcome = crp(coincident, 0, 1)
     assert outcome.route.hops == (0, 1)
@@ -135,11 +135,11 @@ def test_crp_evaluations_are_reachable_degree_sum(default_setup):
         for mode in WeightMode:
             expected = _reachable_degree_sum(graph, 0, mode)
             assert crp(graph, 0, 1, mode).evaluations == expected
-    params, noise, constants = default_setup
+    params, noise = default_setup
     config = SimulationConfig(node_count=30)
     for seed in range(50):
         graph = build_graph(
-            generate_deployment(config, seed), 80.0, params, noise, constants
+            generate_deployment(config, seed), 80.0, params, noise
         )
         expected = _reachable_degree_sum(graph, 0, WeightMode.EXACT_LOG)
         assert crp(graph, 0, 1).evaluations == expected

@@ -51,24 +51,24 @@ def _line_positions(xs):
 
 
 def test_range_cutoff(default_setup):
-    params, noise, constants = default_setup
-    graph = build_graph(_line_positions([0.0, 81.0]), 80.0, params, noise, constants)
+    params, noise = default_setup
+    graph = build_graph(_line_positions([0.0, 81.0]), 80.0, params, noise)
     assert graph.edge_count == 0
-    graph = build_graph(_line_positions([0.0, 80.0]), 80.0, params, noise, constants)
+    graph = build_graph(_line_positions([0.0, 80.0]), 80.0, params, noise)
     assert graph.edge_count == 1
 
 
 def test_edge_quality_matches_channel(default_setup):
-    params, noise, constants = default_setup
-    graph = build_graph(_line_positions([0.0, 50.0]), 80.0, params, noise, constants)
+    params, noise = default_setup
+    graph = build_graph(_line_positions([0.0, 50.0]), 80.0, params, noise)
     e = graph.edge_id(0, 1)
     assert graph.distance[e] == 50.0
     assert graph.ber[e] == pytest.approx(BER_CLEAR_50M, rel=1e-10)
 
 
 def test_collinear_edges(default_setup):
-    params, noise, constants = default_setup
-    graph = build_graph(_line_positions([0.0, 60.0, 120.0]), 80.0, params, noise, constants)
+    params, noise = default_setup
+    graph = build_graph(_line_positions([0.0, 60.0, 120.0]), 80.0, params, noise)
     assert graph.edge_count == 2
     assert graph.has_edge(0, 1)
     assert graph.has_edge(1, 2)
@@ -76,21 +76,21 @@ def test_collinear_edges(default_setup):
 
 
 def test_coincident_nodes_get_perfect_link(default_setup):
-    params, noise, constants = default_setup
-    graph = build_graph(np.array([(10.0, 10.0), (10.0, 10.0)]), 80.0, params, noise, constants)
+    params, noise = default_setup
+    graph = build_graph(np.array([(10.0, 10.0), (10.0, 10.0)]), 80.0, params, noise)
     e = graph.edge_id(0, 1)
     assert graph.ber[e] == 0.0
     assert graph.distance[e] == 1e-6
 
 
 def test_graph_symmetry_and_cutoff_properties(default_setup):
-    params, noise, constants = default_setup
+    params, noise = default_setup
     config = SimulationConfig(
         node_count=10, area=(100.0, 100.0), source_pos=(10.0, 50.0), target_pos=(90.0, 50.0)
     )
     for seed in range(1000):
         positions = generate_deployment(config, seed)
-        graph = build_graph(positions, 40.0, params, noise, constants)
+        graph = build_graph(positions, 40.0, params, noise)
         for u, v, distance, ber in graph_edges(graph):
             assert u != v
             assert graph.edge_id(v, u) == graph.edge_id(u, v)
@@ -104,21 +104,21 @@ def test_graph_symmetry_and_cutoff_properties(default_setup):
 
 
 def test_edge_ber_consistency_small_graphs(default_setup):
-    params, noise, constants = default_setup
+    params, noise = default_setup
     config = SimulationConfig(node_count=8, area=(60.0, 60.0), source_pos=(5.0, 30.0), target_pos=(55.0, 30.0))
     for seed in range(20):
-        graph = build_graph(generate_deployment(config, seed), 40.0, params, noise, constants)
+        graph = build_graph(generate_deployment(config, seed), 40.0, params, noise)
         for _, _, distance, ber in graph_edges(graph):
-            power = received_power_los(params, distance)
-            expected = single_link_ber(power, noise, params, constants)
+            power = received_power_los(distance, params)
+            expected = single_link_ber(power, params, noise)
             assert ber == pytest.approx(expected, rel=1e-12)
 
 
 def test_build_graph_determinism(default_setup):
-    params, noise, constants = default_setup
+    params, noise = default_setup
     config = SimulationConfig(node_count=25)
-    first = build_graph(generate_deployment(config, 3), 80.0, params, noise, constants)
-    second = build_graph(generate_deployment(config, 3), 80.0, params, noise, constants)
+    first = build_graph(generate_deployment(config, 3), 80.0, params, noise)
+    second = build_graph(generate_deployment(config, 3), 80.0, params, noise)
     assert first.positions == second.positions
     assert list(graph_edges(first)) == list(graph_edges(second))
 
@@ -133,9 +133,9 @@ def test_path_exists_basics():
 
 
 def test_path_exists_matches_matrix_closure(default_setup):
-    params, noise, constants = default_setup
+    params, noise = default_setup
     config = SimulationConfig(node_count=40)
-    graph = build_graph(generate_deployment(config, 2024), 80.0, params, noise, constants)
+    graph = build_graph(generate_deployment(config, 2024), 80.0, params, noise)
     closure = reachability_closure(
         graph.node_count, [(u, v) for u, v, _, _ in graph_edges(graph)]
     )
