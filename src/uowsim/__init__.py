@@ -46,6 +46,7 @@ from .topology import (
     build_graph,
     generate_deployment,
     path_exists,
+    price_links,
 )
 
 __version__ = "0.1.0"

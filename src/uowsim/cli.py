@@ -164,8 +164,10 @@ def _sweep(config, distances, waters, divergences_deg, with_ber: bool) -> SweepR
     Each distance cell and each block's ``water,divergence,`` prefix is
     formatted once.  Every row calls ``received_power_los``, and with
     ``with_ber`` also ``single_link_ber``, through this module's globals.
-    A received power past the float range has no row to write: without
-    ``with_ber`` it is a ConfigError, with it the BER takes its limit, 0.
+    A received power that is not finite (past the float range, or an
+    infinite spreading times a zero efficiency) has no row to write: without
+    ``with_ber`` it is a ConfigError, with it the BER is 0 past the float
+    range and 0.5 where an efficiency is 0.
     """
     _require_sweep(distances, waters, divergences_deg)
     distance_cells = [_format_cell(distance, "float") for distance in distances]
@@ -178,9 +180,9 @@ def _sweep(config, distances, waters, divergences_deg, with_ber: bool) -> SweepR
             values = [received_power_los(distance, params) for distance in distances]
             if with_ber:
                 values = [single_link_ber(power, params, noise) for power in values]
-            elif math.inf in values:
-                distance = distances[values.index(math.inf)]
-                raise ConfigError(f"received power at distance {distance} m overflows a float")
+            elif not all(map(math.isfinite, values)):
+                distance = next(d for d, v in zip(distances, values) if not math.isfinite(v))
+                raise ConfigError(f"received power at distance {distance} m is not a finite float")
             rows.extend(zip(repeat(prefix), distance_cells, values))
     columns = BER_SWEEP_COLUMNS if with_ber else LINK_BUDGET_COLUMNS
     return SweepRecordSet(columns, tuple(rows))

@@ -1,13 +1,14 @@
 """Seeded Monte-Carlo campaigns over node counts and routing protocols.
 
 A campaign sweeps node counts and, for each count, runs a number of
-realizations.  Every realization redraws the relay positions from a trial
-seed derived as ``SeedSequence([master_seed, realization_index])``; source
-and target stay fixed.  All three protocols run on the identical graph of a
-trial.  Trials are independent, so they can execute on any number of
-workers; records are always assembled and reduced in (node count,
-realization, protocol) order, which keeps results bit-identical regardless
-of parallelism.
+realizations.  Every realization draws the relay positions once, at the
+largest count, from a trial seed derived as
+``SeedSequence([master_seed, realization_index])``; a smaller count takes a
+prefix of them, and source and target stay fixed.  All three protocols run
+on the identical graph of a trial.  Realizations are independent, so they
+can execute on any number of workers; records are always assembled and
+reduced in (node count, realization, protocol) order, which keeps results
+bit-identical regardless of parallelism.
 """
 
 import math
@@ -29,7 +30,14 @@ from .routing import (
     drp,
     srp,
 )
-from .topology import SOURCE_ID, TARGET_ID, build_graph, generate_deployment, path_exists
+from .topology import (
+    SOURCE_ID,
+    TARGET_ID,
+    build_graph,
+    generate_deployment,
+    path_exists,
+    price_links,
+)
 
 THREADS_ENV_VAR = "UOWSN_THREADS"
 
@@ -163,13 +171,21 @@ class TrialResult:
 
 
 def run_single(config: SimulationConfig, seed: int) -> TrialResult:
-    """Deploy, build the graph and run every selected protocol once.
+    """Deploy, price the links and route one trial (see `_route_trial`)."""
+    positions = generate_deployment(config, seed)
+    (links,) = price_links(
+        positions, (len(positions),), config.max_range, config.channel, config.noise
+    )
+    return _route_trial(config, positions, links)
+
+
+def _route_trial(config: SimulationConfig, positions, links) -> TrialResult:
+    """Build one trial's graph from its priced links and run every selected protocol.
 
     A trial whose graph leaves source and target disconnected records a
     DISCONNECTED failure for all protocols without running them.
     """
-    positions = generate_deployment(config, seed)
-    graph = build_graph(positions, config.max_range, config.channel, config.noise)
+    graph = build_graph(positions, links)
     connected = path_exists(graph, SOURCE_ID, TARGET_ID)
 
     outcomes = {}
@@ -240,15 +256,27 @@ class CampaignResult:
         raise KeyError((protocol, n_nodes))
 
 
-def _run_index_range(config: SimulationConfig, first_index: int, seeds) -> list[TrialRecord]:
-    """Records of the realizations from ``first_index`` on, one per seed."""
-    records = []
-    n = config.single_node_count()
+def _run_index_range(
+    config: SimulationConfig, first_index: int, seeds
+) -> list[list[TrialRecord]]:
+    """Records of the realizations from ``first_index`` on, one list per node count.
+
+    Each realization is drawn once, at the largest count, and every count's
+    trial takes the first ``n`` positions: one ``rng.uniform`` call draws
+    the relays, so a smaller count's relays are a prefix of a larger one's.
+    All counts' links of a realization are priced in one call.
+    """
+    counts = config.node_counts
+    largest = replace(config, node_count=max(counts))
+    records = [[] for _ in counts]
     for index, seed in enumerate(seeds, first_index):
-        for metric in run_single(config, seed).metrics:
-            records.append(
-                TrialRecord(n_nodes=n, realization=index, seed=seed, metrics=metric)
-            )
+        positions = generate_deployment(largest, seed)
+        priced = price_links(positions, counts, config.max_range, config.channel, config.noise)
+        for n, links, count_records in zip(counts, priced, records):
+            for metric in _route_trial(config, positions[:n], links).metrics:
+                count_records.append(
+                    TrialRecord(n_nodes=n, realization=index, seed=seed, metrics=metric)
+                )
     return records
 
 
@@ -281,19 +309,18 @@ def run_campaign(config: SimulationConfig) -> CampaignResult:
     """Execute the full sweep and aggregate per (protocol, node count).
 
     The result is a pure function of the config: each realization's seed
-    is derived once, the realizations are cut into (per-count config,
-    first index, seeds) tasks that run inline on one worker or on a
-    process pool of at most ``min(workers, cpu count, tasks)`` processes,
-    and their records are reassembled in task order.  A pool that loses a
-    worker raises `WorkerDiedError`.
+    is derived once, the realizations are cut into (config, first index,
+    seeds) tasks that run every node count of their realizations, inline
+    on one worker or on a process pool of at most
+    ``min(workers, cpu count, tasks)`` processes, and their records are
+    put back in (node count, realization, protocol) order.  A pool that
+    loses a worker raises `WorkerDiedError`.
     """
     workers = min(resolve_workers(), os.cpu_count() or 1)
     chunk = max(1, math.ceil(config.realizations / (workers * 4)))
     seeds = [derive_trial_seed(config.master_seed, i) for i in range(config.realizations)]
-    per_count_configs = [replace(config, node_count=n) for n in config.node_counts]
     tasks = [
-        (cfg, start, seeds[start : start + chunk])
-        for cfg in per_count_configs
+        (config, start, seeds[start : start + chunk])
         for start in range(0, config.realizations, chunk)
     ]
     workers = min(workers, len(tasks))
@@ -307,7 +334,12 @@ def run_campaign(config: SimulationConfig) -> CampaignResult:
                 chunks = list(pool.map(_run_index_range, *zip(*tasks)))
         except BrokenProcessPool as exc:
             raise WorkerDiedError(str(exc)) from exc
-    records = [record for part in chunks for record in part]
+    records = [
+        record
+        for count_index in range(len(config.node_counts))
+        for part in chunks
+        for record in part[count_index]
+    ]
     return CampaignResult(records=records, aggregates=aggregate_records(records, config))
 
 

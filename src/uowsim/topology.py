@@ -131,40 +131,67 @@ def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
-def build_graph(
+def price_links(
     positions,
+    node_counts,
     max_range: float,
     params: channel.ChannelParams,
     noise: channel.ReceiverNoise,
-) -> NetworkGraph:
-    """Connect every node pair within range and price the links.
+) -> list[tuple]:
+    """Each node count's in-range links, priced together in one channel call.
 
-    ``positions`` is the (n, 2) array of ``generate_deployment``.  Pairs at
-    exactly zero separation have no defined received power; they get a
-    perfect link (ber 0) at the stand-in distance and a log entry.
+    ``positions`` is the (n, 2) array of ``generate_deployment``; the graph
+    of count ``k`` spans ``positions[:k]``.  Its links are the in-range
+    pairs (i, j) of all positions with ``j < k``, in the row-major order of
+    ``np.triu_indices(k, 1)``, so they equal the links of ``positions[:k]``
+    priced alone.  Every count's links go to
+    ``channel.link_power_and_ber`` in one call.  Returns one
+    ``(us, vs, distance, ber)`` tuple per count, in ``node_counts`` order.
+    Pairs at exactly zero separation have no defined received power; they
+    get a perfect link (ber 0) at the stand-in distance and a log entry for
+    each count that holds them.
     """
     if max_range <= 0.0:
         raise ValueError(f"max_range must be > 0, got {max_range}")
     positions = np.asarray(positions, dtype=float)
+    n = len(positions)
+    if not all(2 <= k <= n for k in node_counts):
+        raise ValueError(f"node counts {tuple(node_counts)} must lie in 2..{n}")
     x, y = positions[:, 0], positions[:, 1]
-    iu, ju = _pair_indices(len(positions))
+    iu, ju = _pair_indices(n)
     dx = x[iu] - x[ju]
     dy = y[iu] - y[ju]
     pair_dists = np.sqrt(dx * dx + dy * dy)
     within = pair_dists <= max_range
     us, vs, pair_dists = iu[within], ju[within], pair_dists[within]
-
     degenerate = pair_dists == 0.0
-    if degenerate.any():
-        log.warning(
-            "%d coincident node pair(s); links forced to ber=0 at %g m",
-            int(degenerate.sum()),
-            DEGENERATE_DISTANCE,
-        )
     effective = np.where(degenerate, DEGENERATE_DISTANCE, pair_dists)
-    _, bers = channel.link_power_and_ber(effective, params, noise)
-    bers = np.where(degenerate, 0.0, bers)
-    return NetworkGraph(positions, us, vs, effective, bers)
+
+    subsets = [
+        (us[pick], vs[pick], effective[pick], degenerate[pick])
+        for pick in (vs < k for k in node_counts)
+    ]
+    _, bers = channel.link_power_and_ber(
+        np.concatenate([distance for _, _, distance, _ in subsets]), params, noise
+    )
+    links = []
+    stop = 0
+    for k, (link_us, link_vs, distance, zero) in zip(node_counts, subsets):
+        start, stop = stop, stop + len(distance)
+        if zero.any():
+            log.warning(
+                "%d coincident node pair(s) among %d nodes; links forced to ber=0 at %g m",
+                int(zero.sum()),
+                k,
+                DEGENERATE_DISTANCE,
+            )
+        links.append((link_us, link_vs, distance, np.where(zero, 0.0, bers[start:stop])))
+    return links
+
+
+def build_graph(positions, links) -> NetworkGraph:
+    """The graph over ``positions`` with one count's links of `price_links`."""
+    return NetworkGraph(positions, *links)
 
 
 def path_exists(graph: NetworkGraph, source: int, target: int) -> bool:

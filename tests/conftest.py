@@ -1,11 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 
 from uowsim import (
     ChannelParams,
     NetworkGraph,
     ReceiverNoise,
+    build_graph,
+    price_links,
 )
 
 
@@ -34,6 +37,13 @@ def make_graph(positions, edge_bers, edge_distances=None):
         distances,
         list(edge_bers.values()),
     )
+
+
+def priced_graph(positions, max_range, params, noise):
+    """The graph of a deployment at its own node count, priced and built as a trial does."""
+    positions = np.asarray(positions, dtype=float)
+    (links,) = price_links(positions, (len(positions),), max_range, params, noise)
+    return build_graph(positions, links)
 
 
 def graph_edges(graph):

@@ -365,6 +365,27 @@ def test_main_overflowing_photon_rate_gives_ber_0(tmp_path, capsys):
     assert "distance 1e-160 m" in capsys.readouterr().err
 
 
+def test_main_sweeps_on_a_nan_power(tmp_path, capsys):
+    # With a zero efficiency, the spreading's overflow at 1e-160 m makes the
+    # power 0 * inf = NaN: link-budget has no power to write, and ber-sweep
+    # writes the BER of no signal, 0.5.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"channel": {"tx_efficiency": 0}}))
+    grid = [
+        "--distances", "1e-160,1",
+        "--divergences", "30",
+        "--water", "clear",
+        "--config", str(config),
+        "--out", str(tmp_path),
+    ]
+    assert main(["link-budget", *grid]) == 2
+    assert "distance 1e-160 m" in capsys.readouterr().err
+    assert not (tmp_path / "link_budget.csv").exists()
+    assert main(["ber-sweep", *grid]) == 0
+    rows = (tmp_path / "ber_sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[3] for row in rows] == ["5.00000000e-01"] * 2
+
+
 def test_main_sweep_bytes_match_rows_formatted_one_by_one(tmp_path):
     # Unsorted, repeated and extreme distances: formatting each distance and
     # each block's prefix once must not reorder, merge or drop rows.

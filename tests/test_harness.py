@@ -13,6 +13,7 @@ from uowsim import (
     Protocol,
     ReceiverNoise,
     SimulationConfig,
+    TrialRecord,
     WaterType,
     WeightMode,
     config_from_dict,
@@ -192,6 +193,24 @@ def test_campaign_records_are_index_ordered(monkeypatch):
         assert seed == derive_trial_seed(config.master_seed, index)
 
 
+def test_campaign_records_follow_config_order_and_match_run_single(monkeypatch):
+    # Each realization is drawn once at the largest count and every count's
+    # graph is cut from it; the records still come back in config order and
+    # equal separate per-count trials.
+    monkeypatch.delenv("UOWSN_THREADS", raising=False)
+    config = SimulationConfig(node_count=(60, 20, 100), realizations=4, master_seed=11)
+    expected = []
+    for n in config.node_counts:
+        per_count = dataclasses.replace(config, node_count=n)
+        for index in range(config.realizations):
+            seed = derive_trial_seed(config.master_seed, index)
+            expected.extend(
+                TrialRecord(n_nodes=n, realization=index, seed=seed, metrics=metric)
+                for metric in run_single(per_count, seed).metrics
+            )
+    assert run_campaign(config).records == expected
+
+
 def test_default_campaign_config_sweep():
     config = SimulationConfig(node_count=DEFAULT_NODE_SWEEP)
     assert config.node_counts == (20, 30, 40, 50, 60, 70, 80, 90, 100)
@@ -258,7 +277,7 @@ def test_campaign_records_do_not_depend_on_workers_or_chunks(monkeypatch, realiz
     monkeypatch.setattr(harness, "_run_index_range", recording)
     monkeypatch.setattr(harness, "_pool", lambda workers: _InlinePool())
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
-    config = SimulationConfig(node_count=(20, 30), realizations=realizations)
+    config = SimulationConfig(node_count=(60, 20, 100), realizations=realizations)
     monkeypatch.setenv("UOWSN_THREADS", "1")
     serial = run_campaign(config)
     for threads in ("2", "3", "5", "8"):

@@ -11,7 +11,6 @@ from uowsim import (
     Protocol,
     SimulationConfig,
     WeightMode,
-    build_graph,
     crp,
     drp,
     generate_deployment,
@@ -19,7 +18,7 @@ from uowsim import (
     srp,
 )
 from uowsim.cli import route_dump_lines
-from conftest import graph_edges, make_graph
+from conftest import graph_edges, make_graph, priced_graph
 
 
 def _triangle(direct, leg_a, leg_b):
@@ -92,9 +91,9 @@ def test_crp_routes_through_zero_weight_edge(default_setup):
         assert route.hops == (0, 2, 3, 1)
         assert route.hop_bers[1] == 0.0
         assert route.e2e_ber == pytest.approx(0.1 * 0.8 + 0.9 * 0.2, rel=1e-12)
-    # Coincident source and target: build_graph prices the link at ber 0.
+    # Coincident source and target: price_links prices the link at ber 0.
     params, noise = default_setup
-    coincident = build_graph(
+    coincident = priced_graph(
         np.array([(10.0, 10.0), (10.0, 10.0)]), 80.0, params, noise
     )
     outcome = crp(coincident, 0, 1)
@@ -138,7 +137,7 @@ def test_crp_evaluations_are_reachable_degree_sum(default_setup):
     params, noise = default_setup
     config = SimulationConfig(node_count=30)
     for seed in range(50):
-        graph = build_graph(
+        graph = priced_graph(
             generate_deployment(config, seed), 80.0, params, noise
         )
         expected = _reachable_degree_sum(graph, 0, WeightMode.EXACT_LOG)

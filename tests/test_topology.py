@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -5,15 +6,21 @@ import pytest
 
 from oracles import reachability_closure
 from uowsim import (
+    ChannelParams,
     NetworkGraph,
+    ReceiverNoise,
     SimulationConfig,
+    WaterType,
     build_graph,
     generate_deployment,
+    link_power_and_ber,
     path_exists,
+    price_links,
     received_power_los,
     single_link_ber,
 )
-from conftest import graph_edges, make_graph
+from uowsim.topology import DEGENERATE_DISTANCE
+from conftest import graph_edges, make_graph, priced_graph
 
 BER_CLEAR_50M = 0.49999618051689926
 
@@ -52,15 +59,15 @@ def _line_positions(xs):
 
 def test_range_cutoff(default_setup):
     params, noise = default_setup
-    graph = build_graph(_line_positions([0.0, 81.0]), 80.0, params, noise)
+    graph = priced_graph(_line_positions([0.0, 81.0]), 80.0, params, noise)
     assert graph.edge_count == 0
-    graph = build_graph(_line_positions([0.0, 80.0]), 80.0, params, noise)
+    graph = priced_graph(_line_positions([0.0, 80.0]), 80.0, params, noise)
     assert graph.edge_count == 1
 
 
 def test_edge_quality_matches_channel(default_setup):
     params, noise = default_setup
-    graph = build_graph(_line_positions([0.0, 50.0]), 80.0, params, noise)
+    graph = priced_graph(_line_positions([0.0, 50.0]), 80.0, params, noise)
     e = graph.edge_id(0, 1)
     assert graph.distance[e] == 50.0
     assert graph.ber[e] == pytest.approx(BER_CLEAR_50M, rel=1e-10)
@@ -68,7 +75,7 @@ def test_edge_quality_matches_channel(default_setup):
 
 def test_collinear_edges(default_setup):
     params, noise = default_setup
-    graph = build_graph(_line_positions([0.0, 60.0, 120.0]), 80.0, params, noise)
+    graph = priced_graph(_line_positions([0.0, 60.0, 120.0]), 80.0, params, noise)
     assert graph.edge_count == 2
     assert graph.has_edge(0, 1)
     assert graph.has_edge(1, 2)
@@ -77,7 +84,7 @@ def test_collinear_edges(default_setup):
 
 def test_coincident_nodes_get_perfect_link(default_setup):
     params, noise = default_setup
-    graph = build_graph(np.array([(10.0, 10.0), (10.0, 10.0)]), 80.0, params, noise)
+    graph = priced_graph(np.array([(10.0, 10.0), (10.0, 10.0)]), 80.0, params, noise)
     e = graph.edge_id(0, 1)
     assert graph.ber[e] == 0.0
     assert graph.distance[e] == 1e-6
@@ -90,7 +97,7 @@ def test_graph_symmetry_and_cutoff_properties(default_setup):
     )
     for seed in range(1000):
         positions = generate_deployment(config, seed)
-        graph = build_graph(positions, 40.0, params, noise)
+        graph = priced_graph(positions, 40.0, params, noise)
         for u, v, distance, ber in graph_edges(graph):
             assert u != v
             assert graph.edge_id(v, u) == graph.edge_id(u, v)
@@ -107,7 +114,7 @@ def test_edge_ber_consistency_small_graphs(default_setup):
     params, noise = default_setup
     config = SimulationConfig(node_count=8, area=(60.0, 60.0), source_pos=(5.0, 30.0), target_pos=(55.0, 30.0))
     for seed in range(20):
-        graph = build_graph(generate_deployment(config, seed), 40.0, params, noise)
+        graph = priced_graph(generate_deployment(config, seed), 40.0, params, noise)
         for _, _, distance, ber in graph_edges(graph):
             power = received_power_los(distance, params)
             expected = single_link_ber(power, params, noise)
@@ -117,10 +124,78 @@ def test_edge_ber_consistency_small_graphs(default_setup):
 def test_build_graph_determinism(default_setup):
     params, noise = default_setup
     config = SimulationConfig(node_count=25)
-    first = build_graph(generate_deployment(config, 3), 80.0, params, noise)
-    second = build_graph(generate_deployment(config, 3), 80.0, params, noise)
+    first = priced_graph(generate_deployment(config, 3), 80.0, params, noise)
+    second = priced_graph(generate_deployment(config, 3), 80.0, params, noise)
     assert first.positions == second.positions
     assert list(graph_edges(first)) == list(graph_edges(second))
+
+
+GRAPH_LISTS = ("positions", "indptr", "indices", "edge", "distance", "ber")
+UNSORTED_COUNTS = (60, 2, 100, 20)
+
+
+def _reference_graph(positions, max_range, params, noise):
+    """One deployment's graph priced on its own: every pair of ``np.triu_indices``."""
+    x, y = positions[:, 0], positions[:, 1]
+    iu, ju = np.triu_indices(len(positions), 1)
+    dx = x[iu] - x[ju]
+    dy = y[iu] - y[ju]
+    dists = np.sqrt(dx * dx + dy * dy)
+    within = dists <= max_range
+    degenerate = dists[within] == 0.0
+    effective = np.where(degenerate, DEGENERATE_DISTANCE, dists[within])
+    _, bers = link_power_and_ber(effective, params, noise)
+    bers = np.where(degenerate, 0.0, bers)
+    return NetworkGraph(positions, iu[within], ju[within], effective, bers)
+
+
+def _assert_same_graph(graph, reference):
+    for name in GRAPH_LISTS:
+        assert getattr(graph, name) == getattr(reference, name), name
+
+
+def test_smaller_deployments_are_prefixes_of_larger_ones():
+    # The campaign draws each realization once, at its largest count.
+    for seed in (0, 1, 42, 2024, 99991):
+        full = generate_deployment(SimulationConfig(node_count=100), seed)
+        for n in range(2, 100):
+            alone = generate_deployment(SimulationConfig(node_count=n), seed)
+            assert alone.tobytes() == full[:n].tobytes(), (seed, n)
+
+
+@pytest.mark.parametrize("water", [WaterType.CLEAR_OCEAN, WaterType.TURBID_HARBOR])
+def test_priced_counts_equal_separate_builds(water):
+    params, noise = ChannelParams.for_water(water), ReceiverNoise()
+    for seed in (3, 42, 777):
+        positions = generate_deployment(SimulationConfig(node_count=100), seed)
+        priced = price_links(positions, UNSORTED_COUNTS, 80.0, params, noise)
+        assert len(priced) == len(UNSORTED_COUNTS)
+        for n, links in zip(UNSORTED_COUNTS, priced):
+            alone = generate_deployment(SimulationConfig(node_count=n), seed)
+            reference = _reference_graph(alone, 80.0, params, noise)
+            _assert_same_graph(build_graph(positions[:n], links), reference)
+    with pytest.raises(ValueError):
+        price_links(positions[:50], UNSORTED_COUNTS, 80.0, params, noise)
+
+
+def test_coincident_pair_is_priced_for_every_count_that_holds_it(default_setup, caplog):
+    params, noise = default_setup
+    positions = generate_deployment(SimulationConfig(node_count=100), 5)
+    positions[30] = positions[5]
+    with caplog.at_level(logging.WARNING, logger="uowsim.topology"):
+        priced = price_links(positions, UNSORTED_COUNTS, 80.0, params, noise)
+    warned = [record.getMessage() for record in caplog.records]
+    assert len(warned) == 2
+    assert "among 60 nodes" in warned[0] and "among 100 nodes" in warned[1]
+    for n, links in zip(UNSORTED_COUNTS, priced):
+        graph = build_graph(positions[:n], links)
+        _assert_same_graph(graph, _reference_graph(positions[:n], 80.0, params, noise))
+        e = graph.edge_id(5, 30)
+        if n > 30:
+            assert graph.ber[e] == 0.0
+            assert graph.distance[e] == DEGENERATE_DISTANCE
+        else:
+            assert e is None
 
 
 def test_path_exists_basics():
@@ -135,7 +210,7 @@ def test_path_exists_basics():
 def test_path_exists_matches_matrix_closure(default_setup):
     params, noise = default_setup
     config = SimulationConfig(node_count=40)
-    graph = build_graph(generate_deployment(config, 2024), 80.0, params, noise)
+    graph = priced_graph(generate_deployment(config, 2024), 80.0, params, noise)
     closure = reachability_closure(
         graph.node_count, [(u, v) for u, v, _, _ in graph_edges(graph)]
     )
