@@ -19,7 +19,6 @@ from .harness import (
     CampaignResult,
     ConfigError,
     SimulationConfig,
-    TrialRecord,
     TrialResult,
     WorkerDiedError,
     config_from_dict,

@@ -17,7 +17,9 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
+from enum import Enum
 from itertools import repeat
+from operator import attrgetter
 from pathlib import Path
 
 from .channel import ChannelParams, WaterType, received_power_los, single_link_ber
@@ -43,7 +45,7 @@ class OutputRecordSet:
     """A typed table: (name, kind) columns and value rows.
 
     Kinds are str / int / float / bool.  Floats serialize as ``%.8e``,
-    bools as true/false, None as the empty cell.
+    bools as true/false, an Enum as its value, None as the empty cell.
     """
 
     columns: tuple[tuple[str, str], ...]
@@ -73,6 +75,8 @@ def _format_cell(value, kind: str) -> str:
         return str(int(value))
     if kind == "bool":
         return "true" if value else "false"
+    if isinstance(value, Enum):
+        return str(value.value)
     return str(value)
 
 
@@ -176,7 +180,7 @@ def _sweep(config, distances, waters, divergences_deg, with_ber: bool) -> SweepR
     for water in waters:
         for div_deg in divergences_deg:
             params = _sweep_params(config.channel, water, div_deg)
-            prefix = f"{_format_cell(water.value, 'str')},{_format_cell(div_deg, 'float')},"
+            prefix = f"{_format_cell(water, 'str')},{_format_cell(div_deg, 'float')},"
             values = [received_power_los(distance, params) for distance in distances]
             if with_ber:
                 values = [single_link_ber(power, params, noise) for power in values]
@@ -196,18 +200,11 @@ def _require_sweep(distances, waters, divergences_deg):
         raise ConfigError("distances must be finite and > 0, with a square above 0")
 
 
-def _metric_cells(metric) -> tuple:
-    """The METRIC_COLUMNS cells of one TrialMetrics, in column order."""
-    return (
-        metric.success,
-        metric.failure_reason.value if metric.failure_reason else None,
-        metric.hop_count,
-        metric.e2e_ber,
-        metric.e2e_delay_s,
-        metric.total_distance_m,
-        metric.evaluations,
-        metric.wall_clock_ns,
-    )
+def _record_set(columns, records) -> OutputRecordSet:
+    """A table with one row per record, each cell read from the record
+    attribute its column names."""
+    cells = attrgetter(*(name for name, _ in columns))
+    return OutputRecordSet(columns, tuple(map(cells, records)))
 
 
 def route_dump_lines(protocol: Protocol, graph: NetworkGraph, outcome: RoutingOutcome) -> list[str]:
@@ -223,53 +220,33 @@ def route_dump_lines(protocol: Protocol, graph: NetworkGraph, outcome: RoutingOu
     for index, node_id in enumerate(route.hops):
         x, y = graph.positions[node_id]
         ber_to_next = route.hop_bers[index] if index < route.hop_count else 0.0
-        lines.append(f"{name} {index} {node_id} {x:.8e} {y:.8e} {ber_to_next:.8e}")
-    lines.append(
-        f"{name} e2e {route.e2e_ber:.8e} {route.total_distance:.8e} {outcome.evaluations}"
-    )
+        lines.append(f"{name} {index} {node_id} {_floats(x, y, ber_to_next)}")
+    lines.append(f"{name} e2e {_floats(route.e2e_ber, route.total_distance)} {outcome.evaluations}")
     return lines
+
+
+def _floats(*values) -> str:
+    return " ".join(_format_cell(value, "float") for value in values)
 
 
 def cmd_route(config: SimulationConfig, seed: int):
     """One trial at the given trial seed: summary rows plus route dumps."""
     result = run_single(config, seed)
-    rows = []
-    dumps = {}
-    for metric in result.metrics:
-        rows.append((metric.protocol.value, seed) + _metric_cells(metric))
-        outcome = result.outcomes[metric.protocol]
-        if outcome.success:
-            dumps[metric.protocol] = route_dump_lines(metric.protocol, result.graph, outcome)
-    summary = OutputRecordSet(ROUTE_SUMMARY_COLUMNS, tuple(rows))
-    return summary, dumps
+    dumps = {
+        protocol: route_dump_lines(protocol, result.graph, outcome)
+        for protocol, outcome in result.outcomes.items()
+        if outcome.success
+    }
+    return _record_set(ROUTE_SUMMARY_COLUMNS, result.metrics), dumps
 
 
 def cmd_campaign(config: SimulationConfig):
     """Full campaign: per-trial and aggregate record sets."""
     result = run_campaign(config)
-    trial_rows = [
-        (record.metrics.protocol.value, record.n_nodes, record.realization, record.seed)
-        + _metric_cells(record.metrics)
-        for record in result.records
-    ]
-    aggregate_rows = [
-        (
-            stats.protocol.value,
-            stats.n_nodes,
-            stats.trials,
-            stats.success_rate,
-            stats.mean_e2e_ber,
-            stats.std_e2e_ber,
-            stats.mean_delay_s,
-            stats.std_delay_s,
-            stats.mean_evaluations,
-            stats.mean_hops,
-        )
-        for stats in result.aggregates
-    ]
-    trials = OutputRecordSet(CAMPAIGN_TRIAL_COLUMNS, tuple(trial_rows))
-    aggregate = OutputRecordSet(CAMPAIGN_AGGREGATE_COLUMNS, tuple(aggregate_rows))
-    return trials, aggregate
+    return (
+        _record_set(CAMPAIGN_TRIAL_COLUMNS, result.records),
+        _record_set(CAMPAIGN_AGGREGATE_COLUMNS, result.aggregates),
+    )
 
 
 def _list_of(convert):
@@ -402,9 +379,11 @@ def main(argv=None) -> int:
             for protocol, lines in dumps.items():
                 _write_lines(out / f"route_{protocol.value}.txt", lines)
             print(f"wrote {out / 'route_summary.csv'} ({len(summary.rows)} protocols)")
+            names = [name for name, _ in summary.columns]
             for row in summary.rows:
-                status = "ok" if row[2] else f"failed ({row[3]})"
-                print(f"  {row[0]}: {status}")
+                cell = dict(zip(names, row))
+                status = "ok" if cell["success"] else f"failed ({cell['failure_reason'].value})"
+                print(f"  {cell['protocol'].value}: {status}")
         elif args.command == "campaign":
             config = _sim_config(args, campaign=True)
             trials, aggregate = cmd_campaign(config)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .channel import ChannelParams, ReceiverNoise, WaterType, require_finite
+from .channel import LIGHT_SPEED_WATER, ChannelParams, ReceiverNoise, WaterType, require_finite
 from .metrics import DelayModel, TrialMetrics, collect_trial
 from .routing import (
     FailureReason,
@@ -116,6 +116,8 @@ class SimulationConfig:
         # distinct nodes would count as coincident.
         if width * width < sys.float_info.min or height * height < sys.float_info.min:
             raise ConfigError(f"area dimensions are too small to square, got {self.area}")
+        if not math.isfinite(width * width + height * height):
+            raise ConfigError(f"area diagonal overflows a float, got {self.area}")
         if self.max_range <= 0.0:
             raise ConfigError(f"max_range must be > 0, got {self.max_range}")
         if not _is_int(self.realizations) or self.realizations < 1:
@@ -139,6 +141,26 @@ class SimulationConfig:
         (sx, sy), (tx, ty) = self.source_pos, self.target_pos
         if (tx - sx) * (tx - sx) + (ty - sy) * (ty - sy) == 0.0 and (sx, sy) != (tx, ty):
             raise ConfigError("source_pos and target_pos are too close to square their distance")
+        # No route is longer than (largest count - 1) hops of at most
+        # min(max_range, diagonal) each.  Its delay, and a campaign cell's sum
+        # and squared deviations of such delays (`_mean_std`), must be finite;
+        # the factor 2 covers rounding.
+        hop = (
+            self.delay.packet_bits / self.noise.data_rate
+            + self.delay.per_hop_processing
+            + min(self.max_range, math.hypot(width, height)) / LIGHT_SPEED_WATER
+        )
+        try:
+            longest = (max(counts) - 1) * hop
+            worst = 2.0 * self.realizations * max(longest, longest * longest)
+        except OverflowError:  # an int past the float range
+            worst = math.inf
+        if not math.isfinite(worst):
+            raise ConfigError(
+                f"route delays overflow a float: {max(counts) - 1} hops of {hop:.3g} s, squared "
+                f"and summed over realizations={self.realizations}; lower "
+                "delay.per_hop_processing or delay.packet_bits"
+            )
 
     @property
     def node_counts(self) -> tuple[int, ...]:
@@ -176,10 +198,10 @@ def run_single(config: SimulationConfig, seed: int) -> TrialResult:
     (links,) = price_links(
         positions, (len(positions),), config.max_range, config.channel, config.noise
     )
-    return _route_trial(config, positions, links)
+    return _route_trial(config, positions, links, seed)
 
 
-def _route_trial(config: SimulationConfig, positions, links) -> TrialResult:
+def _route_trial(config, positions, links, seed, realization=None) -> TrialResult:
     """Build one trial's graph from its priced links and run every selected protocol.
 
     A trial whose graph leaves source and target disconnected records a
@@ -207,18 +229,8 @@ def _route_trial(config: SimulationConfig, positions, links) -> TrialResult:
         timings[protocol] = time.perf_counter_ns() - started if config.record_timing else 0
         outcomes[protocol] = outcome
 
-    metrics = collect_trial(outcomes, config, timings)
+    metrics = collect_trial(outcomes, config, len(positions), seed, realization, timings)
     return TrialResult(graph=graph, outcomes=outcomes, metrics=metrics)
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """A TrialMetrics tagged with its campaign coordinates."""
-
-    n_nodes: int
-    realization: int
-    seed: int
-    metrics: TrialMetrics
 
 
 @dataclass(frozen=True)
@@ -246,7 +258,7 @@ class AggregateStats:
 
 @dataclass(frozen=True)
 class CampaignResult:
-    records: list[TrialRecord]
+    records: list[TrialMetrics]
     aggregates: list[AggregateStats]
 
     def get(self, protocol: Protocol, n_nodes: int) -> AggregateStats:
@@ -258,7 +270,7 @@ class CampaignResult:
 
 def _run_index_range(
     config: SimulationConfig, first_index: int, seeds
-) -> list[list[TrialRecord]]:
+) -> list[list[TrialMetrics]]:
     """Records of the realizations from ``first_index`` on, one list per node count.
 
     Each realization is drawn once, at the largest count, and every count's
@@ -273,10 +285,7 @@ def _run_index_range(
         positions = generate_deployment(largest, seed)
         priced = price_links(positions, counts, config.max_range, config.channel, config.noise)
         for n, links, count_records in zip(counts, priced, records):
-            for metric in _route_trial(config, positions[:n], links).metrics:
-                count_records.append(
-                    TrialRecord(n_nodes=n, realization=index, seed=seed, metrics=metric)
-                )
+            count_records.extend(_route_trial(config, positions[:n], links, seed, index).metrics)
     return records
 
 
@@ -345,15 +354,15 @@ def run_campaign(config: SimulationConfig) -> CampaignResult:
 
 def aggregate_records(records, config: SimulationConfig) -> list[AggregateStats]:
     """Reduce trial records into per-(protocol, node count) statistics."""
-    by_cell: dict[tuple[Protocol, int], list[TrialRecord]] = {}
+    by_cell: dict[tuple[Protocol, int], list[TrialMetrics]] = {}
     for record in records:
-        by_cell.setdefault((record.metrics.protocol, record.n_nodes), []).append(record)
+        by_cell.setdefault((record.protocol, record.n_nodes), []).append(record)
 
     aggregates = []
     for n in config.node_counts:
         for protocol in config.protocols:
             cell = sorted(by_cell.get((protocol, n), []), key=lambda r: r.realization)
-            successes = [r.metrics for r in cell if r.metrics.success]
+            successes = [r for r in cell if r.success]
             mean_ber, std_ber = _mean_std([m.e2e_ber for m in successes])
             mean_delay, std_delay = _mean_std([m.e2e_delay_s for m in successes])
             mean_evals, std_evals = _mean_std([m.evaluations for m in successes])

@@ -36,13 +36,17 @@ class DelayModel:
 
 @dataclass(frozen=True)
 class TrialMetrics:
-    """One protocol's result on one trial.
+    """One protocol's result on one trial, with the trial's coordinates.
 
-    On failure only ``evaluations`` and ``wall_clock_ns`` are populated;
-    the route-derived fields stay None.
+    ``realization`` is the campaign realization index, None for a trial
+    run on its own.  On failure only ``evaluations`` and ``wall_clock_ns``
+    are populated; the route-derived fields stay None.
     """
 
     protocol: Protocol
+    n_nodes: int
+    realization: int | None
+    seed: int
     success: bool
     failure_reason: FailureReason | None
     hop_count: int | None
@@ -65,13 +69,16 @@ def e2e_delay(route: Route, config) -> float:
     return propagation + route.hop_count * per_hop
 
 
-def collect_trial(outcomes, config, timings=None) -> list[TrialMetrics]:
+def collect_trial(
+    outcomes, config, n_nodes, seed, realization=None, timings=None
+) -> list[TrialMetrics]:
     """Flatten per-protocol routing outcomes into metric records.
 
-    ``outcomes`` maps Protocol -> RoutingOutcome for one trial; ``config``
-    is the SimulationConfig the delay is computed under; ``timings``
-    optionally maps Protocol -> wall-clock nanoseconds (0 when absent).
-    Records come back in the order of ``outcomes``.
+    ``outcomes`` maps Protocol -> RoutingOutcome for one trial of
+    ``n_nodes`` nodes drawn from ``seed`` (campaign ``realization``, if
+    any); ``config`` is the SimulationConfig the delay is computed under;
+    ``timings`` optionally maps Protocol -> wall-clock nanoseconds (0 when
+    absent).  Records come back in the order of ``outcomes``.
     """
     timings = timings or {}
     records = []
@@ -80,6 +87,9 @@ def collect_trial(outcomes, config, timings=None) -> list[TrialMetrics]:
         records.append(
             TrialMetrics(
                 protocol=protocol,
+                n_nodes=n_nodes,
+                realization=realization,
+                seed=seed,
                 success=outcome.success,
                 failure_reason=outcome.failure_reason,
                 hop_count=route.hop_count if route else None,

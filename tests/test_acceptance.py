@@ -246,10 +246,9 @@ def _paired_srp_drp_gaps(config, result):
     """
     succeeded = {}
     for record in result.records:
-        metrics = record.metrics
-        if metrics.protocol in (Protocol.DRP, Protocol.SRP) and metrics.success:
+        if record.protocol in (Protocol.DRP, Protocol.SRP) and record.success:
             key = (record.n_nodes, record.seed)
-            succeeded.setdefault(key, {})[metrics.protocol] = metrics.e2e_ber
+            succeeded.setdefault(key, {})[record.protocol] = record.e2e_ber
 
     gaps = {n: [] for n in config.node_counts}
     for (n, seed), campaign_bers in succeeded.items():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from uowsim import SimulationConfig
+from uowsim import AggregateStats, FailureReason, Protocol, SimulationConfig, TrialMetrics
 from uowsim.cli import (
     BER_SWEEP_COLUMNS,
     CAMPAIGN_AGGREGATE_COLUMNS,
@@ -111,13 +112,30 @@ def test_cmd_route_two_nodes():
         assert len(lines) == 3  # two hop lines plus trailer
 
 
+def test_main_route_prints_each_protocols_status(tmp_path, capsys):
+    assert main(["route", "--seed", "1", "--out", str(tmp_path)]) == 0
+    assert "  crp: ok" in capsys.readouterr().out.splitlines()
+    assert main(["route", "--nodes", "2", "--seed", "3", "--out", str(tmp_path)]) == 0
+    assert "  drp: failed (disconnected)" in capsys.readouterr().out.splitlines()
+
+
+def test_columns_name_record_fields():
+    # Each row reads every cell from the record attribute its column names.
+    trial_fields = {field.name for field in dataclasses.fields(TrialMetrics)}
+    for name, _ in CAMPAIGN_TRIAL_COLUMNS + ROUTE_SUMMARY_COLUMNS:
+        assert name in trial_fields
+    aggregate_fields = {field.name for field in dataclasses.fields(AggregateStats)}
+    for name, _ in CAMPAIGN_AGGREGATE_COLUMNS:
+        assert name in aggregate_fields
+
+
 def test_cmd_route_disconnected():
     config = SimulationConfig(node_count=2)
     summary, dumps = cmd_route(config, 11)
     assert dumps == {}
     for row in summary.rows:
         assert row[2] is False
-        assert row[3] == "disconnected"
+        assert row[3] is FailureReason.DISCONNECTED
 
 
 _PARSE = {"str": str, "int": int, "float": float, "bool": lambda cell: cell == "true"}
@@ -145,6 +163,9 @@ def test_recordset_roundtrip():
             for cell, (_, kind) in zip(cells, columns):
                 value = _PARSE[kind](cell) if cell else None
                 assert _format_cell(value, kind) == cell
+    # Enum cells are written as their values.
+    assert _format_cell(Protocol.CRP, "str") == "crp"
+    assert _format_cell(FailureReason.DEAD_END, "str") == "dead_end"
 
 
 def test_campaign_single_realization_aggregate_matches_trial():
@@ -363,6 +384,40 @@ def test_main_overflowing_photon_rate_gives_ber_0(tmp_path, capsys):
     budget = ["link-budget", "--divergences", "30", "--water", "clear", *out]
     assert main(budget + ["--distances", "1,1e-160"]) == 2
     assert "distance 1e-160 m" in capsys.readouterr().err
+
+
+def test_main_rejects_an_overflowing_area_diagonal(tmp_path, capsys):
+    # 1.41e200 m apart and inside max_range: an overflowing squared distance
+    # would leave source and target disconnected.
+    config = tmp_path / "area.json"
+    config.write_text(json.dumps({
+        "area": [1e200, 1e200],
+        "max_range": 1e300,
+        "node_count": 5,
+        "source_pos": [0, 0],
+        "target_pos": [1e200, 1e200],
+    }))
+    assert main(["route", "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert "area diagonal" in capsys.readouterr().err
+
+
+def test_main_rejects_delays_past_the_float_range(tmp_path, capsys):
+    config = tmp_path / "delay.json"
+    campaign = ["campaign", "--nodes", "20,40", "--realizations", "20", "--config", str(config)]
+    campaign += ["--out", str(tmp_path)]
+    for per_hop in (1e307, 1e308):
+        config.write_text(json.dumps({"delay": {"per_hop_processing": per_hop}}))
+        assert main(campaign) == 2
+        assert "delay.per_hop_processing" in capsys.readouterr().err
+    assert not (tmp_path / "campaign_trials.csv").exists()
+    # Inside the bound, every delay, mean and deviation is written finite.
+    config.write_text(json.dumps({"delay": {"per_hop_processing": 1e151}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(campaign) == 0
+    for name in ("campaign_trials.csv", "campaign_aggregate.csv"):
+        cells = set((tmp_path / name).read_text().replace("\n", ",").split(","))
+        assert not cells & {"inf", "-inf", "nan"}
 
 
 def test_main_sweeps_on_a_nan_power(tmp_path, capsys):

@@ -13,7 +13,6 @@ from uowsim import (
     Protocol,
     ReceiverNoise,
     SimulationConfig,
-    TrialRecord,
     WaterType,
     WeightMode,
     config_from_dict,
@@ -61,6 +60,25 @@ def test_config_validation():
     ):
         with pytest.raises(ConfigError):
             SimulationConfig(node_count=40, **bad)
+
+
+def test_config_rejects_an_overflowing_area_diagonal():
+    # Each side squares to a float, but the sum of the squares does not.
+    with pytest.raises(ConfigError, match="area"):
+        SimulationConfig(area=(1.2e154, 1.2e154))
+    assert SimulationConfig(area=(1.2e154, 250.0)).area == (1.2e154, 250.0)
+
+
+def test_config_rejects_route_delays_past_the_float_range():
+    assert SimulationConfig().delay == DelayModel()  # the stock config passes
+    for delay, realizations, node_count in (
+        (DelayModel(per_hop_processing=1e307), 20, (20, 40)),  # a 39-hop delay is inf
+        (DelayModel(per_hop_processing=1e152), 20, (20, 40)),  # the sum of its squares is
+        (DelayModel(), 10**400, 40),  # ints past the float range
+        (DelayModel(), 10, (10**400,)),
+    ):
+        with pytest.raises(ConfigError, match="delay"):
+            SimulationConfig(delay=delay, realizations=realizations, node_count=node_count)
 
 
 def test_config_resolves_channel_from_water():
@@ -153,8 +171,8 @@ def test_campaign_conservation_and_shape():
                 1
                 for r in result.records
                 if r.n_nodes == n
-                and r.metrics.protocol is protocol
-                and not r.metrics.success
+                and r.protocol is protocol
+                and not r.success
             )
             assert stats.successes + failures == stats.trials
             assert 0.0 <= stats.success_rate <= 1.0
@@ -205,7 +223,7 @@ def test_campaign_records_follow_config_order_and_match_run_single(monkeypatch):
         for index in range(config.realizations):
             seed = derive_trial_seed(config.master_seed, index)
             expected.extend(
-                TrialRecord(n_nodes=n, realization=index, seed=seed, metrics=metric)
+                dataclasses.replace(metric, realization=index)
                 for metric in run_single(per_count, seed).metrics
             )
     assert run_campaign(config).records == expected

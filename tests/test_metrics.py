@@ -60,8 +60,8 @@ def test_delay_reads_data_rate_from_noise(tmp_path):
     # Doubling the receiver data rate halves each hop's serialization time,
     # so a 2-hop route arrives 2 * 1024 / 2e6 s sooner.
     outcomes = {Protocol.DRP: _success(_route([0.1, 0.1], [50.0, 50.0]))}
-    (stock,) = collect_trial(outcomes, config_from_dict({}))
-    (fast,) = collect_trial(outcomes, config_from_dict({"noise": {"data_rate": 2e6}}))
+    (stock,) = collect_trial(outcomes, config_from_dict({}), 40, 7)
+    (fast,) = collect_trial(outcomes, config_from_dict({"noise": {"data_rate": 2e6}}), 40, 7)
     assert stock.e2e_delay_s - fast.e2e_delay_s == pytest.approx(2 * 1024 / 2e6, rel=1e-9)
     # The delay block no longer holds its own copies of the rate and light speed.
     for key in ("data_rate", "light_speed_water"):
@@ -95,7 +95,7 @@ def _failure(reason, evaluations=0):
 
 def test_collect_trial_all_disconnected():
     outcomes = {p: _failure(FailureReason.DISCONNECTED) for p in Protocol}
-    records = collect_trial(outcomes, STOCK)
+    records = collect_trial(outcomes, STOCK, 40, 7)
     assert len(records) == 3
     for record in records:
         assert not record.success
@@ -109,7 +109,8 @@ def test_collect_trial_all_disconnected():
 def test_collect_trial_success_consistency():
     route = _route([0.1, 0.2, 0.05], [30.0, 20.0, 25.0])
     outcomes = {Protocol.CRP: _success(route)}
-    (record,) = collect_trial(outcomes, STOCK)
+    (record,) = collect_trial(outcomes, STOCK, 40, 7)
+    assert (record.n_nodes, record.realization, record.seed) == (40, None, 7)
     assert record.protocol is Protocol.CRP
     assert record.success
     assert record.hop_count == 3
@@ -125,8 +126,9 @@ def test_collect_trial_mixed():
         Protocol.DRP: _failure(FailureReason.DEAD_END, evaluations=5),
         Protocol.SRP: _failure(FailureReason.EMPTY_QUADRANT, evaluations=2),
     }
-    records = collect_trial(outcomes, STOCK, timings={Protocol.CRP: 1234})
+    records = collect_trial(outcomes, STOCK, 60, 9, realization=3, timings={Protocol.CRP: 1234})
     assert [r.protocol for r in records] == [Protocol.CRP, Protocol.DRP, Protocol.SRP]
+    assert {(r.n_nodes, r.realization, r.seed) for r in records} == {(60, 3, 9)}
     assert records[0].wall_clock_ns == 1234
     assert records[1].evaluations == 5
     assert records[2].failure_reason is FailureReason.EMPTY_QUADRANT
