@@ -334,7 +334,7 @@ def _sim_config(args, campaign: bool) -> SimulationConfig:
     if args.seed is not None:
         doc["master_seed"] = args.seed
     if args.nodes is not None:
-        doc["node_count"] = args.nodes if len(args.nodes) > 1 else args.nodes[0]
+        doc["node_count"] = args.nodes
     if args.realizations is not None:
         doc["realizations"] = args.realizations
     if args.protocols is not None:

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .channel import LIGHT_SPEED_WATER, ChannelParams, ReceiverNoise, WaterType, require_finite
-from .metrics import DelayModel, TrialMetrics, collect_trial
+from .channel import ChannelParams, ReceiverNoise, WaterType, require_finite
+from .metrics import DelayModel, TrialMetrics, collect_trial, path_delay
 from .routing import (
     FailureReason,
     Protocol,
@@ -57,8 +57,9 @@ class SimulationConfig:
     """Full description of one experiment.
 
     ``node_count`` may be a single int (one deployment size) or a sequence
-    of ints (a campaign sweep).  ``channel`` holds the resolved water:
-    `config_from_dict` builds it with ``ChannelParams.for_water``.
+    of ints (a campaign sweep); a one-element sequence is stored as its
+    int.  ``channel`` holds the resolved water: `config_from_dict` builds
+    it with ``ChannelParams.for_water``.
     """
 
     area: tuple[float, float] = (250.0, 250.0)
@@ -87,11 +88,13 @@ class SimulationConfig:
                 raise ConfigError(f"{name} must be a {cls.__name__}, got {getattr(self, name)!r}")
         if isinstance(self.node_count, int):
             counts = (self.node_count,)
-        else:
+        elif isinstance(self.node_count, (list, tuple)) and self.node_count:
             counts = tuple(self.node_count)
-            object.__setattr__(self, "node_count", counts)
-            if not counts:
-                raise ConfigError("node_count sweep must not be empty")
+            object.__setattr__(self, "node_count", counts[0] if len(counts) == 1 else counts)
+        else:
+            raise ConfigError(
+                f"node_count must be an int or a non-empty list of ints, got {self.node_count!r}"
+            )
         for n in counts:
             if not _is_int(n) or n < 2:
                 raise ConfigError(f"node_count values must be ints >= 2, got {n!r}")
@@ -145,21 +148,17 @@ class SimulationConfig:
         # min(max_range, diagonal) each.  Its delay, and a campaign cell's sum
         # and squared deviations of such delays (`_mean_std`), must be finite;
         # the factor 2 covers rounding.
-        hop = (
-            self.delay.packet_bits / self.noise.data_rate
-            + self.delay.per_hop_processing
-            + min(self.max_range, math.hypot(width, height)) / LIGHT_SPEED_WATER
-        )
+        hops = max(counts) - 1
         try:
-            longest = (max(counts) - 1) * hop
+            longest = path_delay(hops, hops * min(self.max_range, math.hypot(width, height)), self)
             worst = 2.0 * self.realizations * max(longest, longest * longest)
         except OverflowError:  # an int past the float range
             worst = math.inf
         if not math.isfinite(worst):
             raise ConfigError(
-                f"route delays overflow a float: {max(counts) - 1} hops of {hop:.3g} s, squared "
-                f"and summed over realizations={self.realizations}; lower "
-                "delay.per_hop_processing or delay.packet_bits"
+                f"route delays overflow a float: {hops} hops, squared and summed over "
+                f"realizations={self.realizations}; lower delay.per_hop_processing or "
+                "delay.packet_bits"
             )
 
     @property
@@ -408,7 +407,8 @@ def config_from_dict(raw: dict) -> SimulationConfig:
         for name, cls in (("noise", ReceiverNoise), ("delay", DelayModel)):
             if name in raw:
                 kwargs[name] = cls(**raw[name])
-        if "protocols" in raw:
+        # Any other value reaches SimulationConfig, which rejects it.
+        if isinstance(raw.get("protocols"), list):
             kwargs["protocols"] = tuple(Protocol(p) for p in raw["protocols"])
         if "weight_mode" in raw:
             kwargs["weight_mode"] = WeightMode(raw["weight_mode"])

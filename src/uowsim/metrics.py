@@ -57,16 +57,21 @@ class TrialMetrics:
     wall_clock_ns: int
 
 
-def e2e_delay(route: Route, config) -> float:
-    """End-to-end delay of a route in seconds (empty route -> 0).
+def path_delay(hop_count, distance, config) -> float:
+    """Delay in seconds of ``hop_count`` hops over ``distance`` metres.
 
     ``config`` is a SimulationConfig; its ``delay`` and ``noise.data_rate``
-    set the figures, and light travels at ``LIGHT_SPEED_WATER``.
+    set the per-hop figure, and light travels at ``LIGHT_SPEED_WATER``.
     """
     delay = config.delay
-    propagation = route.total_distance / LIGHT_SPEED_WATER
+    propagation = distance / LIGHT_SPEED_WATER
     per_hop = delay.packet_bits / config.noise.data_rate + delay.per_hop_processing
-    return propagation + route.hop_count * per_hop
+    return propagation + hop_count * per_hop
+
+
+def e2e_delay(route: Route, config) -> float:
+    """End-to-end delay of a route in seconds (empty route -> 0)."""
+    return path_delay(route.hop_count, route.total_distance, config)
 
 
 def collect_trial(

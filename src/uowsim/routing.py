@@ -96,15 +96,25 @@ def edge_weights(bers, mode: WeightMode) -> list[float]:
     return [math.inf if b >= 0.5 else -math.log1p(-2.0 * b) for b in bers]
 
 
-def _empty_route(node_id: int) -> RoutingOutcome:
-    route = Route(hops=(node_id,), hop_bers=(), hop_distances=(), e2e_ber=0.0)
-    return RoutingOutcome(route=route, failure_reason=None, evaluations=0)
-
-
 def _finish(
-    graph: NetworkGraph, hops: list[int], edges: list[int], evaluations: int
+    graph: NetworkGraph, source: int, target: int, edges: list[int], evaluations: int
 ) -> RoutingOutcome:
-    """Route over ``hops``; ``edges[i]`` is the edge id of hop i."""
+    """The route from ``source`` over the edge ids ``edges``, in hop order.
+
+    Each edge must touch the previous hop, whose other endpoint is the next
+    hop; the last hop must be ``target`` and no node may repeat.  A route
+    that breaks one of these raises AssertionError.
+    """
+    hops = [source]
+    for e in edges:
+        here, u, v = hops[-1], graph.us[e], graph.vs[e]
+        if here != u and here != v:
+            raise AssertionError(f"route edge {e} ({u}, {v}) does not touch node {here}")
+        hops.append(v if here == u else u)
+    if hops[-1] != target:
+        raise AssertionError(f"route ends at {hops[-1]}, not at target {target}")
+    if len(set(hops)) != len(hops):
+        raise AssertionError(f"route revisits a node: {hops}")
     hop_bers = tuple(graph.ber[e] for e in edges)
     route = Route(
         hops=tuple(hops),
@@ -112,21 +122,11 @@ def _finish(
         hop_distances=tuple(graph.distance[e] for e in edges),
         e2e_ber=fold_e2e_ber(hop_bers),
     )
-    _check_route(graph, route)
     return RoutingOutcome(route=route, failure_reason=None, evaluations=evaluations)
 
 
 def _fail(reason: FailureReason, evaluations: int) -> RoutingOutcome:
     return RoutingOutcome(route=None, failure_reason=reason, evaluations=evaluations)
-
-
-def _check_route(graph: NetworkGraph, route: Route):
-    """Route invariants, enforced on every constructed route."""
-    if len(set(route.hops)) != len(route.hops):
-        raise AssertionError(f"route revisits a node: {route.hops}")
-    for u, v in zip(route.hops, route.hops[1:]):
-        if not graph.has_edge(u, v):
-            raise AssertionError(f"route uses missing edge ({u}, {v})")
 
 
 def crp(
@@ -145,7 +145,7 @@ def crp(
     """
     graph.check_nodes(source, target)
     if source == target:
-        return _empty_route(source)
+        return _finish(graph, source, target, [], 0)
 
     indptr, indices, edge = graph.indptr, graph.indices, graph.edge
     weights = edge_weights(graph.ber, mode)
@@ -176,13 +176,13 @@ def crp(
 
     if not settled[target]:
         return _fail(FailureReason.DISCONNECTED, evaluations)
-    hops, edges = [target], []
-    while hops[-1] != source:
-        edges.append(via[hops[-1]])
-        hops.append(prev[hops[-1]])
-    hops.reverse()
+    edges = []
+    node = target
+    while node != source:
+        edges.append(via[node])
+        node = prev[node]
     edges.reverse()
-    return _finish(graph, hops, edges, evaluations)
+    return _finish(graph, source, target, edges, evaluations)
 
 
 def _greedy_walk(
@@ -198,11 +198,10 @@ def _greedy_walk(
     """
     graph.check_nodes(source, target)
     if source == target:
-        return _empty_route(source)
+        return _finish(graph, source, target, [], 0)
 
     indptr, indices, edge, bers = graph.indptr, graph.indices, graph.edge, graph.ber
     visited = {source}
-    hops = [source]
     edges = []
     current = source
     evaluations = 0
@@ -218,11 +217,10 @@ def _greedy_walk(
         if not candidates:
             return _fail(stuck, evaluations)
         _, current, e = min(candidates)
-        hops.append(current)
         edges.append(e)
         visited.add(current)
         if current == target:
-            return _finish(graph, hops, edges, evaluations)
+            return _finish(graph, source, target, edges, evaluations)
     return _fail(FailureReason.HOP_LIMIT, evaluations)
 
 

@@ -8,7 +8,6 @@ carry distance and single-link BER.
 """
 
 import logging
-from bisect import bisect_left
 from collections import deque
 from functools import lru_cache
 
@@ -29,8 +28,9 @@ DEGENERATE_DISTANCE = 1e-6
 class NetworkGraph:
     """Undirected graph over node positions, stored as Python lists.
 
-    Node ``i`` sits at ``positions[i]``, an ``[x, y]`` list.  ``distance``
-    and ``ber`` hold one entry per undirected edge.  The adjacency is in
+    Node ``i`` sits at ``positions[i]``, an ``[x, y]`` list.  ``us``,
+    ``vs``, ``distance`` and ``ber`` hold one entry per undirected edge:
+    its two endpoint ids and its figures.  The adjacency is in
     CSR form: the neighbors of ``u`` are ``indices[indptr[u]:indptr[u + 1]]``
     in ascending id order, and ``edge`` gives the undirected edge of each
     of those slots, so every edge appears in the rows of both endpoints.
@@ -73,6 +73,8 @@ class NetworkGraph:
         self.indptr = indptr.tolist()
         self.indices = cols[order].tolist()
         self.edge = np.where(order < m, order, order - m).tolist()
+        self.us = us.tolist()
+        self.vs = vs.tolist()
         self.distance = distance.tolist()
         self.ber = ber.tolist()
 
@@ -89,18 +91,6 @@ class NetworkGraph:
         for node_id in node_ids:
             if not 0 <= node_id < len(self.positions):
                 raise ValueError(f"unknown node id {node_id}")
-
-    def edge_id(self, u: int, v: int) -> int | None:
-        """Index of the edge (u, v) in the per-edge lists, or None."""
-        n = len(self.positions)
-        if not (0 <= u < n and 0 <= v < n):
-            return None
-        stop = self.indptr[u + 1]
-        k = bisect_left(self.indices, v, self.indptr[u], stop)
-        return self.edge[k] if k < stop and self.indices[k] == v else None
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return self.edge_id(u, v) is not None
 
 
 def generate_deployment(config, seed) -> np.ndarray:

@@ -53,3 +53,14 @@ def graph_edges(graph):
             v, e = graph.indices[k], graph.edge[k]
             if u < v:
                 yield u, v, graph.distance[e], graph.ber[e]
+
+
+def edge_between(graph, u, v):
+    """Id of the edge joining u and v, found by scanning u's CSR row; None
+    when there is no such edge or either id names no node."""
+    if not (0 <= u < graph.node_count and 0 <= v < graph.node_count):
+        return None
+    for k in range(graph.indptr[u], graph.indptr[u + 1]):
+        if graph.indices[k] == v:
+            return graph.edge[k]
+    return None

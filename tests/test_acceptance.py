@@ -45,7 +45,7 @@ from uowsim import (
 )
 from uowsim.channel import BER_FLOOR
 from uowsim.harness import DEFAULT_NODE_SWEEP
-from conftest import make_graph
+from conftest import edge_between, make_graph
 
 
 def _report(number, description):
@@ -372,8 +372,8 @@ def test_criterion_9_route_validity_sweep(default_campaign):
                     route = outcome.route
                     assert len(set(route.hops)) == len(route.hops)
                     for u, v in zip(route.hops, route.hops[1:]):
-                        assert result.graph.has_edge(u, v)
-                        e = result.graph.edge_id(u, v)
+                        e = edge_between(result.graph, u, v)
+                        assert e is not None
                         assert result.graph.distance[e] <= config.max_range
                     folded = oracles.fold_reference(route.hop_bers)
                     if folded == 0.0:

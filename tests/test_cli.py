@@ -355,6 +355,40 @@ def test_main_malformed_config_exits_2(tmp_path):
             assert main([command, flag, value, "--out", str(tmp_path)]) == 2
 
 
+def _files(directory):
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+def test_main_takes_a_one_element_node_count_list_as_one_count(tmp_path):
+    listed = tmp_path / "listed.json"
+    listed.write_text(json.dumps({"node_count": [40]}))
+    single = tmp_path / "single.json"
+    single.write_text(json.dumps({"node_count": 40}))
+    for command, extra in (("route", ["--seed", "7"]), ("campaign", ["--realizations", "3"])):
+        outputs = []
+        for index, run in enumerate(
+            (["--config", str(listed)], ["--config", str(single)], ["--nodes", "40"])
+        ):
+            out = tmp_path / f"{command}{index}"
+            assert main([command, *run, *extra, "--out", str(out)]) == 0
+            outputs.append(_files(out))
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0]
+
+
+def test_main_takes_protocols_and_node_counts_only_as_json_lists(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    for doc in (
+        {"protocols": {"crp": True}, "node_count": 20},
+        {"protocols": "crp"},
+        {"node_count": "20"},
+    ):
+        config.write_text(json.dumps(doc))
+        assert main(["route", "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert "'20'" in capsys.readouterr().err
+    assert not (tmp_path / "route_summary.csv").exists()
+
+
 def test_main_overflowing_photon_rate_gives_ber_0(tmp_path, capsys):
     # A photon rate past the float range means a BER at its limit for a
     # growing power, 0, not NaN; the route's e2e BER folds those links.

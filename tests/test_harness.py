@@ -81,6 +81,32 @@ def test_config_rejects_route_delays_past_the_float_range():
             SimulationConfig(delay=delay, realizations=realizations, node_count=node_count)
 
 
+def test_one_element_node_count_list_is_one_count():
+    for node_count in ([40], (40,)):
+        assert SimulationConfig(node_count=node_count).node_count == 40
+    assert SimulationConfig(node_count=[40, 20]).node_count == (40, 20)
+
+
+def test_deployments_are_drawn_for_one_int_node_count(monkeypatch):
+    # perfbench/tracing.py reads each deployment's node count from the
+    # config that harness.generate_deployment receives.
+    import uowsim.harness as harness
+
+    monkeypatch.delenv("UOWSN_THREADS", raising=False)
+    counts = []
+    draw = harness.generate_deployment
+
+    def recording(config, seed):
+        counts.append(config.node_count)
+        return draw(config, seed)
+
+    monkeypatch.setattr(harness, "generate_deployment", recording)
+    run_campaign(SimulationConfig(node_count=(60, 20, 100), realizations=2, master_seed=11))
+    run_single(config_from_dict({"node_count": [40]}), 7)
+    assert counts == [100, 100, 40]
+    assert all(type(n) is int for n in counts)
+
+
 def test_config_resolves_channel_from_water():
     config = config_from_dict({"water": "turbid"})
     assert config.channel.extinction == 2.19
@@ -374,6 +400,10 @@ def test_config_from_dict_roundtrip_and_errors():
         {"water": "turbid", "channel": {"scattering": 5.0}},
         {"channel": {"absorption": 1e308, "scattering": 1e308}},
         {"constants": {"planck": 6.62607015e-34}},  # a module constant, not a key
+        # A JSON object or string is not read as the list of its keys or letters.
+        {"protocols": {"crp": True}, "node_count": 20},
+        {"protocols": "crp"},
+        {"node_count": "20"},
     ):
         with pytest.raises(ConfigError):
             config_from_dict(bad)

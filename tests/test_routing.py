@@ -18,7 +18,8 @@ from uowsim import (
     srp,
 )
 from uowsim.cli import route_dump_lines
-from conftest import graph_edges, make_graph, priced_graph
+from uowsim.routing import _finish
+from conftest import edge_between, graph_edges, make_graph, priced_graph
 
 
 def _triangle(direct, leg_a, leg_b):
@@ -183,7 +184,36 @@ def test_crp_matches_bruteforce_on_random_graphs():
         paper = crp(graph, 0, 1, WeightMode.PAPER_SUM)
         assert exact.route.e2e_ber == pytest.approx(best_e2e, rel=1e-12)
         assert sum(paper.route.hop_bers) == pytest.approx(best_sum, rel=1e-12)
+        _assert_hop_figures_are_edge_figures(graph, exact.route)
+        _assert_hop_figures_are_edge_figures(graph, paper.route)
         checked += 1
+
+
+def _assert_hop_figures_are_edge_figures(graph, route):
+    """Each hop's BER and distance are those of the edge joining its two nodes."""
+    assert len(route.hop_bers) == len(route.hop_distances) == len(route.hops) - 1
+    for i, (u, v) in enumerate(zip(route.hops, route.hops[1:])):
+        e = edge_between(graph, u, v)
+        assert route.hop_bers[i] == graph.ber[e]
+        assert route.hop_distances[i] == graph.distance[e]
+
+
+def test_finish_rejects_edges_that_do_not_make_the_route():
+    # Edge 0 joins 0 and 2, edge 1 joins 2 and 1, edge 2 joins 2 and 3.
+    graph = make_graph(
+        [(0.0, 0.0), (20.0, 0.0), (10.0, 0.0), (10.0, 10.0)],
+        {(0, 2): 0.1, (2, 1): 0.2, (2, 3): 0.3},
+    )
+    route = _finish(graph, 0, 1, [0, 1], 5).route
+    assert route.hops == (0, 2, 1)
+    assert route.hop_bers == (0.1, 0.2)
+    for edges, message in (
+        ([1], "does not touch node 0"),  # edge 1 leaves from 2, not from the source
+        ([0, 2], "not at target 1"),  # the chain ends at 3
+        ([0, 2, 2, 1], "revisits a node"),  # 0, 2, 3, 2, 1
+    ):
+        with pytest.raises(AssertionError, match=message):
+            _finish(graph, 0, 1, edges, 5)
 
 
 def test_greedy_protocols_source_equals_target():
@@ -308,10 +338,10 @@ def _greedy_step_check(graph, route, quadrant_target=None):
             kept = quadrant_filter(graph.positions[here], quadrant_target, points)
             candidates = [candidates[i] for i in kept]
         chosen = route.hops[i + 1]
-        best = min(candidates, key=lambda v: (graph.ber[graph.edge_id(here, v)], v))
+        best = min(candidates, key=lambda v: (graph.ber[edge_between(graph, here, v)], v))
         assert chosen == best
-        assert graph.ber[graph.edge_id(here, chosen)] <= min(
-            graph.ber[graph.edge_id(here, v)] for v in candidates
+        assert graph.ber[edge_between(graph, here, chosen)] <= min(
+            graph.ber[edge_between(graph, here, v)] for v in candidates
         )
 
 
@@ -331,7 +361,8 @@ def test_greedy_invariants_on_random_graphs():
                 assert len(set(route.hops)) == len(route.hops)
                 assert route.hop_count <= n_nodes - 1
                 for u, v in zip(route.hops, route.hops[1:]):
-                    assert graph.has_edge(u, v)
+                    assert edge_between(graph, u, v) is not None
+                _assert_hop_figures_are_edge_figures(graph, route)
                 assert route.e2e_ber == pytest.approx(
                     fold_reference(route.hop_bers), rel=1e-12, abs=1e-15
                 )

@@ -20,7 +20,7 @@ from uowsim import (
     single_link_ber,
 )
 from uowsim.topology import DEGENERATE_DISTANCE
-from conftest import graph_edges, make_graph, priced_graph
+from conftest import edge_between, graph_edges, make_graph, priced_graph
 
 BER_CLEAR_50M = 0.49999618051689926
 
@@ -68,7 +68,7 @@ def test_range_cutoff(default_setup):
 def test_edge_quality_matches_channel(default_setup):
     params, noise = default_setup
     graph = priced_graph(_line_positions([0.0, 50.0]), 80.0, params, noise)
-    e = graph.edge_id(0, 1)
+    e = edge_between(graph, 0, 1)
     assert graph.distance[e] == 50.0
     assert graph.ber[e] == pytest.approx(BER_CLEAR_50M, rel=1e-10)
 
@@ -77,15 +77,15 @@ def test_collinear_edges(default_setup):
     params, noise = default_setup
     graph = priced_graph(_line_positions([0.0, 60.0, 120.0]), 80.0, params, noise)
     assert graph.edge_count == 2
-    assert graph.has_edge(0, 1)
-    assert graph.has_edge(1, 2)
-    assert not graph.has_edge(0, 2)
+    assert edge_between(graph, 0, 1) is not None
+    assert edge_between(graph, 1, 2) is not None
+    assert edge_between(graph, 0, 2) is None
 
 
 def test_coincident_nodes_get_perfect_link(default_setup):
     params, noise = default_setup
     graph = priced_graph(np.array([(10.0, 10.0), (10.0, 10.0)]), 80.0, params, noise)
-    e = graph.edge_id(0, 1)
+    e = edge_between(graph, 0, 1)
     assert graph.ber[e] == 0.0
     assert graph.distance[e] == 1e-6
 
@@ -100,14 +100,14 @@ def test_graph_symmetry_and_cutoff_properties(default_setup):
         graph = priced_graph(positions, 40.0, params, noise)
         for u, v, distance, ber in graph_edges(graph):
             assert u != v
-            assert graph.edge_id(v, u) == graph.edge_id(u, v)
+            assert edge_between(graph, v, u) == edge_between(graph, u, v)
             assert distance <= 40.0
             assert 0.0 <= ber <= 0.5
         # an edge exists exactly when the separation is within range
         for u in range(graph.node_count):
             for v in range(u + 1, graph.node_count):
                 separation = math.dist(positions[u], positions[v])
-                assert graph.has_edge(u, v) == (separation <= 40.0)
+                assert (edge_between(graph, u, v) is not None) == (separation <= 40.0)
 
 
 def test_edge_ber_consistency_small_graphs(default_setup):
@@ -190,7 +190,7 @@ def test_coincident_pair_is_priced_for_every_count_that_holds_it(default_setup, 
     for n, links in zip(UNSORTED_COUNTS, priced):
         graph = build_graph(positions[:n], links)
         _assert_same_graph(graph, _reference_graph(positions[:n], 80.0, params, noise))
-        e = graph.edge_id(5, 30)
+        e = edge_between(graph, 5, 30)
         if n > 30:
             assert graph.ber[e] == 0.0
             assert graph.distance[e] == DEGENERATE_DISTANCE
