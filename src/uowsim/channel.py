@@ -9,15 +9,15 @@ erfc expression over the two rates.  Multi-hop bit error rates compose with
 the recursive odd-parity rule.
 
 Everything here is a pure function of its inputs; no shared state, safe to
-call from any number of threads.
+call from any number of threads.  numpy is imported in the two functions
+that use it, not at module load, so that the sweeps, which run on the
+scalar ``math`` path, do not pay for it.
 """
 
 import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 PLANCK = 6.62607015e-34  # J*s
 #: Speed of light in seawater (vacuum speed / refractive index 1.33).
@@ -289,6 +289,8 @@ def link_power_and_ber(distances, params: ChannelParams, noise: ReceiverNoise):
     numpy over an array of distances.  Used by the graph builder so that a
     trial prices all its candidate edges in one shot.
     """
+    import numpy as np
+
     d = np.asarray(distances, dtype=float)
     if np.any(d <= 0.0):
         raise ValueError("all distances must be > 0")
@@ -364,9 +366,9 @@ _ERFC_S = (
 )
 
 
-def _erfc(x: np.ndarray) -> np.ndarray:
-    """Complementary error function of arguments >= 0 or NaN, with the bits
-    of ``scipy.special.erfc``.
+def _erfc(x):
+    """Complementary error function of an array of arguments >= 0 or NaN,
+    with the bits of ``scipy.special.erfc``.
 
     Every element goes through the x < 1 branch, in numpy.  Those at
     x >= 1 (links shorter than about 11 m in clear water: 2.4% of the
@@ -375,6 +377,8 @@ def _erfc(x: np.ndarray) -> np.ndarray:
     two dozen more ufunc calls of a vectorised tail; at about 0.5 us an
     element, a graph made mostly of short links pays for it.
     """
+    import numpy as np
+
     # 27 * 27 > MAXLOG: clipping changes no result and keeps x * x finite.
     x = np.minimum(x, 27.0)
     z = x * x

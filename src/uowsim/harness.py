@@ -8,7 +8,9 @@ prefix of them, and source and target stay fixed.  All three protocols run
 on the identical graph of a trial.  Realizations are independent, so they
 can execute on any number of workers; records are always assembled and
 reduced in (node count, realization, protocol) order, which keeps results
-bit-identical regardless of parallelism.
+bit-identical regardless of parallelism.  numpy is imported in the
+functions that use it, not at module load, so that the sweeps and a
+rejected config never load it.
 """
 
 import math
@@ -16,8 +18,6 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field, fields, replace
-
-import numpy as np
 
 from .channel import ChannelParams, ReceiverNoise, WaterType, require_finite
 from .metrics import DelayModel, TrialMetrics, collect_trial, path_delay
@@ -160,6 +160,13 @@ class SimulationConfig:
                 f"realizations={self.realizations}; lower delay.per_hop_processing or "
                 "delay.packet_bits"
             )
+        # price_links indexes the largest count's node pairs with numpy's intp.
+        largest = max(counts)
+        if largest * (largest - 1) // 2 > sys.maxsize:
+            raise ConfigError(
+                f"node_count {largest} has more node pairs, n(n-1)/2, than an index "
+                f"holds ({sys.maxsize})"
+            )
 
     @property
     def node_counts(self) -> tuple[int, ...]:
@@ -178,6 +185,8 @@ class SimulationConfig:
 
 def derive_trial_seed(master_seed: int, realization_index: int) -> int:
     """Deterministic per-trial seed from the master seed and trial index."""
+    import numpy as np
+
     sequence = np.random.SeedSequence([int(master_seed), int(realization_index)])
     return int(sequence.generate_state(1, np.uint64)[0])
 
@@ -426,5 +435,7 @@ def _is_int(value) -> bool:
 def _mean_std(values):
     if not values:
         return None, None
+    import numpy as np
+
     arr = np.array(values, dtype=float)
     return float(arr.mean()), float(arr.std(ddof=0))

@@ -4,14 +4,14 @@ A deployment places the source and target at fixed positions and scatters
 relay nodes uniformly over the area with a seeded generator, so the same
 (config, seed) pair always reproduces the same network bit for bit.  Edges
 exist exactly between node pairs within the maximum transmission range and
-carry distance and single-link BER.
+carry distance and single-link BER.  numpy is imported in the functions
+that use it, not at module load, so that importing the package (as the
+sweeps do) does not pay for it.
 """
 
 import logging
 from collections import deque
 from functools import lru_cache
-
-import numpy as np
 
 from . import channel
 
@@ -45,6 +45,8 @@ class NetworkGraph:
         ``us`` and ``vs`` are the endpoint ids of each undirected edge, in
         any order; ``distance`` and ``ber`` are its figures.
         """
+        import numpy as np
+
         positions = np.asarray(positions, dtype=float)
         if positions.ndim != 2 or positions.shape[1] != 2:
             raise ValueError(f"positions must be an (n, 2) array, got {positions.shape}")
@@ -93,7 +95,7 @@ class NetworkGraph:
                 raise ValueError(f"unknown node id {node_id}")
 
 
-def generate_deployment(config, seed) -> np.ndarray:
+def generate_deployment(config, seed):
     """Place source, target and uniformly random relays for one trial.
 
     ``config`` is a `SimulationConfig` with a single ``node_count``.
@@ -101,6 +103,8 @@ def generate_deployment(config, seed) -> np.ndarray:
     arrays.  Returns the (n, 2) positions: row 0 is the source, row 1 the
     target and the rest are relays.
     """
+    import numpy as np
+
     n = config.single_node_count()
     width, height = config.area
     positions = np.empty((n, 2))
@@ -113,8 +117,10 @@ def generate_deployment(config, seed) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _pair_indices(n: int) -> tuple:
     """Read-only ``np.triu_indices(n, 1)``: every node pair (i, j), i < j."""
+    import numpy as np
+
     pairs = np.triu_indices(n, 1)
     for ids in pairs:
         ids.flags.writeable = False
@@ -141,6 +147,8 @@ def price_links(
     get a perfect link (ber 0) at the stand-in distance and a log entry for
     each count that holds them.
     """
+    import numpy as np
+
     if max_range <= 0.0:
         raise ValueError(f"max_range must be > 0, got {max_range}")
     positions = np.asarray(positions, dtype=float)

@@ -643,3 +643,76 @@ def test_cli_commands_do_not_import_scipy(tmp_path):
     )
     checks = [line.split()[1:] for line in result.stdout.splitlines() if line.startswith("imports ")]
     assert checks == [[args[0], "0", "False"] for args in commands], result.stdout + result.stderr
+
+
+def test_sweeps_and_usage_errors_do_not_import_numpy(tmp_path):
+    # The sweeps run on the scalar math path, and importing numpy would be
+    # about half of their start-up.  route and campaign load it on first use.
+    pythonpath = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
+    out = ["--out", str(tmp_path)]
+    commands = [
+        ["link-budget", *out],
+        ["ber-sweep", *out],
+        ["route", "--water", "clear,coastal", *out],  # argparse exits 2
+        ["route", "--nodes", str(10**20), *out],  # ConfigError
+        ["route", "--nodes", "20", "--seed", "3", *out],
+        ["campaign", "--nodes", "20", "--realizations", "2", *out],
+    ]
+    script = (
+        "import sys\n"
+        "import uowsim\n"
+        "from uowsim.cli import main\n"
+        f"for args in {commands!r}:\n"
+        "    try:\n"
+        "        code = main(args)\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        "    numpy = any(m.split('.')[0] == 'numpy' for m in sys.modules)\n"
+        "    print('imports', args[0], code, numpy)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    checks = [line.split()[1:] for line in result.stdout.splitlines() if line.startswith("imports ")]
+    assert checks == [
+        ["link-budget", "0", "False"],
+        ["ber-sweep", "0", "False"],
+        ["route", "2", "False"],
+        ["route", "2", "False"],
+        ["route", "0", "True"],
+        ["campaign", "0", "True"],
+    ], result.stdout + result.stderr
+
+
+def test_main_sweeps_match_reference_digests(tmp_path):
+    # The benchmark's sweep grid must write the bytes whose SHA-256 sums the
+    # benchmark keeps as its reference.
+    reference = json.loads((REPO_DIR / "perfbench" / "reference.json").read_text())
+    grid = [
+        "--distances", ",".join(f"{i / 10:.1f}" for i in range(1, 2001)),
+        "--divergences", ",".join(str(d) for d in range(5, 181, 5)),
+        "--water", "clear,coastal,turbid",
+        "--out", str(tmp_path),
+    ]
+    assert main(["link-budget", *grid]) == 0
+    assert main(["ber-sweep", *grid]) == 0
+    for name, digest in reference["sha256"]["sweep-full"].items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_main_rejects_node_counts_past_the_index_range(tmp_path, capsys):
+    # n(n-1)/2 node pairs past sys.maxsize cannot be indexed: a config
+    # error, not a traceback from numpy's allocation.
+    huge = str(10**20)
+    commands = [
+        ["route", "--nodes", huge],
+        ["campaign", "--nodes", f"20,{huge}", "--realizations", "1"],
+    ]
+    for args in commands:
+        assert main([*args, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: node_count ") and huge in err
+    assert not list(tmp_path.iterdir())

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -471,3 +472,14 @@ def test_config_from_dict_builds_or_raises_config_error(doc):
         return
     assert isinstance(config, SimulationConfig)
     assert math.isfinite(config.channel.extinction)
+
+
+def test_config_rejects_node_pairs_past_the_index_range():
+    # The largest count whose n(n-1)/2 node pairs an index can hold passes;
+    # the config is only checked here, no deployment is drawn.
+    largest = 2**32
+    assert largest * (largest - 1) // 2 <= sys.maxsize < (largest + 1) * largest // 2
+    assert SimulationConfig(node_count=largest).node_count == largest
+    for node_count in (largest + 1, (20, largest + 1), 10**20):
+        with pytest.raises(ConfigError, match="node_count"):
+            SimulationConfig(node_count=node_count)
