@@ -103,6 +103,17 @@ class ChannelParams:
             raise ValueError(
                 f"divergence_angle must be in (0, pi] with cos < 1, got {self.divergence_angle}"
             )
+        # The link model's constants, computed once here for both kernels.
+        # They are not fields, so equality, hashing, repr, `replace` and the
+        # config keys see only the parameters above.
+        cos_trajectory = math.cos(self.trajectory_angle)
+        object.__setattr__(self, "cos_trajectory", cos_trajectory)
+        object.__setattr__(self, "neg_extinction", -self.extinction)
+        object.__setattr__(self, "projected_area", self.aperture_area * cos_trajectory)
+        object.__setattr__(
+            self, "beam_solid_angle", 2.0 * math.pi * (1.0 - math.cos(self.divergence_angle))
+        )
+        object.__setattr__(self, "tx_gain", self.tx_power * self.tx_efficiency * self.rx_efficiency)
 
     @classmethod
     def for_water(
@@ -148,7 +159,8 @@ class ReceiverNoise:
         require_finite(ValueError, **vars(self))
         if self.dark_count_rate < 0.0 or self.background_rate < 0.0:
             raise ValueError("noise rates must be >= 0")
-        if self.dark_count_rate + self.background_rate > sys.float_info.max:
+        noise_rate = self.dark_count_rate + self.background_rate
+        if noise_rate > sys.float_info.max:
             raise ValueError("noise rates must have a finite sum")
         if not 0.0 <= self.detector_efficiency <= 1.0:
             raise ValueError(
@@ -158,12 +170,18 @@ class ReceiverNoise:
             raise ValueError(f"pulse_duration must be > 0, got {self.pulse_duration}")
         if self.data_rate <= 0.0:
             raise ValueError(f"data_rate must be > 0, got {self.data_rate}")
-        denominator = photon_rate_denominator(self)
+        # What the photon arrival rate divides the detected power by, in J m.
+        denominator = self.pulse_duration * self.data_rate * PLANCK * LIGHT_SPEED_WATER
         if not 0.0 < denominator <= sys.float_info.max:
             raise ValueError(
                 f"pulse_duration * data_rate * PLANCK * LIGHT_SPEED_WATER must be finite "
                 f"and > 0, got {denominator}"
             )
+        # Constants of the BER model, not fields, as in `ChannelParams`.
+        object.__setattr__(self, "rate_denominator", denominator)
+        object.__setattr__(self, "noise_rate", noise_rate)
+        object.__setattr__(self, "sqrt_noise_rate", math.sqrt(noise_rate))
+        object.__setattr__(self, "sqrt_half_pulse", math.sqrt(self.pulse_duration / 2.0))
 
 
 def received_power_los(distance: float, params: ChannelParams) -> float:
@@ -175,26 +193,14 @@ def received_power_los(distance: float, params: ChannelParams) -> float:
     """
     if distance <= 0.0:
         raise ValueError(f"distance must be > 0, got {distance}")
-    cos_traj = math.cos(params.trajectory_angle)
-    attenuation = math.exp(-params.extinction * distance / cos_traj)
-    spreading = params.aperture_area * cos_traj / (
-        2.0 * math.pi * (1.0 - math.cos(params.divergence_angle)) * distance * distance
-    )
-    return (
-        params.tx_power
-        * params.tx_efficiency
-        * params.rx_efficiency
-        * attenuation
-        * spreading
-    )
-
-
-def photon_rate_denominator(noise: ReceiverNoise) -> float:
-    """What the photon arrival rate divides the detected power by, in J m.
-
-    `ReceiverNoise` rejects a value that is 0 or not finite.
-    """
-    return noise.pulse_duration * noise.data_rate * PLANCK * LIGHT_SPEED_WATER
+    attenuation = math.exp(params.neg_extinction * distance / params.cos_trajectory)
+    try:
+        spreading = params.projected_area / (params.beam_solid_angle * distance * distance)
+    except ZeroDivisionError:
+        # The divisor underflowed to 0: the spreading's limit, which
+        # `link_power_and_ber`'s numpy division gives too.
+        spreading = math.inf
+    return params.tx_gain * attenuation * spreading
 
 
 def photon_arrival_rate(
@@ -203,10 +209,7 @@ def photon_arrival_rate(
     """Signal photon arrival rate at the detector, counts per second."""
     if received_power < 0.0:
         raise ValueError(f"received_power must be >= 0, got {received_power}")
-    # photon_rate_denominator, inlined: a sweep calls this once per row.
-    return (received_power * noise.detector_efficiency * params.wavelength) / (
-        noise.pulse_duration * noise.data_rate * PLANCK * LIGHT_SPEED_WATER
-    )
+    return (received_power * noise.detector_efficiency * params.wavelength) / noise.rate_denominator
 
 
 def single_link_ber(
@@ -219,15 +222,14 @@ def single_link_ber(
     to exactly 0.0.
     """
     rate_signal = photon_arrival_rate(received_power, params, noise)
-    rate_zero = noise.dark_count_rate + noise.background_rate
-    rate_one = rate_zero + rate_signal
+    rate_one = noise.noise_rate + rate_signal
     if rate_one == math.inf:
         return _ber_past_float_rate(received_power, params, noise)
-    denom = math.sqrt(rate_one) + math.sqrt(rate_zero)
+    denom = math.sqrt(rate_one) + noise.sqrt_noise_rate
     # sqrt(r1) - sqrt(r0) evaluated as rp / (sqrt(r1) + sqrt(r0)) to avoid
     # cancellation when the signal rate is far below the noise rates.
     diff = rate_signal / denom if denom > 0.0 else 0.0
-    ber = 0.5 * math.erfc(math.sqrt(noise.pulse_duration / 2.0) * diff)
+    ber = 0.5 * math.erfc(noise.sqrt_half_pulse * diff)
     return 0.0 if ber < BER_FLOOR else ber
 
 
@@ -248,14 +250,14 @@ def _ber_past_float_rate(
         math.log(received_power)
         + math.log(noise.detector_efficiency)
         + math.log(params.wavelength)
-        - math.log(photon_rate_denominator(noise))
+        - math.log(noise.rate_denominator)
     )
     log_photons = log_rate + math.log(noise.pulse_duration)
     # exp overflows above about 709.8.  Past 700, s/2 > 1e303 and q < 1e17
     # (r0 is finite, so rs > 1e292), which put the argument far above 27.
     if log_photons > 700.0:
         return 0.0
-    rate_zero = noise.dark_count_rate + noise.background_rate
+    rate_zero = noise.noise_rate
     q = math.exp(math.log(rate_zero) - log_rate) if rate_zero > 0.0 else 0.0
     argument = math.sqrt(math.exp(log_photons) / 2.0) / (math.sqrt(1.0 + q) + math.sqrt(q))
     ber = 0.5 * math.erfc(argument)
@@ -294,29 +296,24 @@ def link_power_and_ber(distances, params: ChannelParams, noise: ReceiverNoise):
     d = np.asarray(distances, dtype=float)
     if np.any(d <= 0.0):
         raise ValueError("all distances must be > 0")
-    cos_traj = math.cos(params.trajectory_angle)
     # A power or photon rate past the float range gives inf, and inf / inf
     # NaN; the loop below redoes those elements without overflow.
     with np.errstate(over="ignore", invalid="ignore"):
+        # Not the scalar kernel's order: area and cos multiply separately.
         power = (
-            params.tx_power
-            * params.tx_efficiency
-            * params.rx_efficiency
-            * np.exp(-params.extinction * d / cos_traj)
+            params.tx_gain
+            * np.exp(params.neg_extinction * d / params.cos_trajectory)
             * params.aperture_area
-            * cos_traj
-            / (2.0 * math.pi * (1.0 - math.cos(params.divergence_angle)) * d * d)
+            * params.cos_trajectory
+            / (params.beam_solid_angle * d * d)
         )
-        rate_signal = (power * noise.detector_efficiency * params.wavelength) / (
-            photon_rate_denominator(noise)
-        )
-        rate_zero = noise.dark_count_rate + noise.background_rate
-        rate_one = rate_zero + rate_signal
-        denom = np.sqrt(rate_one) + math.sqrt(rate_zero)
+        rate_signal = (power * noise.detector_efficiency * params.wavelength) / noise.rate_denominator
+        rate_one = noise.noise_rate + rate_signal
+        denom = np.sqrt(rate_one) + noise.sqrt_noise_rate
         diff = np.divide(
             rate_signal, denom, out=np.zeros_like(rate_signal), where=denom > 0.0
         )
-    ber = 0.5 * _erfc(math.sqrt(noise.pulse_duration / 2.0) * diff)
+    ber = 0.5 * _erfc(noise.sqrt_half_pulse * diff)
     ber = np.where(ber < BER_FLOOR, 0.0, ber)
     overflowed = np.flatnonzero(rate_one == math.inf)
     if len(overflowed):

@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import pickle
+import random
 import warnings
 
 import numpy as np
@@ -346,3 +349,228 @@ def test_fold_reference_agrees_with_parity():
     for _ in range(50):
         bers = rng.uniform(0.0, 0.5, size=4).tolist()
         assert fold_reference(bers) == pytest.approx(parity_e2e_reference(bers), rel=1e-12)
+
+
+# The link model as written before its constants moved onto ChannelParams
+# and ReceiverNoise, copied verbatim (the denominator function inlined):
+# the kernels must keep every bit of these expressions.
+def _power_before(distance, params):
+    cos_traj = math.cos(params.trajectory_angle)
+    attenuation = math.exp(-params.extinction * distance / cos_traj)
+    spreading = params.aperture_area * cos_traj / (
+        2.0 * math.pi * (1.0 - math.cos(params.divergence_angle)) * distance * distance
+    )
+    return (
+        params.tx_power
+        * params.tx_efficiency
+        * params.rx_efficiency
+        * attenuation
+        * spreading
+    )
+
+
+def _ber_before(received_power, params, noise):
+    rate_signal = (received_power * noise.detector_efficiency * params.wavelength) / (
+        noise.pulse_duration * noise.data_rate * PLANCK * LIGHT_SPEED_WATER
+    )
+    rate_zero = noise.dark_count_rate + noise.background_rate
+    rate_one = rate_zero + rate_signal
+    if rate_one == math.inf:
+        return _ber_past_float_rate_before(received_power, params, noise)
+    denom = math.sqrt(rate_one) + math.sqrt(rate_zero)
+    diff = rate_signal / denom if denom > 0.0 else 0.0
+    ber = 0.5 * math.erfc(math.sqrt(noise.pulse_duration / 2.0) * diff)
+    return 0.0 if ber < channel.BER_FLOOR else ber
+
+
+def _ber_past_float_rate_before(received_power, params, noise):
+    if received_power == math.inf:
+        return 0.0
+    log_rate = (
+        math.log(received_power)
+        + math.log(noise.detector_efficiency)
+        + math.log(params.wavelength)
+        - math.log(noise.pulse_duration * noise.data_rate * PLANCK * LIGHT_SPEED_WATER)
+    )
+    log_photons = log_rate + math.log(noise.pulse_duration)
+    if log_photons > 700.0:
+        return 0.0
+    rate_zero = noise.dark_count_rate + noise.background_rate
+    q = math.exp(math.log(rate_zero) - log_rate) if rate_zero > 0.0 else 0.0
+    argument = math.sqrt(math.exp(log_photons) / 2.0) / (math.sqrt(1.0 + q) + math.sqrt(q))
+    ber = 0.5 * math.erfc(argument)
+    return 0.0 if ber < channel.BER_FLOOR else ber
+
+
+def _vector_before(distances, params, noise):
+    d = np.asarray(distances, dtype=float)
+    cos_traj = math.cos(params.trajectory_angle)
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = (
+            params.tx_power
+            * params.tx_efficiency
+            * params.rx_efficiency
+            * np.exp(-params.extinction * d / cos_traj)
+            * params.aperture_area
+            * cos_traj
+            / (2.0 * math.pi * (1.0 - math.cos(params.divergence_angle)) * d * d)
+        )
+        rate_signal = (power * noise.detector_efficiency * params.wavelength) / (
+            noise.pulse_duration * noise.data_rate * PLANCK * LIGHT_SPEED_WATER
+        )
+        rate_zero = noise.dark_count_rate + noise.background_rate
+        rate_one = rate_zero + rate_signal
+        denom = np.sqrt(rate_one) + math.sqrt(rate_zero)
+        diff = np.divide(
+            rate_signal, denom, out=np.zeros_like(rate_signal), where=denom > 0.0
+        )
+    ber = 0.5 * channel._erfc(math.sqrt(noise.pulse_duration / 2.0) * diff)
+    ber = np.where(ber < channel.BER_FLOOR, 0.0, ber)
+    overflowed = np.flatnonzero(rate_one == math.inf)
+    if len(overflowed):
+        ber[overflowed] = [
+            _ber_past_float_rate_before(p, params, noise) for p in power[overflowed].tolist()
+        ]
+    return power, ber
+
+
+def _smallest_divergence():
+    """The smallest angle whose cosine rounds below 1, by bisection."""
+    low, high = 0.0, 1e-7
+    while math.nextafter(low, 1.0) < high:
+        middle = (low + high) / 2.0
+        low, high = (low, middle) if math.cos(middle) < 1.0 else (middle, high)
+    return high
+
+
+def _random_link(rng):
+    """One seeded (ChannelParams, ReceiverNoise) draw, edge cases included."""
+
+    def log_uniform(low, high):
+        return 10.0 ** rng.uniform(low, high)
+
+    def efficiency():
+        return rng.choice((0.0, 1.0, rng.random(), rng.random(), rng.random()))
+
+    trajectory = rng.choice(
+        (0.0, math.nextafter(math.pi / 2.0, 0.0), rng.uniform(1.5, math.pi / 2.0))
+        + (rng.uniform(0.0, math.pi / 2.0),) * 3
+    )
+    divergence = rng.choice(
+        (_smallest_divergence(), math.pi) + (rng.uniform(1e-6, math.pi),) * 4
+    )
+    params = ChannelParams(
+        wavelength=log_uniform(-7, -5),
+        extinction=rng.choice((0.0, rng.uniform(0.0, 3.0))),
+        # About one draw in five carries a power past the float range.
+        tx_power=log_uniform(290, 308) if rng.random() < 0.2 else log_uniform(-3, 1),
+        tx_efficiency=efficiency(),
+        rx_efficiency=efficiency(),
+        aperture_area=log_uniform(-8, -2),
+        trajectory_angle=trajectory,
+        divergence_angle=divergence,
+    )
+    rates = (0.0, log_uniform(0, 12), log_uniform(0, 12))
+    if rng.random() < 0.1:
+        # A denominator so small that short links' photon rates overflow.
+        timing = {"pulse_duration": 1e-307, "data_rate": 10.0 ** rng.uniform(30, 40)}
+    else:
+        timing = {"pulse_duration": log_uniform(-12, -6), "data_rate": log_uniform(3, 10)}
+    noise = ReceiverNoise(
+        dark_count_rate=rng.choice(rates),
+        background_rate=rng.choice(rates),
+        detector_efficiency=efficiency(),
+        **timing,
+    )
+    return params, noise
+
+
+def test_kernels_keep_every_bit_of_the_model_before_its_constants_were_stored():
+    rng = random.Random(20)
+    seen = {"inf power": 0, "zero power": 0, "rate past float": 0, "orders differ": 0}
+    for _ in range(600):
+        params, noise = _random_link(rng)
+        distances = [10.0 ** rng.uniform(-3, 3) for _ in range(4)]
+        distances.append(10.0 ** rng.uniform(-150, -100))
+        powers, bers = link_power_and_ber(distances, params, noise)
+        powers_before, bers_before = _vector_before(distances, params, noise)
+        assert powers.tobytes() == powers_before.tobytes()
+        assert bers.tobytes() == bers_before.tobytes()
+        for distance, vector_power in zip(distances, powers.tolist()):
+            power = received_power_los(distance, params)
+            ber = single_link_ber(power, params, noise)
+            assert power.hex() == _power_before(distance, params).hex()
+            assert ber.hex() == _ber_before(power, params, noise).hex()
+            seen["inf power"] += power == math.inf
+            seen["zero power"] += power == 0.0
+            seen["rate past float"] += photon_arrival_rate(power, params, noise) == math.inf
+            seen["orders differ"] += power != vector_power
+    # Every edge case was drawn, and the scalar and vector kernels keep
+    # their own operation orders, whose bits differ.
+    assert all(seen.values()), seen
+
+
+def _stored_constants(value):
+    names = {field.name for field in dataclasses.fields(value)}
+    return {name: number for name, number in vars(value).items() if name not in names}
+
+
+def test_stored_constants_follow_the_fields():
+    params = ChannelParams(trajectory_angle=0.3, divergence_angle=0.2, tx_efficiency=0.5)
+    noise = ReceiverNoise(dark_count_rate=4.0, background_rate=5.0, pulse_duration=2e-9)
+    assert _stored_constants(params) == {
+        "cos_trajectory": math.cos(0.3),
+        "neg_extinction": -params.extinction,
+        "projected_area": params.aperture_area * math.cos(0.3),
+        "beam_solid_angle": 2.0 * math.pi * (1.0 - math.cos(0.2)),
+        "tx_gain": params.tx_power * 0.5 * params.rx_efficiency,
+    }
+    assert _stored_constants(noise) == {
+        "rate_denominator": 2e-9 * noise.data_rate * PLANCK * LIGHT_SPEED_WATER,
+        "noise_rate": 9.0,
+        "sqrt_noise_rate": 3.0,
+        "sqrt_half_pulse": math.sqrt(1e-9),
+    }
+    # replace recomputes them from the new fields.
+    for value, changes in (
+        (params, {"trajectory_angle": 1.0, "divergence_angle": 1.5, "tx_power": 2.0}),
+        (params, {"extinction": 2.19, "aperture_area": 1e-3}),
+        (noise, {"dark_count_rate": 0.0, "background_rate": 0.0, "pulse_duration": 3e-8}),
+        (noise, {"data_rate": 5e9}),
+    ):
+        changed = dataclasses.replace(value, **changes)
+        assert _stored_constants(changed) == _stored_constants(type(value)(**{
+            field.name: getattr(changed, field.name) for field in dataclasses.fields(value)
+        }))
+        assert _stored_constants(changed) != _stored_constants(value)
+    # A pickle round trip, as to a pool worker, keeps them.
+    for value in (params, noise, SimulationConfig(channel=params, noise=noise)):
+        assert pickle.loads(pickle.dumps(value)) == value
+    assert _stored_constants(pickle.loads(pickle.dumps(params))) == _stored_constants(params)
+    assert _stored_constants(pickle.loads(pickle.dumps(noise))) == _stored_constants(noise)
+
+
+def test_stored_constants_leave_equality_repr_and_fields_alone():
+    clear = ChannelParams.for_water(WaterType.CLEAR_OCEAN)
+    rebuilt = dataclasses.replace(dataclasses.replace(clear, extinction=2.19), extinction=0.15)
+    assert clear == rebuilt == ChannelParams() and hash(clear) == hash(rebuilt)
+    assert ReceiverNoise() == ReceiverNoise(pulse_duration=1e-9)
+    assert hash(ReceiverNoise()) == hash(ReceiverNoise(pulse_duration=1e-9))
+    assert ChannelParams(tx_power=0.2) != ChannelParams()
+    assert [field.name for field in dataclasses.fields(ChannelParams)] == [
+        "wavelength", "extinction", "tx_power", "tx_efficiency", "rx_efficiency",
+        "aperture_area", "trajectory_angle", "divergence_angle",
+    ]
+    assert [field.name for field in dataclasses.fields(ReceiverNoise)] == [
+        "dark_count_rate", "background_rate", "detector_efficiency", "pulse_duration",
+        "data_rate",
+    ]
+    assert repr(ReceiverNoise()) == (
+        "ReceiverNoise(dark_count_rate=1000000.0, background_rate=1000000.0, "
+        "detector_efficiency=0.9, pulse_duration=1e-09, data_rate=1000000.0)"
+    )
+    assert repr(ChannelParams(trajectory_angle=0.5, divergence_angle=1.0)) == (
+        "ChannelParams(wavelength=5.3e-07, extinction=0.15, tx_power=0.1, "
+        "tx_efficiency=0.9, rx_efficiency=0.9, aperture_area=1.7e-07, "
+        "trajectory_angle=0.5, divergence_angle=1.0)"
+    )

@@ -475,6 +475,41 @@ def test_main_sweeps_on_a_nan_power(tmp_path, capsys):
     assert [row.split(",")[3] for row in rows] == ["5.00000000e-01"] * 2
 
 
+def test_main_sweeps_where_the_spreading_divisor_underflows(tmp_path, capsys):
+    # At 1e-155 m the distance's square is a normal float, but the beam's
+    # solid angle at 1e-6 degrees times it underflows to 0: the spreading
+    # takes its limit, inf, and the rules for an infinite power apply.
+    grid = ["--distances", "1e-155,1", "--divergences", "1e-6", "--water", "clear"]
+    grid += ["--out", str(tmp_path)]
+    assert main(["link-budget", *grid]) == 2
+    assert "distance 1e-155 m" in capsys.readouterr().err
+    assert not (tmp_path / "link_budget.csv").exists()
+    assert main(["ber-sweep", *grid]) == 0
+    rows = (tmp_path / "ber_sweep.csv").read_text().splitlines()[1:]
+    assert rows[0].split(",")[3] == "0.00000000e+00"
+    # With a zero efficiency the power is 0 * inf = NaN, the BER of no signal.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"channel": {"rx_efficiency": 0}}))
+    assert main(["ber-sweep", *grid, "--config", str(config)]) == 0
+    rows = (tmp_path / "ber_sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[3] for row in rows] == ["5.00000000e-01"] * 2
+
+
+def test_main_rejects_a_config_key_naming_a_stored_constant(tmp_path, capsys):
+    # ChannelParams and ReceiverNoise store their model constants as
+    # attributes that are not fields, and so not config keys.
+    for key, cls in (("channel", ChannelParams), ("noise", ReceiverNoise)):
+        value = cls()
+        names = set(vars(value)) - {field.name for field in dataclasses.fields(value)}
+        assert names
+        for name in sorted(names):
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({key: {name: 1.0}}))
+            assert main(["ber-sweep", "--config", str(config), "--out", str(tmp_path)]) == 2
+            assert name in capsys.readouterr().err
+    assert not (tmp_path / "ber_sweep.csv").exists()
+
+
 def test_main_sweep_bytes_match_rows_formatted_one_by_one(tmp_path):
     # Unsorted, repeated and extreme distances: formatting each distance and
     # each block's prefix once must not reorder, merge or drop rows.
