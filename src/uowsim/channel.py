@@ -16,7 +16,7 @@ scalar ``math`` path, do not pay for it.
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 PLANCK = 6.62607015e-34  # J*s
@@ -43,22 +43,47 @@ _EXTINCTION_PER_M = {
 }
 
 
-def require_finite(error, **values) -> None:
-    """Raise ``error`` unless each value is a finite real number.
+# A rule, for `ranged` fields and `check_rule`, is (kind, low, high, ends):
+# the type, int or float, and the interval from low to high whose ends are
+# "[" or "(" then "]" or ")".
+POSITIVE = (float, 0.0, math.inf, "()")
+NON_NEGATIVE = (float, 0.0, math.inf, "[)")
+FRACTION = (float, 0.0, 1.0, "[]")
+FINITE = (float, -math.inf, math.inf, "()")
 
-    A tuple or list value is checked element by element, and bools are
-    not numbers here.  An int too large for a float is not finite either:
-    Python compares it exactly with the largest float, where
-    ``math.isfinite`` would raise OverflowError.
+
+def ranged(default, rule, each: bool = False):
+    """A dataclass field that `check_fields` holds to ``rule``, or with
+    ``each`` a tuple field whose elements it holds to it."""
+    return field(default=default, metadata={"rule": rule, "each": each})
+
+
+def check_rule(error, name: str, value, rule) -> None:
+    """Raise ``error`` unless ``value`` is of the rule's kind and in its interval.
+
+    Bools are not numbers here, and a float value may be an int but not
+    past the float range: an int is compared exactly with the largest
+    float, where ``math.isfinite`` would raise OverflowError.
     """
-    for name, value in values.items():
-        for number in value if isinstance(value, (tuple, list)) else (value,):
-            if (
-                isinstance(number, bool)
-                or not isinstance(number, (int, float))
-                or not abs(number) <= sys.float_info.max
-            ):
-                raise error(f"{name} must be a finite number, got {value!r}")
+    kind, low, high, ends = rule
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float) if kind is float else int)
+        or (kind is float and not abs(value) <= sys.float_info.max)
+        or not (low < value if ends[0] == "(" else low <= value)
+        or not (value < high if ends[1] == ")" else value <= high)
+    ):
+        kind_name = "a float" if kind is float else "an int"
+        raise error(f"{name} must be {kind_name} in {ends[0]}{low}, {high}{ends[1]}, got {value!r}")
+
+
+def check_fields(error, obj) -> None:
+    """`check_rule` on every field of the dataclass ``obj`` that has a rule."""
+    for spec in fields(obj):
+        if "rule" in spec.metadata:
+            value = getattr(obj, spec.name)
+            for item in value if spec.metadata["each"] and isinstance(value, tuple) else (value,):
+                check_rule(error, spec.name, item, spec.metadata["rule"])
 
 
 @dataclass(frozen=True)
@@ -70,36 +95,20 @@ class ChannelParams:
     sets it from a water type or from its two components.
     """
 
-    wavelength: float = 530e-9
-    extinction: float = _EXTINCTION_PER_M[WaterType.CLEAR_OCEAN]
-    tx_power: float = 0.1
-    tx_efficiency: float = 0.9
-    rx_efficiency: float = 0.9
-    aperture_area: float = 0.17e-6
-    trajectory_angle: float = math.radians(60.0)
-    divergence_angle: float = math.radians(60.0)
+    wavelength: float = ranged(530e-9, POSITIVE)
+    extinction: float = ranged(_EXTINCTION_PER_M[WaterType.CLEAR_OCEAN], NON_NEGATIVE)
+    tx_power: float = ranged(0.1, POSITIVE)
+    tx_efficiency: float = ranged(0.9, FRACTION)
+    rx_efficiency: float = ranged(0.9, FRACTION)
+    aperture_area: float = ranged(0.17e-6, POSITIVE)
+    trajectory_angle: float = ranged(math.radians(60.0), (float, 0.0, math.pi / 2.0, "[)"))
+    divergence_angle: float = ranged(math.radians(60.0), (float, 0.0, math.pi, "(]"))
 
     def __post_init__(self):
-        require_finite(ValueError, **vars(self))
-        if self.wavelength <= 0.0:
-            raise ValueError(f"wavelength must be > 0, got {self.wavelength}")
-        if self.extinction < 0.0:
-            raise ValueError(f"extinction must be >= 0, got {self.extinction}")
-        if self.tx_power <= 0.0:
-            raise ValueError(f"tx_power must be > 0, got {self.tx_power}")
-        if self.aperture_area <= 0.0:
-            raise ValueError(f"aperture_area must be > 0, got {self.aperture_area}")
-        for name in ("tx_efficiency", "rx_efficiency"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if not 0.0 <= self.trajectory_angle < math.pi / 2.0:
-            raise ValueError(
-                f"trajectory_angle must be in [0, pi/2), got {self.trajectory_angle}"
-            )
+        check_fields(ValueError, self)
         # The spreading divides by 1 - cos(angle), which rounds to 0 below
         # about 1.05e-8 rad.
-        if not 0.0 < self.divergence_angle <= math.pi or math.cos(self.divergence_angle) == 1.0:
+        if math.cos(self.divergence_angle) == 1.0:
             raise ValueError(
                 f"divergence_angle must be in (0, pi] with cos < 1, got {self.divergence_angle}"
             )
@@ -129,11 +138,8 @@ class ChannelParams:
             return cls(**{"extinction": _EXTINCTION_PER_M[water], **overrides})
         if absorption is None or scattering is None:
             raise ValueError("absorption and scattering must be given together")
-        require_finite(ValueError, absorption=absorption, scattering=scattering)
-        if absorption < 0.0 or scattering < 0.0:
-            raise ValueError(
-                f"absorption and scattering must be >= 0, got {absorption}, {scattering}"
-            )
+        check_rule(ValueError, "absorption", absorption, NON_NEGATIVE)
+        check_rule(ValueError, "scattering", scattering, NON_NEGATIVE)
         total = absorption + scattering
         params = cls(**{"extinction": total, **overrides})
         if not math.isclose(params.extinction, total, rel_tol=1e-12, abs_tol=1e-15):
@@ -149,27 +155,17 @@ class ReceiverNoise:
     bits per second.
     """
 
-    dark_count_rate: float = 1e6
-    background_rate: float = 1e6
-    detector_efficiency: float = 0.9
-    pulse_duration: float = 1e-9
-    data_rate: float = 1e6
+    dark_count_rate: float = ranged(1e6, NON_NEGATIVE)
+    background_rate: float = ranged(1e6, NON_NEGATIVE)
+    detector_efficiency: float = ranged(0.9, FRACTION)
+    pulse_duration: float = ranged(1e-9, POSITIVE)
+    data_rate: float = ranged(1e6, POSITIVE)
 
     def __post_init__(self):
-        require_finite(ValueError, **vars(self))
-        if self.dark_count_rate < 0.0 or self.background_rate < 0.0:
-            raise ValueError("noise rates must be >= 0")
+        check_fields(ValueError, self)
         noise_rate = self.dark_count_rate + self.background_rate
         if noise_rate > sys.float_info.max:
             raise ValueError("noise rates must have a finite sum")
-        if not 0.0 <= self.detector_efficiency <= 1.0:
-            raise ValueError(
-                f"detector_efficiency must be in [0, 1], got {self.detector_efficiency}"
-            )
-        if self.pulse_duration <= 0.0:
-            raise ValueError(f"pulse_duration must be > 0, got {self.pulse_duration}")
-        if self.data_rate <= 0.0:
-            raise ValueError(f"data_rate must be > 0, got {self.data_rate}")
         # What the photon arrival rate divides the detected power by, in J m.
         denominator = self.pulse_duration * self.data_rate * PLANCK * LIGHT_SPEED_WATER
         if not 0.0 < denominator <= sys.float_info.max:

@@ -19,7 +19,7 @@ import sys
 import time
 from dataclasses import dataclass, field, fields, replace
 
-from .channel import ChannelParams, ReceiverNoise, WaterType, require_finite
+from .channel import FINITE, POSITIVE, ChannelParams, ReceiverNoise, WaterType, check_fields, ranged
 from .metrics import DelayModel, TrialMetrics, collect_trial, path_delay
 from .routing import (
     FailureReason,
@@ -62,18 +62,18 @@ class SimulationConfig:
     it with ``ChannelParams.for_water``.
     """
 
-    area: tuple[float, float] = (250.0, 250.0)
-    node_count: int | tuple[int, ...] = 40
-    max_range: float = 80.0
+    area: tuple[float, float] = ranged((250.0, 250.0), POSITIVE, each=True)
+    node_count: int | tuple[int, ...] = ranged(40, (int, 2, math.inf, "[)"), each=True)
+    max_range: float = ranged(80.0, POSITIVE)
     channel: ChannelParams = field(default_factory=ChannelParams)
     noise: ReceiverNoise = field(default_factory=ReceiverNoise)
-    source_pos: tuple[float, float] = (52.5, 125.0)
-    target_pos: tuple[float, float] = (197.5, 125.0)
+    source_pos: tuple[float, float] = ranged((52.5, 125.0), FINITE, each=True)
+    target_pos: tuple[float, float] = ranged((197.5, 125.0), FINITE, each=True)
     protocols: tuple[Protocol, ...] = (Protocol.CRP, Protocol.DRP, Protocol.SRP)
     weight_mode: WeightMode = WeightMode.EXACT_LOG
     delay: DelayModel = field(default_factory=DelayModel)
-    realizations: int = 500
-    master_seed: int = 42
+    realizations: int = ranged(500, (int, 1, math.inf, "[)"))
+    master_seed: int = ranged(42, (int, 0, math.inf, "[)"))
     srp_fallback: bool = False
     record_timing: bool = False
 
@@ -83,53 +83,34 @@ class SimulationConfig:
             ("noise", ReceiverNoise),
             ("delay", DelayModel),
             ("weight_mode", WeightMode),
+            ("srp_fallback", bool),
+            ("record_timing", bool),
         ):
             if not isinstance(getattr(self, name), cls):
                 raise ConfigError(f"{name} must be a {cls.__name__}, got {getattr(self, name)!r}")
-        if isinstance(self.node_count, int):
-            counts = (self.node_count,)
-        elif isinstance(self.node_count, (list, tuple)) and self.node_count:
+        if isinstance(self.node_count, (list, tuple)) and self.node_count:
             counts = tuple(self.node_count)
             object.__setattr__(self, "node_count", counts[0] if len(counts) == 1 else counts)
-        else:
+        elif not isinstance(self.node_count, int):
             raise ConfigError(
                 f"node_count must be an int or a non-empty list of ints, got {self.node_count!r}"
             )
-        for n in counts:
-            if not _is_int(n) or n < 2:
-                raise ConfigError(f"node_count values must be ints >= 2, got {n!r}")
-        if len(set(counts)) != len(counts):
-            raise ConfigError(f"node_count sweep repeats a value: {counts}")
         for name in ("area", "source_pos", "target_pos"):
             pair = getattr(self, name)
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise ConfigError(f"{name} must be a pair of numbers, got {pair!r}")
             object.__setattr__(self, name, tuple(pair))
-        require_finite(
-            ConfigError,
-            area=self.area,
-            max_range=self.max_range,
-            source_pos=self.source_pos,
-            target_pos=self.target_pos,
-        )
+        check_fields(ConfigError, self)
+        counts = self.node_counts
+        if len(set(counts)) != len(counts):
+            raise ConfigError(f"node_count sweep repeats a value: {counts}")
         width, height = self.area
-        if width <= 0.0 or height <= 0.0:
-            raise ConfigError(f"area dimensions must be > 0, got {self.area}")
         # build_graph squares coordinate offsets; where a square underflows,
         # distinct nodes would count as coincident.
         if width * width < sys.float_info.min or height * height < sys.float_info.min:
             raise ConfigError(f"area dimensions are too small to square, got {self.area}")
         if not math.isfinite(width * width + height * height):
             raise ConfigError(f"area diagonal overflows a float, got {self.area}")
-        if self.max_range <= 0.0:
-            raise ConfigError(f"max_range must be > 0, got {self.max_range}")
-        if not _is_int(self.realizations) or self.realizations < 1:
-            raise ConfigError(f"realizations must be an int >= 1, got {self.realizations!r}")
-        if not _is_int(self.master_seed) or self.master_seed < 0:
-            raise ConfigError(f"master_seed must be an int >= 0, got {self.master_seed!r}")
-        for name in ("srp_fallback", "record_timing"):
-            if not isinstance(getattr(self, name), bool):
-                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
         if not isinstance(self.protocols, (list, tuple)) or not self.protocols:
             raise ConfigError(f"protocols must be a non-empty list or tuple, got {self.protocols!r}")
         if not all(isinstance(p, Protocol) for p in self.protocols):
@@ -426,10 +407,6 @@ def config_from_dict(raw: dict) -> SimulationConfig:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _mean_std(values):

@@ -8,7 +8,7 @@ between protocols are meaningful for comparison purposes.
 
 from dataclasses import dataclass
 
-from .channel import LIGHT_SPEED_WATER, require_finite
+from .channel import LIGHT_SPEED_WATER, NON_NEGATIVE, POSITIVE, check_fields, ranged
 from .routing import FailureReason, Protocol, Route
 
 
@@ -21,17 +21,11 @@ class DelayModel:
     and the speed of light is ``LIGHT_SPEED_WATER``.
     """
 
-    packet_bits: float = 1024.0
-    per_hop_processing: float = 0.0
+    packet_bits: float = ranged(1024.0, POSITIVE)
+    per_hop_processing: float = ranged(0.0, NON_NEGATIVE)
 
     def __post_init__(self):
-        require_finite(ValueError, **vars(self))
-        if self.packet_bits <= 0.0:
-            raise ValueError(f"packet_bits must be > 0, got {self.packet_bits}")
-        if self.per_hop_processing < 0.0:
-            raise ValueError(
-                f"per_hop_processing must be >= 0, got {self.per_hop_processing}"
-            )
+        check_fields(ValueError, self)
 
 
 @dataclass(frozen=True)
