@@ -16,9 +16,10 @@ import argparse
 import json
 import math
 import sys
+from array import array
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import repeat
+from itertools import islice
 from operator import attrgetter
 from pathlib import Path
 
@@ -38,6 +39,9 @@ from .topology import NetworkGraph
 DEFAULT_DISTANCES = tuple(float(d) for d in range(5, 105, 5))
 DEFAULT_DIVERGENCES_DEG = (30.0, 60.0, 90.0)
 ALL_WATERS = (WaterType.CLEAR_OCEAN, WaterType.COASTAL_OCEAN, WaterType.TURBID_HARBOR)
+# Lines joined per write, about 25 kB of sweep text: larger chunks wrote
+# no faster and held more memory.
+_LINES_PER_WRITE = 256
 
 
 @dataclass(frozen=True)
@@ -46,20 +50,30 @@ class OutputRecordSet:
 
     Kinds are str / int / float / bool.  Floats serialize as ``%.8e``,
     bools as true/false, an Enum as its value, None as the empty cell.
+    Every row must have one value per column; that is checked when the
+    table is made, so a malformed table raises before `write` opens a file.
     """
 
     columns: tuple[tuple[str, str], ...]
     rows: tuple[tuple, ...]
 
-    def to_lines(self):
-        """Yield the header line, then one line per row: lazily, so that
-        `write` never holds every line and the joined text at once."""
-        yield ",".join(name for name, _ in self.columns)
+    def __post_init__(self):
         for row in self.rows:
             if len(row) != len(self.columns):
                 raise ValueError(
                     f"row width {len(row)} != schema width {len(self.columns)}"
                 )
+
+    @property
+    def row_count(self) -> int:
+        """The number of data rows, header excluded."""
+        return len(self.rows)
+
+    def to_lines(self):
+        """Yield the header line, then one line per row, lazily: `write`
+        streams them to its file, so the table is never held as text."""
+        yield ",".join(name for name, _ in self.columns)
+        for row in self.rows:
             yield ",".join(_format_cell(value, kind) for value, (_, kind) in zip(row, self.columns))
 
     def write(self, path) -> None:
@@ -82,17 +96,32 @@ def _format_cell(value, kind: str) -> str:
 
 @dataclass(frozen=True)
 class SweepRecordSet(OutputRecordSet):
-    """A sweep table whose rows are ``(prefix, distance cell, value)``.
+    """A sweep table whose ``rows`` are blocks, one per (water, divergence).
 
-    ``prefix`` is the row's water and divergence cells with their commas,
-    formatted once per block, and the distance cell is formatted once per
-    distance, both by `_format_cell`; only the value is formatted per row.
+    A block is ``(prefix, distance cells, values)``: ``prefix`` is the
+    block's water and divergence cells with their commas, formatted once,
+    the distance cells are formatted once per distance and shared by every
+    block, and ``values`` is an ``array('d')`` of the block's received
+    powers or BERs, one per distance cell.  All are formatted by
+    `_format_cell`; only the value is formatted per row.
     """
+
+    def __post_init__(self):
+        for prefix, distance_cells, values in self.rows:
+            if len(distance_cells) != len(values):
+                raise ValueError(
+                    f"block {prefix!r}: {len(values)} values for {len(distance_cells)} distances"
+                )
+
+    @property
+    def row_count(self) -> int:
+        return sum(len(values) for _, _, values in self.rows)
 
     def to_lines(self):
         yield ",".join(name for name, _ in self.columns)
-        for prefix, distance, value in self.rows:
-            yield f"{prefix}{distance},{_format_cell(value, 'float')}"
+        for prefix, distance_cells, values in self.rows:
+            for distance, value in zip(distance_cells, values):
+                yield f"{prefix}{distance},{_format_cell(value, 'float')}"
 
 
 LINK_BUDGET_COLUMNS = (
@@ -163,33 +192,34 @@ def cmd_ber_sweep(config: SimulationConfig, distances, waters, divergences_deg) 
 
 
 def _sweep(config, distances, waters, divergences_deg, with_ber: bool) -> SweepRecordSet:
-    """The rows of either sweep, one (water, divergence) block at a time.
+    """The blocks of either sweep, one per (water, divergence).
 
     Each distance cell and each block's ``water,divergence,`` prefix is
-    formatted once.  Every row calls ``received_power_los``, and with
-    ``with_ber`` also ``single_link_ber``, through this module's globals.
-    A received power that is not finite (past the float range, or an
-    infinite spreading times a zero efficiency) has no row to write: without
-    ``with_ber`` it is a ConfigError, with it the BER is 0 past the float
-    range and 0.5 where an efficiency is 0.
+    formatted once, and each block keeps its values as an ``array('d')``.
+    Every row calls ``received_power_los``, and with ``with_ber`` also
+    ``single_link_ber``, through this module's globals.  A received power
+    that is not finite (past the float range, or an infinite spreading times
+    a zero efficiency) has no row to write: without ``with_ber`` it is a
+    ConfigError, with it the BER is 0 past the float range and 0.5 where an
+    efficiency is 0.
     """
     _require_sweep(distances, waters, divergences_deg)
-    distance_cells = [_format_cell(distance, "float") for distance in distances]
+    distance_cells = tuple(_format_cell(distance, "float") for distance in distances)
     noise = config.noise
-    rows = []
+    blocks = []
     for water in waters:
         for div_deg in divergences_deg:
             params = _sweep_params(config.channel, water, div_deg)
             prefix = f"{_format_cell(water, 'str')},{_format_cell(div_deg, 'float')},"
-            values = [received_power_los(distance, params) for distance in distances]
+            values = array("d", [received_power_los(distance, params) for distance in distances])
             if with_ber:
-                values = [single_link_ber(power, params, noise) for power in values]
+                values = array("d", [single_link_ber(power, params, noise) for power in values])
             elif not all(map(math.isfinite, values)):
                 distance = next(d for d, v in zip(distances, values) if not math.isfinite(v))
                 raise ConfigError(f"received power at distance {distance} m is not a finite float")
-            rows.extend(zip(repeat(prefix), distance_cells, values))
+            blocks.append((prefix, distance_cells, values))
     columns = BER_SWEEP_COLUMNS if with_ber else LINK_BUDGET_COLUMNS
-    return SweepRecordSet(columns, tuple(rows))
+    return SweepRecordSet(columns, tuple(blocks))
 
 
 def _require_sweep(distances, waters, divergences_deg):
@@ -355,7 +385,12 @@ def _out_dir(args) -> Path:
 
 
 def _write_lines(path: Path, lines) -> None:
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    """Write each line with a trailing newline through one open handle,
+    joining ``_LINES_PER_WRITE`` lines at a time: never the whole table."""
+    lines = iter(lines)
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        while chunk := list(islice(lines, _LINES_PER_WRITE)):
+            handle.write("\n".join(chunk) + "\n")
 
 
 def main(argv=None) -> int:
@@ -370,7 +405,7 @@ def main(argv=None) -> int:
             recordset = command(config, args.distances, args.water, args.divergences)
             out = _out_dir(args)
             recordset.write(out / filename)
-            print(f"wrote {out / filename} ({len(recordset.rows)} rows)")
+            print(f"wrote {out / filename} ({recordset.row_count} rows)")
         elif args.command == "route":
             config = _sim_config(args, campaign=False)
             summary, dumps = cmd_route(config, config.master_seed)
@@ -378,7 +413,7 @@ def main(argv=None) -> int:
             summary.write(out / "route_summary.csv")
             for protocol, lines in dumps.items():
                 _write_lines(out / f"route_{protocol.value}.txt", lines)
-            print(f"wrote {out / 'route_summary.csv'} ({len(summary.rows)} protocols)")
+            print(f"wrote {out / 'route_summary.csv'} ({summary.row_count} protocols)")
             names = [name for name, _ in summary.columns]
             for row in summary.rows:
                 cell = dict(zip(names, row))
@@ -391,8 +426,8 @@ def main(argv=None) -> int:
             trials.write(out / "campaign_trials.csv")
             aggregate.write(out / "campaign_aggregate.csv")
             print(
-                f"wrote {out / 'campaign_trials.csv'} ({len(trials.rows)} rows) and "
-                f"{out / 'campaign_aggregate.csv'} ({len(aggregate.rows)} rows)"
+                f"wrote {out / 'campaign_trials.csv'} ({trials.row_count} rows) and "
+                f"{out / 'campaign_aggregate.csv'} ({aggregate.row_count} rows)"
             )
         else:  # pragma: no cover - argparse enforces the command set
             raise ConfigError(f"unknown command {args.command}")

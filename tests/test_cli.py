@@ -5,7 +5,9 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
+from array import array
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -18,6 +20,8 @@ from uowsim.cli import (
     CAMPAIGN_TRIAL_COLUMNS,
     LINK_BUDGET_COLUMNS,
     ROUTE_SUMMARY_COLUMNS,
+    OutputRecordSet,
+    SweepRecordSet,
     _format_cell,
     cmd_ber_sweep,
     cmd_campaign,
@@ -45,15 +49,16 @@ def _sweep_rows(rs):
     """Each sweep row as (water, divergence, distance, value), with the
     water and the two grid values read back from their formatted cells."""
     rows = []
-    for prefix, distance_cell, value in rs.rows:
+    for prefix, distance_cells, values in rs.rows:
         water, divergence_cell, _ = prefix.split(",")
-        rows.append((water, float(divergence_cell), float(distance_cell), value))
+        for distance_cell, value in zip(distance_cells, values):
+            rows.append((water, float(divergence_cell), float(distance_cell), value))
     return rows
 
 
 def test_link_budget_single_row_matches_oracle():
     rs = cmd_link_budget(SimulationConfig(), [50.0], [WaterType.CLEAR_OCEAN], [60.0])
-    assert len(rs.rows) == 1
+    assert rs.row_count == 1
     water, div, dist, power = _sweep_rows(rs)[0]
     assert (water, div, dist) == ("clear", 60.0, 50.0)
     assert power == pytest.approx(P_RX_CLEAR_50M, rel=1e-10)
@@ -156,7 +161,7 @@ def test_recordset_roundtrip():
     ):
         lines = list(rs.to_lines())
         assert lines[0] == ",".join(name for name, _ in columns)
-        assert len(lines) == len(rs.rows) + 1
+        assert len(lines) == rs.row_count + 1
         for line in lines[1:]:
             cells = line.split(",")
             assert len(cells) == len(columns)
@@ -166,6 +171,56 @@ def test_recordset_roundtrip():
     # Enum cells are written as their values.
     assert _format_cell(Protocol.CRP, "str") == "crp"
     assert _format_cell(FailureReason.DEAD_END, "str") == "dead_end"
+
+
+def test_a_malformed_table_fails_before_its_file_is_opened(tmp_path):
+    # Tables are streamed to their files, so a row that does not fit the
+    # schema must be refused when the table is made, not half way through.
+    path = tmp_path / "table.csv"
+    with pytest.raises(ValueError, match="row width 1 != schema width 2"):
+        OutputRecordSet((("a", "int"), ("b", "int")), ((1, 2), (3,))).write(path)
+    block = ("clear,6.00000000e+01,", ("1.00000000e+00",), array("d", [1.0, 2.0]))
+    with pytest.raises(ValueError, match="2 values for 1 distances"):
+        SweepRecordSet(LINK_BUDGET_COLUMNS, (block,)).write(path)
+    assert not path.exists()
+
+
+def test_sweep_write_holds_less_than_its_file(tmp_path, capsys):
+    # A 20,000-row ber-sweep: the values are kept as one array per block and
+    # the lines are streamed, so the traced peak stays below the CSV's size
+    # (it was five times the size when every line and the joined text were
+    # held at once).
+    grid = [
+        "--distances", ",".join(f"{i / 10:.1f}" for i in range(1, 2001)),
+        "--divergences", "5,10,15,20,25",
+        "--water", "clear,turbid",
+        "--out", str(tmp_path),
+    ]
+    assert main(["ber-sweep", *grid]) == 0
+    tracemalloc.start()
+    try:
+        assert main(["ber-sweep", *grid]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out.endswith("(20000 rows)\n")
+    size = (tmp_path / "ber_sweep.csv").stat().st_size
+    assert peak < size, f"traced peak {peak} B for a {size} B file"
+
+
+def test_main_prints_the_number_of_data_rows(tmp_path, capsys):
+    out = ["--out", str(tmp_path)]
+    grid = ["--distances", "1,2,3", "--divergences", "10,20", "--water", "clear"]
+    assert main(["link-budget", *grid, *out]) == 0
+    assert capsys.readouterr().out == f"wrote {tmp_path / 'link_budget.csv'} (6 rows)\n"
+    assert main(["route", "--seed", "1", *out]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first == f"wrote {tmp_path / 'route_summary.csv'} (3 protocols)"
+    assert main(["campaign", "--nodes", "20,30", "--realizations", "2", *out]) == 0
+    assert capsys.readouterr().out == (
+        f"wrote {tmp_path / 'campaign_trials.csv'} (12 rows) and "
+        f"{tmp_path / 'campaign_aggregate.csv'} (6 rows)\n"
+    )
 
 
 def test_campaign_single_realization_aggregate_matches_trial():
