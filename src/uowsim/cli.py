@@ -19,7 +19,6 @@ import sys
 from array import array
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import islice
 from operator import attrgetter
 from pathlib import Path
 
@@ -39,9 +38,11 @@ from .topology import NetworkGraph
 DEFAULT_DISTANCES = tuple(float(d) for d in range(5, 105, 5))
 DEFAULT_DIVERGENCES_DEG = (30.0, 60.0, 90.0)
 ALL_WATERS = (WaterType.CLEAR_OCEAN, WaterType.COASTAL_OCEAN, WaterType.TURBID_HARBOR)
-# Lines joined per write, about 25 kB of sweep text: larger chunks wrote
+# Rows formatted per write, about 25 kB of sweep text: larger chunks wrote
 # no faster and held more memory.
 _LINES_PER_WRITE = 256
+# The one float rule: every float cell of every table and route dump.
+_FLOAT = "%.8e"
 
 
 @dataclass(frozen=True)
@@ -69,22 +70,29 @@ class OutputRecordSet:
         """The number of data rows, header excluded."""
         return len(self.rows)
 
-    def to_lines(self):
-        """Yield the header line, then one line per row, lazily: `write`
-        streams them to its file, so the table is never held as text."""
-        yield ",".join(name for name, _ in self.columns)
-        for row in self.rows:
-            yield ",".join(_format_cell(value, kind) for value, (_, kind) in zip(row, self.columns))
+    def chunks(self):
+        """Yield the table as text pieces of whole lines: the header, then
+        ``_LINES_PER_WRITE`` rows at a time, lazily.  `write` streams them
+        to its file, so the table is never held as text."""
+        yield _header(self.columns)
+        kinds = tuple(kind for _, kind in self.columns)
+        for start in range(0, len(self.rows), _LINES_PER_WRITE):
+            batch = self.rows[start : start + _LINES_PER_WRITE]
+            yield "".join(",".join(map(_format_cell, row, kinds)) + "\n" for row in batch)
 
     def write(self, path) -> None:
-        _write_lines(Path(path), self.to_lines())
+        _write_chunks(Path(path), self.chunks())
+
+
+def _header(columns) -> str:
+    return ",".join(name for name, _ in columns) + "\n"
 
 
 def _format_cell(value, kind: str) -> str:
     if value is None:
         return ""
     if kind == "float":
-        return f"{value:.8e}"
+        return _FLOAT % value
     if kind == "int":
         return str(int(value))
     if kind == "bool":
@@ -102,8 +110,8 @@ class SweepRecordSet(OutputRecordSet):
     block's water and divergence cells with their commas, formatted once,
     the distance cells are formatted once per distance and shared by every
     block, and ``values`` is an ``array('d')`` of the block's received
-    powers or BERs, one per distance cell.  All are formatted by
-    `_format_cell`; only the value is formatted per row.
+    powers or BERs, one per distance cell.  The prefix and cells are text,
+    written as they are; each value is formatted by the `_FLOAT` rule.
     """
 
     def __post_init__(self):
@@ -117,11 +125,23 @@ class SweepRecordSet(OutputRecordSet):
     def row_count(self) -> int:
         return sum(len(values) for _, _, values in self.rows)
 
-    def to_lines(self):
-        yield ",".join(name for name, _ in self.columns)
+    def chunks(self):
+        """Yield the header, then each block ``_LINES_PER_WRITE`` rows at a
+        time, each slice one ``%`` format over its values of a template made
+        of the block's prefix and the slice's cells, ``%`` escaped."""
+        yield _header(self.columns)
+        row_end = f",{_FLOAT}\n"
+        shared = None
         for prefix, distance_cells, values in self.rows:
-            for distance, value in zip(distance_cells, values):
-                yield f"{prefix}{distance},{_format_cell(value, 'float')}"
+            if distance_cells is not shared:  # blocks made by `_sweep` share one tuple
+                shared = distance_cells
+                cells = [cell.replace("%", "%%") for cell in distance_cells]
+            prefix = prefix.replace("%", "%%")
+            between = row_end + prefix
+            for start in range(0, len(values), _LINES_PER_WRITE):
+                stop = start + _LINES_PER_WRITE
+                template = prefix + between.join(cells[start:stop]) + row_end
+                yield template % tuple(values[start:stop])
 
 
 LINK_BUDGET_COLUMNS = (
@@ -384,13 +404,10 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_lines(path: Path, lines) -> None:
-    """Write each line with a trailing newline through one open handle,
-    joining ``_LINES_PER_WRITE`` lines at a time: never the whole table."""
-    lines = iter(lines)
+def _write_chunks(path: Path, chunks) -> None:
+    """Write each text piece through one open handle as it is made."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        while chunk := list(islice(lines, _LINES_PER_WRITE)):
-            handle.write("\n".join(chunk) + "\n")
+        handle.writelines(chunks)
 
 
 def main(argv=None) -> int:
@@ -412,7 +429,7 @@ def main(argv=None) -> int:
             out = _out_dir(args)
             summary.write(out / "route_summary.csv")
             for protocol, lines in dumps.items():
-                _write_lines(out / f"route_{protocol.value}.txt", lines)
+                _write_chunks(out / f"route_{protocol.value}.txt", (line + "\n" for line in lines))
             print(f"wrote {out / 'route_summary.csv'} ({summary.row_count} protocols)")
             names = [name for name, _ in summary.columns]
             for row in summary.rows:

@@ -12,6 +12,8 @@ from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uowsim import AggregateStats, FailureReason, Protocol, SimulationConfig, TrialMetrics
 from uowsim.cli import (
@@ -20,6 +22,7 @@ from uowsim.cli import (
     CAMPAIGN_TRIAL_COLUMNS,
     LINK_BUDGET_COLUMNS,
     ROUTE_SUMMARY_COLUMNS,
+    _LINES_PER_WRITE,
     OutputRecordSet,
     SweepRecordSet,
     _format_cell,
@@ -159,7 +162,7 @@ def test_recordset_roundtrip():
         (sweep, LINK_BUDGET_COLUMNS),
         (bers, BER_SWEEP_COLUMNS),
     ):
-        lines = list(rs.to_lines())
+        lines = "".join(rs.chunks()).splitlines()
         assert lines[0] == ",".join(name for name, _ in columns)
         assert len(lines) == rs.row_count + 1
         for line in lines[1:]:
@@ -183,6 +186,35 @@ def test_a_malformed_table_fails_before_its_file_is_opened(tmp_path):
     with pytest.raises(ValueError, match="2 values for 1 distances"):
         SweepRecordSet(LINK_BUDGET_COLUMNS, (block,)).write(path)
     assert not path.exists()
+
+
+def test_sweeps_write_through_the_traced_writer_and_keep_every_prefix(tmp_path):
+    # The benchmark's tracer wraps OutputRecordSet.write (its ``cli.write``
+    # span); a sweep must not bypass it with a writer of its own.
+    assert SweepRecordSet.write is OutputRecordSet.write
+    # Each sweep slice is one ``%`` format, so a ``%`` in a block's prefix or
+    # cells must be escaped, not read as a conversion.
+    path = tmp_path / "table.csv"
+    block = ("100%,5.0%s,", ("1%d", "2"), array("d", [0.5, -0.0]))
+    SweepRecordSet(LINK_BUDGET_COLUMNS, (block,)).write(path)
+    assert path.read_text() == (
+        "water,divergence_deg,distance_m,received_power_w\n"
+        "100%,5.0%s,1%d,5.00000000e-01\n"
+        "100%,5.0%s,2,-0.00000000e+00\n"
+    )
+    # An empty block writes no row, and no stray template text.
+    empty = ("clear,6.00000000e+01,", (), array("d"))
+    SweepRecordSet(BER_SWEEP_COLUMNS, (empty, empty)).write(path)
+    assert path.read_text() == "water,divergence_deg,distance_m,ber\n"
+
+
+@settings(derandomize=True, max_examples=2000, deadline=None, database=None)
+@given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+def test_the_float_rule_writes_what_format_spec_writes(value):
+    # Every float cell, route dump and sweep value is written by the ``%``
+    # rule; it must give the bytes of the ``.8e`` format spec for every
+    # float, NaN, infinities, signed zeros and subnormals included.
+    assert _format_cell(value, "float") == f"{value:.8e}"
 
 
 def test_sweep_write_holds_less_than_its_file(tmp_path, capsys):
@@ -565,16 +597,13 @@ def test_main_rejects_a_config_key_naming_a_stored_constant(tmp_path, capsys):
     assert not (tmp_path / "ber_sweep.csv").exists()
 
 
-def test_main_sweep_bytes_match_rows_formatted_one_by_one(tmp_path):
-    # Unsorted, repeated and extreme distances: formatting each distance and
-    # each block's prefix once must not reorder, merge or drop rows.
-    distances = [100.0, 5.0, 5.0, 1e-3, 1e-100]
-    waters = [WaterType.TURBID_HARBOR, WaterType.CLEAR_OCEAN]
-    divergences = [60.0, 7.5]
+def _assert_sweeps_match_rows_formatted_one_by_one(tmp_path, distances, waters, divergences):
+    """Run both sweeps on the grid and compare each file's bytes with its
+    rows, each cell formatted on its own by `_format_cell`."""
     grid = [
-        "--distances", "100,5,5,1e-3,1e-100",
-        "--water", "turbid,clear",
-        "--divergences", "60,7.5",
+        "--distances", ",".join(map(repr, distances)),
+        "--water", ",".join(water.value for water in waters),
+        "--divergences", ",".join(map(repr, divergences)),
         "--out", str(tmp_path),
     ]
     noise = ReceiverNoise()
@@ -595,7 +624,32 @@ def test_main_sweep_bytes_match_rows_formatted_one_by_one(tmp_path):
                     expected.append(
                         ",".join(_format_cell(cell, kind) for cell, (_, kind) in zip(row, columns))
                     )
-        assert (tmp_path / filename).read_text().splitlines() == expected
+        assert (tmp_path / filename).read_bytes() == ("\n".join(expected) + "\n").encode()
+
+
+def test_main_sweep_bytes_match_rows_formatted_one_by_one(tmp_path):
+    # Unsorted, repeated and extreme distances: formatting each distance and
+    # each block's prefix once must not reorder, merge or drop rows.
+    _assert_sweeps_match_rows_formatted_one_by_one(
+        tmp_path,
+        [100.0, 5.0, 5.0, 1e-3, 1e-100],
+        [WaterType.TURBID_HARBOR, WaterType.CLEAR_OCEAN],
+        [60.0, 7.5],
+    )
+
+
+@pytest.mark.parametrize(
+    "count", [1, _LINES_PER_WRITE - 1, _LINES_PER_WRITE, _LINES_PER_WRITE + 1, 2 * _LINES_PER_WRITE + 1]
+)
+def test_sweep_slices_keep_every_row(tmp_path, count):
+    # Each block is written _LINES_PER_WRITE rows at a time: counts on both
+    # sides of a slice boundary make an off-by-one slice or a lost row fail.
+    _assert_sweeps_match_rows_formatted_one_by_one(
+        tmp_path,
+        [0.25 * (i + 1) for i in range(count)],
+        [WaterType.CLEAR_OCEAN, WaterType.TURBID_HARBOR],
+        [10.0, 60.0],
+    )
 
 
 def test_sweeps_call_the_channel_once_per_row(tmp_path, monkeypatch):
