@@ -190,13 +190,15 @@ def run_single(config: SimulationConfig, seed: int) -> TrialResult:
     return _route_trial(config, positions, links, seed)
 
 
-def _route_trial(config, positions, links, seed, realization=None) -> TrialResult:
+def _route_trial(config, positions, links, seed, realization=None, whole=None) -> TrialResult:
     """Build one trial's graph from its priced links and run every selected protocol.
 
-    A trial whose graph leaves source and target disconnected records a
+    Given ``whole``, the graph of the same realization at its largest
+    count, the trial routes a view of it (see `build_graph`).  A trial
+    whose graph leaves source and target disconnected records a
     DISCONNECTED failure for all protocols without running them.
     """
-    graph = build_graph(positions, links)
+    graph = build_graph(positions, links, whole)
     connected = path_exists(graph, SOURCE_ID, TARGET_ID)
 
     outcomes = {}
@@ -265,16 +267,23 @@ def _run_index_range(
     Each realization is drawn once, at the largest count, and every count's
     trial takes the first ``n`` positions: one ``rng.uniform`` call draws
     the relays, so a smaller count's relays are a prefix of a larger one's.
-    All counts' links of a realization are priced in one call.
+    All counts' links of a realization are priced in one call.  The
+    largest count routes first and builds the realization's graph; every
+    other count routes a view of it.
     """
     counts = config.node_counts
     largest = replace(config, node_count=max(counts))
     records = [[] for _ in counts]
+    order = sorted(range(len(counts)), key=counts.__getitem__, reverse=True)
     for index, seed in enumerate(seeds, first_index):
         positions = generate_deployment(largest, seed)
         priced = price_links(positions, counts, config.max_range, config.channel, config.noise)
-        for n, links, count_records in zip(counts, priced, records):
-            count_records.extend(_route_trial(config, positions[:n], links, seed, index).metrics)
+        whole = None
+        for c in order:
+            trial = _route_trial(config, positions[: counts[c]], priced[c], seed, index, whole)
+            if whole is None:
+                whole = trial.graph
+            records[c].extend(trial.metrics)
     return records
 
 

@@ -10,8 +10,10 @@ Every protocol tallies ``evaluations``, the number of candidate-edge BER
 examinations it performed.  That count is the deterministic complexity
 metric of a run; wall-clock time is measured elsewhere.
 
-All functions are pure with respect to the (immutable) graph, so concurrent
-calls are safe.
+The routers do not change the graph's structure or figures.  CRP keeps
+its weight list per `WeightMode` in the graph's ``weights`` memo, computed
+once over every edge of the realization's graph and shared by its views;
+concurrent calls may both compute a list, and they store the same one.
 """
 
 import heapq
@@ -147,8 +149,11 @@ def crp(
     if source == target:
         return _finish(graph, source, target, [], 0)
 
-    indptr, indices, edge = graph.indptr, graph.indices, graph.edge
-    weights = edge_weights(graph.ber, mode)
+    indptr, stop, indices, edge = graph.indptr, graph.stop, graph.indices, graph.edge
+    weights = graph.weights.get(mode)
+    if weights is None:
+        # A view's ber lists every edge of its whole graph, so all views share it.
+        weights = graph.weights[mode] = edge_weights(graph.ber, mode)
     n = graph.node_count
     dist = [math.inf] * n
     prev = [source] * n
@@ -162,9 +167,9 @@ def crp(
         if settled[u]:
             continue
         settled[u] = True
-        start, stop = indptr[u], indptr[u + 1]
-        evaluations += stop - start
-        for v, e in zip(indices[start:stop], edge[start:stop]):
+        start, end = indptr[u], stop[u]
+        evaluations += end - start
+        for v, e in zip(indices[start:end], edge[start:end]):
             if settled[v]:
                 continue
             candidate = d + weights[e]
@@ -200,16 +205,17 @@ def _greedy_walk(
     if source == target:
         return _finish(graph, source, target, [], 0)
 
-    indptr, indices, edge, bers = graph.indptr, graph.indices, graph.edge, graph.ber
+    indptr, stop, indices = graph.indptr, graph.stop, graph.indices
+    edge, bers = graph.edge, graph.ber
     visited = {source}
     edges = []
     current = source
     evaluations = 0
     for _ in range(graph.node_count - 1):
-        start, stop = indptr[current], indptr[current + 1]
+        start, end = indptr[current], stop[current]
         unvisited = [
             (bers[e], v, e)
-            for v, e in zip(indices[start:stop], edge[start:stop])
+            for v, e in zip(indices[start:end], edge[start:end])
             if v not in visited
         ]
         candidates = examine(current, unvisited)

@@ -9,7 +9,9 @@ that use it, not at module load, so that importing the package (as the
 sweeps do) does not pay for it.
 """
 
+import copy
 import logging
+from bisect import bisect_left
 from collections import deque
 from functools import lru_cache
 
@@ -30,13 +32,16 @@ class NetworkGraph:
 
     Node ``i`` sits at ``positions[i]``, an ``[x, y]`` list.  ``us``,
     ``vs``, ``distance`` and ``ber`` hold one entry per undirected edge:
-    its two endpoint ids and its figures.  The adjacency is in
-    CSR form: the neighbors of ``u`` are ``indices[indptr[u]:indptr[u + 1]]``
-    in ascending id order, and ``edge`` gives the undirected edge of each
-    of those slots, so every edge appears in the rows of both endpoints.
-    The graph is self-edge free and has at most one edge per node pair.
-    The routers index these lists element by element, where a list lookup
-    is several times cheaper than a numpy one.
+    its two endpoint ids and its figures; ``links`` keeps the four arrays
+    they were built from.  The adjacency is in CSR form: the neighbors of
+    ``u`` are ``indices[indptr[u]:stop[u]]`` in ascending id order, and
+    ``edge`` gives the undirected edge of each of those slots, so every
+    edge appears in the rows of both endpoints.  A built graph's ``stop``
+    is ``indptr[1:]``; a `view` ends each row early.  The graph is
+    self-edge free and has at most one edge per node pair.  The routers
+    index these lists element by element, where a list lookup is several
+    times cheaper than a numpy one.  ``weights`` is a memo that the
+    routers fill, one list over every edge per key, and that views share.
     """
 
     def __init__(self, positions, us, vs, distance, ber):
@@ -71,27 +76,42 @@ class NetworkGraph:
             raise ValueError("edge arrays differ in length")
         indptr = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        self.node_count = n
+        self.edge_count = m
+        self.links = (us, vs, distance, ber)
         self.positions = positions.tolist()
         self.indptr = indptr.tolist()
+        self.stop = self.indptr[1:]
         self.indices = cols[order].tolist()
         self.edge = np.where(order < m, order, order - m).tolist()
         self.us = us.tolist()
         self.vs = vs.tolist()
         self.distance = distance.tolist()
         self.ber = ber.tolist()
+        self.weights = {}
 
-    @property
-    def node_count(self) -> int:
-        return len(self.positions)
+    def view(self, n: int, m: int) -> "NetworkGraph":
+        """The subgraph of nodes ``0..n-1``, whose edges must be edges ``0..m-1``.
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.ber)
+        The view shares every list, ``links`` and the ``weights`` memo with
+        this graph; its ``node_count`` and ``edge_count`` are ``n`` and
+        ``m``.  Since ``indices`` ascend within a row, a node's neighbors
+        below ``n`` are a prefix of its row, so the view's own ``stop`` is
+        one bisection per row.  Raises ValueError unless ``n`` names at most
+        every node and the first ``n`` rows hold ``2 * m`` such slots.
+        """
+        indices, indptr = self.indices, self.indptr
+        stop = [bisect_left(indices, n, lo, hi) for lo, hi in zip(indptr, indptr[1 : n + 1])]
+        if not 0 <= n <= self.node_count or sum(stop) - sum(indptr[:n]) != 2 * m:
+            raise ValueError(f"no view of {n} nodes whose edges are the first {m}")
+        view = copy.copy(self)
+        view.node_count, view.edge_count, view.stop = n, m, stop
+        return view
 
     def check_nodes(self, *node_ids: int) -> None:
         """Raise ValueError unless every id names a node of the graph."""
         for node_id in node_ids:
-            if not 0 <= node_id < len(self.positions):
+            if not 0 <= node_id < self.node_count:
                 raise ValueError(f"unknown node id {node_id}")
 
 
@@ -118,13 +138,18 @@ def generate_deployment(config, seed):
 
 @lru_cache(maxsize=16)
 def _pair_indices(n: int) -> tuple:
-    """Read-only ``np.triu_indices(n, 1)``: every node pair (i, j), i < j."""
+    """Every node pair (i, j), i < j, ordered by j and then by i, read-only.
+
+    In this order the pairs of the first ``k`` nodes come first, so any
+    count's links are a prefix of the largest count's.
+    """
     import numpy as np
 
-    pairs = np.triu_indices(n, 1)
-    for ids in pairs:
+    # The lower triangle's (row, column) pairs, row-major, are the (j, i).
+    js, is_ = np.tril_indices(n, -1)
+    for ids in (is_, js):
         ids.flags.writeable = False
-    return pairs
+    return is_, js
 
 
 def price_links(
@@ -137,15 +162,16 @@ def price_links(
     """Each node count's in-range links, priced together in one channel call.
 
     ``positions`` is the (n, 2) array of ``generate_deployment``; the graph
-    of count ``k`` spans ``positions[:k]``.  Its links are the in-range
-    pairs (i, j) of all positions with ``j < k``, in the row-major order of
-    ``np.triu_indices(k, 1)``, so they equal the links of ``positions[:k]``
-    priced alone.  Every count's links go to
-    ``channel.link_power_and_ber`` in one call.  Returns one
-    ``(us, vs, distance, ber)`` tuple per count, in ``node_counts`` order.
-    Pairs at exactly zero separation have no defined received power; they
-    get a perfect link (ber 0) at the stand-in distance and a log entry for
-    each count that holds them.
+    of count ``k`` spans ``positions[:k]``.  The in-range pairs (i, j),
+    i < j, of all positions are ordered by j and then by i, so count
+    ``k``'s links are the first of them, up to the first pair with
+    ``j >= k``: the links of ``positions[:k]`` priced alone.  Every count's
+    links go to ``channel.link_power_and_ber`` in one call.  Returns one
+    ``(us, vs, distance, ber)`` tuple per count, in ``node_counts`` order;
+    the first three are slices of the same arrays.  Pairs at exactly zero
+    separation have no defined received power; they get a perfect link
+    (ber 0) at the stand-in distance and a log entry for each count that
+    holds them.
     """
     import numpy as np
 
@@ -165,17 +191,15 @@ def price_links(
     degenerate = pair_dists == 0.0
     effective = np.where(degenerate, DEGENERATE_DISTANCE, pair_dists)
 
-    subsets = [
-        (us[pick], vs[pick], effective[pick], degenerate[pick])
-        for pick in (vs < k for k in node_counts)
-    ]
+    sizes = np.searchsorted(vs, node_counts).tolist()
     _, bers = channel.link_power_and_ber(
-        np.concatenate([distance for _, _, distance, _ in subsets]), params, noise
+        np.concatenate([effective[:m] for m in sizes]), params, noise
     )
     links = []
     stop = 0
-    for k, (link_us, link_vs, distance, zero) in zip(node_counts, subsets):
-        start, stop = stop, stop + len(distance)
+    for k, m in zip(node_counts, sizes):
+        start, stop = stop, stop + m
+        zero = degenerate[:m]
         if zero.any():
             log.warning(
                 "%d coincident node pair(s) among %d nodes; links forced to ber=0 at %g m",
@@ -183,13 +207,27 @@ def price_links(
                 k,
                 DEGENERATE_DISTANCE,
             )
-        links.append((link_us, link_vs, distance, np.where(zero, 0.0, bers[start:stop])))
+        links.append((us[:m], vs[:m], effective[:m], np.where(zero, 0.0, bers[start:stop])))
     return links
 
 
-def build_graph(positions, links) -> NetworkGraph:
-    """The graph over ``positions`` with one count's links of `price_links`."""
-    return NetworkGraph(positions, *links)
+def build_graph(positions, links, whole: NetworkGraph | None = None) -> NetworkGraph:
+    """The graph over ``positions`` with one count's links of `price_links`.
+
+    Given ``whole``, the graph of the same realization at a count of at
+    least ``len(positions)``, it returns ``whole.view`` of this count
+    instead of building one, after checking that the links are, bit for
+    bit, the first of ``whole``'s edges (AssertionError otherwise).
+    """
+    if whole is None:
+        return NetworkGraph(positions, *links)
+    import numpy as np
+
+    n, m = len(positions), len(links[0])
+    for name, mine, theirs in zip(("us", "vs", "distance", "ber"), links, whole.links):
+        if np.asarray(mine).tobytes() != theirs[:m].tobytes():
+            raise AssertionError(f"the {name} of {n} nodes are no prefix of the whole graph's")
+    return whole.view(n, m)
 
 
 def path_exists(graph: NetworkGraph, source: int, target: int) -> bool:
@@ -197,13 +235,13 @@ def path_exists(graph: NetworkGraph, source: int, target: int) -> bool:
     graph.check_nodes(source, target)
     if source == target:
         return True
-    indptr, indices = graph.indptr, graph.indices
+    indptr, stop, indices = graph.indptr, graph.stop, graph.indices
     seen = [False] * graph.node_count
     seen[source] = True
     queue = deque([source])
     while queue:
         u = queue.popleft()
-        for v in indices[indptr[u] : indptr[u + 1]]:
+        for v in indices[indptr[u] : stop[u]]:
             if v == target:
                 return True
             if not seen[v]:

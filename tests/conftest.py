@@ -47,20 +47,23 @@ def priced_graph(positions, max_range, params, noise):
 
 
 def graph_edges(graph):
-    """Yield every undirected edge once as (u, v, distance, ber), u < v."""
+    """Yield every undirected edge once as (u, v, distance, ber), u < v.
+
+    Rows are read up to ``stop[u]``, so on a view only its own edges show.
+    """
     for u in range(graph.node_count):
-        for k in range(graph.indptr[u], graph.indptr[u + 1]):
+        for k in range(graph.indptr[u], graph.stop[u]):
             v, e = graph.indices[k], graph.edge[k]
             if u < v:
                 yield u, v, graph.distance[e], graph.ber[e]
 
 
 def edge_between(graph, u, v):
-    """Id of the edge joining u and v, found by scanning u's CSR row; None
-    when there is no such edge or either id names no node."""
+    """Id of the edge joining u and v, found by scanning u's CSR row up to
+    ``stop[u]``; None when there is no such edge or either id names no node."""
     if not (0 <= u < graph.node_count and 0 <= v < graph.node_count):
         return None
-    for k in range(graph.indptr[u], graph.indptr[u + 1]):
+    for k in range(graph.indptr[u], graph.stop[u]):
         if graph.indices[k] == v:
             return graph.edge[k]
     return None

@@ -256,6 +256,52 @@ def test_campaign_records_follow_config_order_and_match_run_single(monkeypatch):
     assert run_campaign(config).records == expected
 
 
+def test_campaign_builds_one_graph_and_one_weight_list_per_realization(monkeypatch):
+    # Each realization builds its largest count's graph; every other count
+    # routes a view of it, and CRP's weights are computed once for it.  The
+    # traced harness.build_graph still runs once per trial and returns a
+    # graph of the trial's node and link counts.
+    import uowsim.harness as harness
+    import uowsim.routing as routing
+    import uowsim.topology as topology
+
+    monkeypatch.delenv("UOWSN_THREADS", raising=False)
+    built, weight_lists, calls = [], [], []
+    construct, weigh, build = (
+        topology.NetworkGraph.__init__, routing.edge_weights, harness.build_graph
+    )
+
+    def constructing(self, *args):
+        construct(self, *args)
+        built.append(self)
+
+    def weighing(bers, mode):
+        weight_lists.append((len(bers), mode))
+        return weigh(bers, mode)
+
+    def building(positions, links, *rest):
+        graph = build(positions, links, *rest)
+        calls.append((len(positions), graph.node_count, graph.edge_count, len(links[0])))
+        return graph
+
+    monkeypatch.setattr(topology.NetworkGraph, "__init__", constructing)
+    monkeypatch.setattr(routing, "edge_weights", weighing)
+    monkeypatch.setattr(harness, "build_graph", building)
+    config = SimulationConfig(node_count=(60, 20, 100, 40), realizations=6, master_seed=11)
+    result = run_campaign(config)
+    realizations, counts = config.realizations, config.node_counts
+
+    assert [graph.node_count for graph in built] == [100] * realizations
+    assert any(r.success for r in result.records if r.protocol is Protocol.CRP)
+    assert 0 < len(weight_lists) <= realizations
+    assert {mode for _, mode in weight_lists} == {WeightMode.EXACT_LOG}
+    assert {m for m, _ in weight_lists} <= {graph.edge_count for graph in built}
+    assert len(calls) == realizations * len(counts)
+    assert sorted(n for n, *_ in calls) == sorted(counts * realizations)
+    for n, node_count, edge_count, links in calls:
+        assert (node_count, edge_count) == (n, links)
+
+
 def test_default_campaign_config_sweep():
     config = SimulationConfig(node_count=DEFAULT_NODE_SWEEP)
     assert config.node_counts == (20, 30, 40, 50, 60, 70, 80, 90, 100)

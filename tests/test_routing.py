@@ -1,4 +1,5 @@
 import itertools
+import struct
 
 import numpy as np
 import pytest
@@ -7,17 +8,23 @@ from hypothesis import strategies as st
 
 from oracles import best_paths_bruteforce, fold_reference
 from uowsim import (
+    ChannelParams,
     FailureReason,
     Protocol,
+    ReceiverNoise,
     SimulationConfig,
+    WaterType,
     WeightMode,
+    build_graph,
     crp,
     drp,
     generate_deployment,
+    price_links,
     quadrant_filter,
     srp,
 )
 from uowsim.cli import route_dump_lines
+from uowsim.harness import DEFAULT_NODE_SWEEP
 from uowsim.routing import _finish
 from conftest import edge_between, graph_edges, make_graph, priced_graph
 
@@ -143,6 +150,39 @@ def test_crp_evaluations_are_reachable_degree_sum(default_setup):
         )
         expected = _reachable_degree_sum(graph, 0, WeightMode.EXACT_LOG)
         assert crp(graph, 0, 1).evaluations == expected
+
+
+@pytest.mark.parametrize("water", [WaterType.CLEAR_OCEAN, WaterType.TURBID_HARBOR])
+def test_every_protocol_routes_a_view_as_a_separate_build(water):
+    # A count's view of the realization's graph, with the weights that a
+    # larger count's CRP left in the shared memo, routes exactly as the
+    # count's own graph does.
+    params, noise = ChannelParams.for_water(water), ReceiverNoise()
+    routers = [(f"crp-{m.value}", lambda g, m=m: crp(g, 0, 1, m)) for m in WeightMode]
+    routers += [
+        ("drp", lambda g: drp(g, 0, 1)),
+        ("srp", lambda g: srp(g, 0, 1)),
+        ("srp-fallback", lambda g: srp(g, 0, 1, fallback=True)),
+    ]
+    counts = sorted(DEFAULT_NODE_SWEEP, reverse=True)
+    for seed in (1, 7, 42):
+        positions = generate_deployment(SimulationConfig(node_count=counts[0]), seed)
+        priced = price_links(positions, counts, 80.0, params, noise)
+        whole = build_graph(positions, priced[0])
+        for n, links in zip(counts, priced):
+            view = build_graph(positions[:n], links, whole)
+            alone = priced_graph(positions[:n], 80.0, params, noise)
+            for name, route in routers:
+                on_view, on_alone = route(view), route(alone)
+                # Hops, failure reason and evaluations, then the hop BERs' bits.
+                assert on_view == on_alone, (seed, n, name)
+                if on_alone.success:
+                    assert _bits(on_view.route.hop_bers) == _bits(on_alone.route.hop_bers)
+        assert set(whole.weights) == set(WeightMode)
+
+
+def _bits(values):
+    return struct.pack(f"<{len(values)}d", *values)
 
 
 def test_crp_rejects_unknown_ids():
@@ -331,7 +371,7 @@ def _greedy_step_check(graph, route, quadrant_target=None):
     visited = set()
     for i, here in enumerate(route.hops[:-1]):
         visited.add(here)
-        neighbors = graph.indices[graph.indptr[here] : graph.indptr[here + 1]]
+        neighbors = graph.indices[graph.indptr[here] : graph.stop[here]]
         candidates = [v for v in neighbors if v not in visited]
         if quadrant_target is not None:
             points = [graph.positions[v] for v in candidates]

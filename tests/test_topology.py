@@ -1,5 +1,6 @@
 import logging
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -130,7 +131,6 @@ def test_build_graph_determinism(default_setup):
     assert list(graph_edges(first)) == list(graph_edges(second))
 
 
-GRAPH_LISTS = ("positions", "indptr", "indices", "edge", "distance", "ber")
 UNSORTED_COUNTS = (60, 2, 100, 20)
 
 
@@ -149,9 +149,26 @@ def _reference_graph(positions, max_range, params, noise):
     return NetworkGraph(positions, iu[within], ju[within], effective, bers)
 
 
-def _assert_same_graph(graph, reference):
-    for name in GRAPH_LISTS:
-        assert getattr(graph, name) == getattr(reference, name), name
+def _bits(value):
+    return struct.pack("<d", value)
+
+
+def _rows(graph):
+    """Each node's neighbor ids in row order (read up to ``stop``), with
+    the distance and ber bits of each slot's edge."""
+    return [
+        [
+            (graph.indices[k], _bits(graph.distance[graph.edge[k]]), _bits(graph.ber[graph.edge[k]]))
+            for k in range(graph.indptr[u], graph.stop[u])
+        ]
+        for u in range(graph.node_count)
+    ]
+
+
+def _assert_same_rows(graph, reference):
+    assert (graph.node_count, graph.edge_count) == (reference.node_count, reference.edge_count)
+    assert graph.positions[: graph.node_count] == reference.positions
+    assert _rows(graph) == _rows(reference)
 
 
 def test_smaller_deployments_are_prefixes_of_larger_ones():
@@ -165,15 +182,19 @@ def test_smaller_deployments_are_prefixes_of_larger_ones():
 
 @pytest.mark.parametrize("water", [WaterType.CLEAR_OCEAN, WaterType.TURBID_HARBOR])
 def test_priced_counts_equal_separate_builds(water):
+    # Each count's graph, built alone from its links or as a view of the
+    # largest count's graph, holds the rows of a separately priced build.
     params, noise = ChannelParams.for_water(water), ReceiverNoise()
     for seed in (3, 42, 777):
         positions = generate_deployment(SimulationConfig(node_count=100), seed)
         priced = price_links(positions, UNSORTED_COUNTS, 80.0, params, noise)
         assert len(priced) == len(UNSORTED_COUNTS)
+        whole = build_graph(positions, priced[UNSORTED_COUNTS.index(100)])
         for n, links in zip(UNSORTED_COUNTS, priced):
             alone = generate_deployment(SimulationConfig(node_count=n), seed)
             reference = _reference_graph(alone, 80.0, params, noise)
-            _assert_same_graph(build_graph(positions[:n], links), reference)
+            _assert_same_rows(build_graph(positions[:n], links), reference)
+            _assert_same_rows(build_graph(positions[:n], links, whole), reference)
     with pytest.raises(ValueError):
         price_links(positions[:50], UNSORTED_COUNTS, 80.0, params, noise)
 
@@ -187,15 +208,54 @@ def test_coincident_pair_is_priced_for_every_count_that_holds_it(default_setup, 
     warned = [record.getMessage() for record in caplog.records]
     assert len(warned) == 2
     assert "among 60 nodes" in warned[0] and "among 100 nodes" in warned[1]
+    whole = build_graph(positions, priced[UNSORTED_COUNTS.index(100)])
     for n, links in zip(UNSORTED_COUNTS, priced):
-        graph = build_graph(positions[:n], links)
-        _assert_same_graph(graph, _reference_graph(positions[:n], 80.0, params, noise))
-        e = edge_between(graph, 5, 30)
-        if n > 30:
-            assert graph.ber[e] == 0.0
-            assert graph.distance[e] == DEGENERATE_DISTANCE
-        else:
-            assert e is None
+        reference = _reference_graph(positions[:n], 80.0, params, noise)
+        for graph in (build_graph(positions[:n], links), build_graph(positions[:n], links, whole)):
+            _assert_same_rows(graph, reference)
+            e = edge_between(graph, 5, 30)
+            if n > 30:
+                assert graph.ber[e] == 0.0
+                assert graph.distance[e] == DEGENERATE_DISTANCE
+            else:
+                assert e is None
+
+
+def test_a_view_shares_the_whole_graph_and_ends_its_rows_early(default_setup):
+    params, noise = default_setup
+    positions = generate_deployment(SimulationConfig(node_count=100), 42)
+    small, large = price_links(positions, (40, 100), 80.0, params, noise)
+    whole = build_graph(positions, large)
+    assert whole.stop == whole.indptr[1:]
+    view = build_graph(positions[:40], small, whole)
+    for name in ("positions", "indptr", "indices", "edge", "us", "vs", "distance", "ber", "weights"):
+        assert getattr(view, name) is getattr(whole, name), name
+    assert view.links is whole.links
+    assert (view.node_count, view.edge_count) == (40, len(small[0]))
+    assert len(view.stop) == 40 and view.stop != whole.stop[:40]
+    assert all(v < 40 for u, v, _, _ in graph_edges(view))
+    assert sum(1 for _ in graph_edges(view)) == view.edge_count
+    with pytest.raises(ValueError):
+        view.check_nodes(40)
+
+
+def test_a_count_that_is_no_prefix_of_the_whole_graph_is_refused(default_setup):
+    params, noise = default_setup
+    positions = generate_deployment(SimulationConfig(node_count=100), 42)
+    small, large = price_links(positions, (60, 100), 80.0, params, noise)
+    whole = build_graph(positions, large)
+    m = len(small[0])
+    assert build_graph(positions[:60], small, whole).edge_count == m
+    for field in (2, 3):  # distance, ber
+        for i in (0, m // 2, m - 1):
+            moved = list(small)
+            moved[field] = small[field].copy()
+            moved[field][i] = np.nextafter(moved[field][i], 1.0)
+            with pytest.raises(AssertionError):
+                build_graph(positions[:60], tuple(moved), whole)
+    # A prefix that stops one link short leaves a link among the 60 nodes out.
+    with pytest.raises(ValueError):
+        build_graph(positions[:60], tuple(a[: m - 1] for a in small), whole)
 
 
 def test_path_exists_basics():
