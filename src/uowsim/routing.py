@@ -6,9 +6,12 @@ neighborhood: DRP always moves to the unvisited neighbor with the lowest
 link BER, SRP first discards neighbors outside the axis-aligned quadrant
 (relative to the current node) that contains the target.
 
-Every protocol tallies ``evaluations``, the number of candidate-edge BER
-examinations it performed.  That count is the deterministic complexity
-metric of a run; wall-clock time is measured elsewhere.
+Every protocol tallies ``evaluations``, the deterministic complexity
+metric of a run; wall-clock time is measured elsewhere.  DRP and SRP
+count the candidate-edge BER examinations they performed.  CRP counts
+the incident edges of every node that Dijkstra run to exhaustion
+settles, although its loop stops once the target is settled: the figure
+is the model's complexity count, not the simulator's work.
 
 The routers do not change the graph's structure or figures.  CRP keeps
 its weight list per `WeightMode` in the graph's ``weights`` memo, computed
@@ -141,9 +144,12 @@ def crp(
 
     Ties in path weight resolve toward lower node ids (heap keys are
     (distance, id) and neighbors relax in id order), so the outcome is
-    reproducible across platforms.  Each examined incident edge of a
-    settled node counts one evaluation.  An edge of infinite weight never
-    relaxes, since no tentative distance is below infinity.
+    reproducible across platforms.  The loop stops when it pops the
+    target, whose path is final then.  An edge of infinite weight never
+    relaxes, since no tentative distance is below infinity, so Dijkstra
+    run to exhaustion would settle exactly the nodes that finite-weight
+    edges join to the source; each incident edge of such a node counts
+    one evaluation.
     """
     graph.check_nodes(source, target)
     if source == target:
@@ -160,15 +166,15 @@ def crp(
     via = [-1] * n
     settled = [False] * n
     dist[source] = 0.0
-    evaluations = 0
     heap = [(0.0, source)]
     while heap:
         d, u = heapq.heappop(heap)
         if settled[u]:
             continue
+        if u == target:
+            break
         settled[u] = True
         start, end = indptr[u], stop[u]
-        evaluations += end - start
         for v, e in zip(indices[start:end], edge[start:end]):
             if settled[v]:
                 continue
@@ -179,7 +185,21 @@ def crp(
                 via[v] = e
                 heapq.heappush(heap, (candidate, v))
 
-    if not settled[target]:
+    # The nodes exhaustive Dijkstra settles: those at finite distance, and
+    # the unreached ones that finite-weight edges join to them, of which
+    # there are none when the heap ran dry.
+    reached = [x < math.inf for x in dist]
+    grew = reached[target]
+    while grew:
+        grew = False
+        for u in range(n):
+            if not reached[u]:
+                for k in range(indptr[u], stop[u]):
+                    if reached[indices[k]] and weights[edge[k]] < math.inf:
+                        reached[u] = grew = True
+                        break
+    evaluations = sum(stop[u] - indptr[u] for u in range(n) if reached[u])
+    if not reached[target]:
         return _fail(FailureReason.DISCONNECTED, evaluations)
     edges = []
     node = target

@@ -3,10 +3,11 @@
 Everything here is deliberately written without importing uowsim: channel
 formulas in arbitrary precision via mpmath, end-to-end BER by exhaustive
 flip-pattern enumeration, a route's log10(1 - 2 BER) hop by hop, shortest
-paths by exhaustive simple-path search, reachability by boolean matrix
-closure.
+paths by exhaustive simple-path search, Dijkstra run to exhaustion,
+reachability by boolean matrix closure.
 """
 
+import heapq
 import math
 from itertools import product
 
@@ -149,6 +150,52 @@ def best_paths_bruteforce(adjacency, source, target):
         if best_sum is None or total < best_sum:
             best_sum = total
     return best_e2e, best_sum
+
+
+def exhaustive_dijkstra(graph, source, target, weights):
+    """CRP's Dijkstra loop run until its heap is empty, as CRP once ran it.
+
+    ``graph`` is read through its CSR lists (``indptr``, ``stop``,
+    ``indices``, ``edge``) and ``weights`` holds one weight per edge id.
+    Returns the edge ids of the route from ``source`` to ``target`` (None
+    when the target is never settled) and the evaluation tally: the
+    incident edges of every settled node.
+    """
+    indptr, stop, indices, edge = graph.indptr, graph.stop, graph.indices, graph.edge
+    n = graph.node_count
+    dist = [math.inf] * n
+    prev = [source] * n
+    via = [-1] * n
+    settled = [False] * n
+    dist[source] = 0.0
+    evaluations = 0
+    heap = [(0.0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if settled[u]:
+            continue
+        settled[u] = True
+        start, end = indptr[u], stop[u]
+        evaluations += end - start
+        for v, e in zip(indices[start:end], edge[start:end]):
+            if settled[v]:
+                continue
+            candidate = d + weights[e]
+            if candidate < dist[v]:
+                dist[v] = candidate
+                prev[v] = u
+                via[v] = e
+                heapq.heappush(heap, (candidate, v))
+
+    if not settled[target]:
+        return None, evaluations
+    edges = []
+    node = target
+    while node != source:
+        edges.append(via[node])
+        node = prev[node]
+    edges.reverse()
+    return edges, evaluations
 
 
 def reachability_closure(n, edges):

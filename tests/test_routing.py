@@ -1,17 +1,20 @@
+import heapq
 import itertools
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import best_paths_bruteforce, fold_reference
+from oracles import best_paths_bruteforce, exhaustive_dijkstra, fold_reference
 from uowsim import (
     ChannelParams,
     FailureReason,
     Protocol,
     ReceiverNoise,
+    RoutingOutcome,
     SimulationConfig,
     WaterType,
     WeightMode,
@@ -19,13 +22,15 @@ from uowsim import (
     crp,
     drp,
     generate_deployment,
+    path_exists,
     price_links,
     quadrant_filter,
     srp,
 )
 from uowsim.cli import route_dump_lines
 from uowsim.harness import DEFAULT_NODE_SWEEP
-from uowsim.routing import _finish
+from uowsim import routing
+from uowsim.routing import _finish, edge_weights
 from conftest import edge_between, graph_edges, make_graph, priced_graph
 
 
@@ -183,6 +188,131 @@ def test_every_protocol_routes_a_view_as_a_separate_build(water):
 
 def _bits(values):
     return struct.pack(f"<{len(values)}d", *values)
+
+
+def _assert_crp_is_exhaustive_dijkstra(graph, source, target, mode):
+    """CRP's outcome, evaluations and hop-BER bits equal the exhaustive loop's."""
+    outcome = crp(graph, source, target, mode)
+    edges, evaluations = exhaustive_dijkstra(
+        graph, source, target, edge_weights(graph.ber, mode)
+    )
+    if edges is None:
+        assert outcome == RoutingOutcome(None, FailureReason.DISCONNECTED, evaluations)
+        return outcome
+    expected = _finish(graph, source, target, edges, evaluations)
+    assert outcome == expected
+    assert _bits(outcome.route.hop_bers) == _bits(expected.route.hop_bers)
+    return outcome
+
+
+def test_crp_matches_exhaustive_dijkstra_on_tied_graphs():
+    # BERs from a small set make exact path-weight ties frequent, and 0.5
+    # and 0.55 make infinite `exact` weights frequent.
+    rng = np.random.default_rng(2525)
+    bers = (0.0, 0.1, 0.25, 0.5, 0.55)
+    for _ in range(400):
+        n = int(rng.integers(2, 11))
+        positions = [(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(n)]
+        edges = {
+            (u, v): bers[rng.integers(len(bers))]
+            for u in range(n)
+            for v in range(u + 1, n)
+            if rng.random() < 0.5
+        }
+        graph = make_graph(positions, edges)
+        source, target = (int(x) for x in rng.choice(n, size=2, replace=False))
+        for mode in WeightMode:
+            _assert_crp_is_exhaustive_dijkstra(graph, source, target, mode)
+
+
+@pytest.mark.parametrize("water", [WaterType.CLEAR_OCEAN, WaterType.TURBID_HARBOR])
+def test_crp_matches_exhaustive_dijkstra_on_every_view(water):
+    params, noise = ChannelParams.for_water(water), ReceiverNoise()
+    counts = sorted(DEFAULT_NODE_SWEEP, reverse=True)
+    for seed in (1, 7, 42):
+        positions = generate_deployment(SimulationConfig(node_count=counts[0]), seed)
+        priced = price_links(positions, counts, 80.0, params, noise)
+        whole = build_graph(positions, priced[0])
+        for n, links in zip(counts, priced):
+            view = build_graph(positions[:n], links, whole)
+            for mode in WeightMode:
+                _assert_crp_is_exhaustive_dijkstra(view, 0, 1, mode)
+
+
+def test_crp_counts_the_rows_of_nodes_reached_after_the_target():
+    # S(0) -- T(1) -- X(3) -- Y(2): the loop stops when it pops T, before X
+    # and Y get a distance, and Dijkstra run to exhaustion settles both.
+    # Y's id is below X's, so Y joins the tally a round after X.
+    graph = make_graph(
+        [(0.0, 0.0), (10.0, 0.0), (30.0, 0.0), (20.0, 0.0)],
+        {(0, 1): 0.1, (1, 3): 0.2, (3, 2): 0.3},
+    )
+    for mode in WeightMode:
+        outcome = _assert_crp_is_exhaustive_dijkstra(graph, 0, 1, mode)
+        assert outcome.route.hops == (0, 1)
+        assert outcome.evaluations == 1 + 2 + 2 + 1
+
+
+def test_crp_counts_a_row_behind_a_half_ber_link_only_under_paper_weights():
+    # S(0) -- T(1) at 0.1, T -- X(2) at 0.5, X -- Y(3) at 0.1: under `exact`
+    # the T-X link is absent, so neither X nor Y would ever be settled.
+    graph = make_graph(
+        [(0.0, 0.0), (10.0, 0.0), (20.0, 0.0), (30.0, 0.0)],
+        {(0, 1): 0.1, (1, 2): 0.5, (2, 3): 0.1},
+    )
+    paper = _assert_crp_is_exhaustive_dijkstra(graph, 0, 1, WeightMode.PAPER_SUM)
+    exact = _assert_crp_is_exhaustive_dijkstra(graph, 0, 1, WeightMode.EXACT_LOG)
+    assert paper.evaluations == 1 + 2 + 2 + 1
+    assert exact.evaluations == 1 + 2
+
+
+def test_crp_counts_the_rows_of_nodes_left_in_the_heap():
+    # S(0) relaxes T(1) at 0.01, A(2) at 0.2 and B(3) at 0.3, and A -- B is
+    # 0.1: the loop pops T next and stops with A and B still in the heap.
+    graph = make_graph(
+        [(0.0, 0.0), (10.0, 0.0), (0.0, 10.0), (0.0, -10.0)],
+        {(0, 1): 0.01, (0, 2): 0.2, (0, 3): 0.3, (2, 3): 0.1},
+    )
+    for mode in WeightMode:
+        outcome = _assert_crp_is_exhaustive_dijkstra(graph, 0, 1, mode)
+        assert outcome.route.hops == (0, 1)
+        assert outcome.evaluations == 3 + 1 + 2 + 2
+
+
+def test_crp_fails_on_a_connected_graph_without_a_finite_path():
+    # S(0) -- A(2) at 0.1, A -- T(1) at 0.5, T -- B(3) at 0.1: the BFS finds
+    # a path, but under `exact` the A-T link is absent.  The heap runs dry
+    # after S and A, whose rows are the tally.
+    graph = make_graph(
+        [(0.0, 0.0), (20.0, 0.0), (10.0, 0.0), (30.0, 0.0)],
+        {(0, 2): 0.1, (2, 1): 0.5, (1, 3): 0.1},
+    )
+    assert path_exists(graph, 0, 1)
+    outcome = _assert_crp_is_exhaustive_dijkstra(graph, 0, 1, WeightMode.EXACT_LOG)
+    assert outcome.failure_reason is FailureReason.DISCONNECTED
+    assert outcome.evaluations == 1 + 2
+    assert outcome.evaluations == _reachable_degree_sum(graph, 0, WeightMode.EXACT_LOG)
+
+
+def test_crp_stops_popping_once_it_settles_the_target(monkeypatch):
+    # S(0) -- T(1) at 0.01, and eight more nodes each joined to S and to T
+    # at 0.2: Dijkstra run to exhaustion pops all ten nodes, CRP only S and T.
+    others = range(2, 10)
+    edges = {(0, 1): 0.01} | {(0, x): 0.2 for x in others} | {(1, x): 0.2 for x in others}
+    graph = make_graph([(0.0, 0.0), (10.0, 0.0)] + [(5.0, x) for x in others], edges)
+    popped = []
+
+    def heappop(heap):
+        popped.append(heap[0][1])
+        return heapq.heappop(heap)
+
+    monkeypatch.setattr(
+        routing, "heapq", SimpleNamespace(heappush=heapq.heappush, heappop=heappop)
+    )
+    outcome = crp(graph, 0, 1)
+    assert popped == [0, 1]
+    assert outcome.route.hops == (0, 1)
+    assert outcome.evaluations == 9 + 9 + 2 * len(others)
 
 
 def test_crp_rejects_unknown_ids():
