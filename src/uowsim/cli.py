@@ -381,18 +381,16 @@ def _load_config_doc(path) -> dict:
 
 def _sim_config(args, campaign: bool) -> SimulationConfig:
     doc = _load_config_doc(args.config)
-    if args.seed is not None:
-        doc["master_seed"] = args.seed
-    if args.nodes is not None:
-        doc["node_count"] = args.nodes
-    if args.realizations is not None:
-        doc["realizations"] = args.realizations
-    if args.protocols is not None:
-        doc["protocols"] = args.protocols
-    if getattr(args, "weight_mode", None) is not None:
-        doc["weight_mode"] = args.weight_mode
-    if args.water is not None:
-        doc["water"] = args.water
+    for key, value in (
+        ("master_seed", args.seed),
+        ("node_count", args.nodes),
+        ("realizations", args.realizations),
+        ("protocols", args.protocols),
+        ("weight_mode", args.weight_mode),
+        ("water", args.water),
+    ):
+        if value is not None:
+            doc[key] = value
     if campaign and "node_count" not in doc:
         doc["node_count"] = list(DEFAULT_NODE_SWEEP)
     return config_from_dict(doc)

@@ -242,9 +242,7 @@ class AggregateStats:
     mean_delay_s: float | None
     std_delay_s: float | None
     mean_evaluations: float | None
-    std_evaluations: float | None
     mean_hops: float | None
-    std_hops: float | None
 
 
 @dataclass(frozen=True)
@@ -363,8 +361,6 @@ def aggregate_records(records, config: SimulationConfig) -> list[AggregateStats]
             successes = [r for r in cell if r.success]
             mean_ber, std_ber = _mean_std([m.e2e_ber for m in successes])
             mean_delay, std_delay = _mean_std([m.e2e_delay_s for m in successes])
-            mean_evals, std_evals = _mean_std([m.evaluations for m in successes])
-            mean_hops, std_hops = _mean_std([m.hop_count for m in successes])
             aggregates.append(
                 AggregateStats(
                     protocol=protocol,
@@ -376,10 +372,8 @@ def aggregate_records(records, config: SimulationConfig) -> list[AggregateStats]
                     std_e2e_ber=std_ber,
                     mean_delay_s=mean_delay,
                     std_delay_s=std_delay,
-                    mean_evaluations=mean_evals,
-                    std_evaluations=std_evals,
-                    mean_hops=mean_hops,
-                    std_hops=std_hops,
+                    mean_evaluations=_mean([m.evaluations for m in successes]),
+                    mean_hops=_mean([m.hop_count for m in successes]),
                 )
             )
     return aggregates
@@ -416,6 +410,12 @@ def config_from_dict(raw: dict) -> SimulationConfig:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _mean(values):
+    import numpy as np
+
+    return float(np.array(values, dtype=float).mean()) if values else None
 
 
 def _mean_std(values):

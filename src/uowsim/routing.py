@@ -4,7 +4,8 @@ CRP sees the whole graph and runs Dijkstra on BER-derived edge weights.
 DRP and SRP are greedy walks that only look at the current node's
 neighborhood: DRP always moves to the unvisited neighbor with the lowest
 link BER, SRP first discards neighbors outside the axis-aligned quadrant
-(relative to the current node) that contains the target.
+(relative to the current node) that contains the target.  Neither walk
+has a hop limit: every hop moves to an unvisited node.
 
 Every protocol tallies ``evaluations``, the deterministic complexity
 metric of a run; wall-clock time is measured elsewhere.  DRP and SRP
@@ -51,7 +52,6 @@ class FailureReason(Enum):
     DEAD_END = "dead_end"
     EMPTY_QUADRANT = "empty_quadrant"
     DISCONNECTED = "disconnected"
-    HOP_LIMIT = "hop_limit"
 
 
 @dataclass(frozen=True)
@@ -162,7 +162,6 @@ def crp(
         weights = graph.weights[mode] = edge_weights(graph.ber, mode)
     n = graph.node_count
     dist = [math.inf] * n
-    prev = [source] * n
     via = [-1] * n
     settled = [False] * n
     dist[source] = 0.0
@@ -181,7 +180,6 @@ def crp(
             candidate = d + weights[e]
             if candidate < dist[v]:
                 dist[v] = candidate
-                prev[v] = u
                 via[v] = e
                 heapq.heappush(heap, (candidate, v))
 
@@ -204,8 +202,9 @@ def crp(
     edges = []
     node = target
     while node != source:
-        edges.append(via[node])
-        node = prev[node]
+        e = via[node]
+        edges.append(e)
+        node = graph.us[e] + graph.vs[e] - node  # the other endpoint of e
     edges.reverse()
     return _finish(graph, source, target, edges, evaluations)
 
@@ -219,7 +218,8 @@ def _greedy_walk(
     the unvisited neighbors of ``here`` and returns the ones the protocol
     examines.  They are counted as evaluations, and ties on BER break
     toward the lower node id.  The walk fails with ``stuck`` when there is
-    no candidate and with HOP_LIMIT after N-1 hops.
+    no candidate.  It needs no hop limit: each hop moves to an unvisited
+    node, so by hop N-1 it has reached the target or run out of candidates.
     """
     graph.check_nodes(source, target)
     if source == target:
@@ -231,7 +231,7 @@ def _greedy_walk(
     edges = []
     current = source
     evaluations = 0
-    for _ in range(graph.node_count - 1):
+    while True:
         start, end = indptr[current], stop[current]
         unvisited = [
             (bers[e], v, e)
@@ -247,14 +247,13 @@ def _greedy_walk(
         visited.add(current)
         if current == target:
             return _finish(graph, source, target, edges, evaluations)
-    return _fail(FailureReason.HOP_LIMIT, evaluations)
 
 
 def drp(graph: NetworkGraph, source: int, target: int) -> RoutingOutcome:
     """Distributed routing: greedy walk to the min-BER unvisited neighbor.
 
     The walk aborts when the current node has no unvisited neighbor (dead
-    end) or after N-1 hops.
+    end).
     """
     return _greedy_walk(
         graph, source, target, lambda here, unvisited: unvisited, FailureReason.DEAD_END

@@ -32,15 +32,14 @@ class NetworkGraph:
 
     Node ``i`` sits at ``positions[i]``, an ``[x, y]`` list.  ``us``,
     ``vs``, ``distance`` and ``ber`` hold one entry per undirected edge:
-    its two endpoint ids and its figures; ``links`` keeps the four arrays
-    they were built from.  The adjacency is in CSR form: the neighbors of
-    ``u`` are ``indices[indptr[u]:stop[u]]`` in ascending id order, and
-    ``edge`` gives the undirected edge of each of those slots, so every
-    edge appears in the rows of both endpoints.  A built graph's ``stop``
-    is ``indptr[1:]``; a `view` ends each row early.  The graph is
-    self-edge free and has at most one edge per node pair.  The routers
-    index these lists element by element, where a list lookup is several
-    times cheaper than a numpy one.  ``weights`` is a memo that the
+    its two endpoint ids and its figures.  The adjacency is in CSR form:
+    the neighbors of ``u`` are ``indices[indptr[u]:stop[u]]`` in ascending
+    id order, and ``edge`` gives the undirected edge of each of those
+    slots, so every edge appears in the rows of both endpoints.  A built
+    graph's ``stop`` is ``indptr[1:]``; a `view` ends each row early.  The
+    graph is self-edge free and has at most one edge per node pair.  The
+    routers index these lists element by element, where a list lookup is
+    several times cheaper than a numpy one.  ``weights`` is a memo that the
     routers fill, one list over every edge per key, and that views share.
     """
 
@@ -78,7 +77,6 @@ class NetworkGraph:
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
         self.node_count = n
         self.edge_count = m
-        self.links = (us, vs, distance, ber)
         self.positions = positions.tolist()
         self.indptr = indptr.tolist()
         self.stop = self.indptr[1:]
@@ -93,8 +91,8 @@ class NetworkGraph:
     def view(self, n: int, m: int) -> "NetworkGraph":
         """The subgraph of nodes ``0..n-1``, whose edges must be edges ``0..m-1``.
 
-        The view shares every list, ``links`` and the ``weights`` memo with
-        this graph; its ``node_count`` and ``edge_count`` are ``n`` and
+        The view shares every list and the ``weights`` memo with this
+        graph; its ``node_count`` and ``edge_count`` are ``n`` and
         ``m``.  Since ``indices`` ascend within a row, a node's neighbors
         below ``n`` are a prefix of its row, so the view's own ``stop`` is
         one bisection per row.  Raises ValueError unless ``n`` names at most
@@ -166,12 +164,13 @@ def price_links(
     i < j, of all positions are ordered by j and then by i, so count
     ``k``'s links are the first of them, up to the first pair with
     ``j >= k``: the links of ``positions[:k]`` priced alone.  Every count's
-    links go to ``channel.link_power_and_ber`` in one call.  Returns one
-    ``(us, vs, distance, ber)`` tuple per count, in ``node_counts`` order;
-    the first three are slices of the same arrays.  Pairs at exactly zero
-    separation have no defined received power; they get a perfect link
-    (ber 0) at the stand-in distance and a log entry for each count that
-    holds them.
+    links go to ``channel.link_power_and_ber`` in one call; each count's
+    BERs must be the first of the largest count's, bit for bit
+    (AssertionError otherwise).  Returns one ``(us, vs, distance, ber)``
+    tuple per count, in ``node_counts`` order: slices of the largest
+    count's four arrays.  Pairs at exactly zero separation have no defined
+    received power; they get a perfect link (ber 0) at the stand-in
+    distance and a log entry for each count that holds them.
     """
     import numpy as np
 
@@ -179,7 +178,7 @@ def price_links(
         raise ValueError(f"max_range must be > 0, got {max_range}")
     positions = np.asarray(positions, dtype=float)
     n = len(positions)
-    if not all(2 <= k <= n for k in node_counts):
+    if not node_counts or not all(2 <= k <= n for k in node_counts):
         raise ValueError(f"node counts {tuple(node_counts)} must lie in 2..{n}")
     x, y = positions[:, 0], positions[:, 1]
     iu, ju = _pair_indices(n)
@@ -195,10 +194,14 @@ def price_links(
     _, bers = channel.link_power_and_ber(
         np.concatenate([effective[:m] for m in sizes]), params, noise
     )
+    starts = np.cumsum([0] + sizes).tolist()
+    top = sizes.index(max(sizes))
+    largest = bers[starts[top] : starts[top + 1]]
+    ber = np.where(degenerate[: len(largest)], 0.0, largest)
     links = []
-    stop = 0
-    for k, m in zip(node_counts, sizes):
-        start, stop = stop, stop + m
+    for k, m, start in zip(node_counts, sizes, starts):
+        if bers[start : start + m].tobytes() != largest[:m].tobytes():
+            raise AssertionError(f"the BERs of {k} nodes are no prefix of the largest count's")
         zero = degenerate[:m]
         if zero.any():
             log.warning(
@@ -207,7 +210,7 @@ def price_links(
                 k,
                 DEGENERATE_DISTANCE,
             )
-        links.append((us[:m], vs[:m], effective[:m], np.where(zero, 0.0, bers[start:stop])))
+        links.append((us[:m], vs[:m], effective[:m], ber[:m]))
     return links
 
 
@@ -216,18 +219,12 @@ def build_graph(positions, links, whole: NetworkGraph | None = None) -> NetworkG
 
     Given ``whole``, the graph of the same realization at a count of at
     least ``len(positions)``, it returns ``whole.view`` of this count
-    instead of building one, after checking that the links are, bit for
-    bit, the first of ``whole``'s edges (AssertionError otherwise).
+    instead of building one: `price_links` gives every count the first of
+    the largest count's links.
     """
     if whole is None:
         return NetworkGraph(positions, *links)
-    import numpy as np
-
-    n, m = len(positions), len(links[0])
-    for name, mine, theirs in zip(("us", "vs", "distance", "ber"), links, whole.links):
-        if np.asarray(mine).tobytes() != theirs[:m].tobytes():
-            raise AssertionError(f"the {name} of {n} nodes are no prefix of the whole graph's")
-    return whole.view(n, m)
+    return whole.view(len(positions), len(links[0]))
 
 
 def path_exists(graph: NetworkGraph, source: int, target: int) -> bool:

@@ -1,14 +1,17 @@
 """Independent reference implementations used to check the simulator.
 
-Everything here is deliberately written without importing uowsim: channel
-formulas in arbitrary precision via mpmath, end-to-end BER by exhaustive
-flip-pattern enumeration, a route's log10(1 - 2 BER) hop by hop, shortest
-paths by exhaustive simple-path search, Dijkstra run to exhaustion,
-reachability by boolean matrix closure.
+Everything here except `reference_campaign` is deliberately written without
+importing uowsim: channel formulas in arbitrary precision via mpmath,
+end-to-end BER by exhaustive flip-pattern enumeration, a route's
+log10(1 - 2 BER) hop by hop, shortest paths by exhaustive simple-path
+search, Dijkstra run to exhaustion, reachability by boolean matrix closure.
+`reference_campaign` reuses the model's kernels (deployment, link pricing,
+the greedy walks) but none of the campaign's shortcuts.
 """
 
 import heapq
 import math
+from dataclasses import replace
 from itertools import product
 
 import mpmath as mp
@@ -210,3 +213,123 @@ def reachability_closure(n, edges):
             break
         reach = updated
     return reach
+
+
+def reference_campaign(config):
+    """`run_campaign`'s records and aggregates, rebuilt one trial at a time.
+
+    Every count of every realization is built the plain way: positions
+    from ``generate_deployment`` at the largest count, cut to the count;
+    in-range pairs from a double loop; BERs from ``link_power_and_ber``
+    over that count's own distances; a fresh ``NetworkGraph``; CRP by
+    `exhaustive_dijkstra` over fresh weights, DRP and SRP on that graph.
+    Returns ``(records, aggregates)`` in (node count, realization,
+    protocol) and (node count, protocol) order.
+    """
+    from uowsim import (
+        AggregateStats,
+        FailureReason,
+        NetworkGraph,
+        Protocol,
+        RoutingOutcome,
+        TrialMetrics,
+        drp,
+        generate_deployment,
+        link_power_and_ber,
+        path_exists,
+        srp,
+    )
+    from uowsim.metrics import path_delay
+    from uowsim.routing import _finish, edge_weights
+    from uowsim.topology import DEGENERATE_DISTANCE
+
+    counts = config.node_counts
+    largest = replace(config, node_count=max(counts))
+    seeds = [
+        int(np.random.SeedSequence([config.master_seed, i]).generate_state(1, np.uint64)[0])
+        for i in range(config.realizations)
+    ]
+    records = []
+    for n in counts:
+        for index, seed in enumerate(seeds):
+            positions = generate_deployment(largest, seed)[:n]
+            us, vs, distances, coincident = [], [], [], []
+            for i in range(n):
+                for j in range(i + 1, n):
+                    dx = float(positions[i, 0] - positions[j, 0])
+                    dy = float(positions[i, 1] - positions[j, 1])
+                    distance = math.sqrt(dx * dx + dy * dy)
+                    if distance <= config.max_range:
+                        us.append(i)
+                        vs.append(j)
+                        distances.append(distance or DEGENERATE_DISTANCE)
+                        coincident.append(distance == 0.0)
+            bers = []
+            if distances:
+                _, priced = link_power_and_ber(np.array(distances), config.channel, config.noise)
+                bers = [0.0 if zero else float(b) for zero, b in zip(coincident, priced)]
+            graph = NetworkGraph(positions, us, vs, distances, bers)
+            connected = path_exists(graph, 0, 1)
+            for protocol in config.protocols:
+                if not connected:
+                    outcome = RoutingOutcome(None, FailureReason.DISCONNECTED, 0)
+                elif protocol is Protocol.CRP:
+                    weights = edge_weights(graph.ber, config.weight_mode)
+                    edges, evaluations = exhaustive_dijkstra(graph, 0, 1, weights)
+                    if edges is None:
+                        outcome = RoutingOutcome(None, FailureReason.DISCONNECTED, evaluations)
+                    else:
+                        outcome = _finish(graph, 0, 1, edges, evaluations)
+                elif protocol is Protocol.DRP:
+                    outcome = drp(graph, 0, 1)
+                else:
+                    outcome = srp(graph, 0, 1, fallback=config.srp_fallback)
+                route = outcome.route
+                records.append(
+                    TrialMetrics(
+                        protocol=protocol,
+                        n_nodes=n,
+                        realization=index,
+                        seed=seed,
+                        success=route is not None,
+                        failure_reason=outcome.failure_reason,
+                        hop_count=route.hop_count if route else None,
+                        e2e_ber=route.e2e_ber if route else None,
+                        e2e_delay_s=(
+                            path_delay(route.hop_count, route.total_distance, config)
+                            if route
+                            else None
+                        ),
+                        total_distance_m=route.total_distance if route else None,
+                        evaluations=outcome.evaluations,
+                        wall_clock_ns=0,
+                    )
+                )
+
+    aggregates = []
+    for n in counts:
+        for protocol in config.protocols:
+            cell = [r for r in records if r.n_nodes == n and r.protocol is protocol]
+            ok = [r for r in cell if r.success]
+            stats = {}
+            for name in ("e2e_ber", "e2e_delay_s", "evaluations", "hop_count"):
+                values = np.array([getattr(r, name) for r in ok], dtype=float)
+                stats[name] = (
+                    (float(values.mean()), float(values.std(ddof=0))) if ok else (None, None)
+                )
+            aggregates.append(
+                AggregateStats(
+                    protocol=protocol,
+                    n_nodes=n,
+                    trials=len(cell),
+                    successes=len(ok),
+                    success_rate=len(ok) / len(cell),
+                    mean_e2e_ber=stats["e2e_ber"][0],
+                    std_e2e_ber=stats["e2e_ber"][1],
+                    mean_delay_s=stats["e2e_delay_s"][0],
+                    std_delay_s=stats["e2e_delay_s"][1],
+                    mean_evaluations=stats["evaluations"][0],
+                    mean_hops=stats["hop_count"][0],
+                )
+            )
+    return records, aggregates

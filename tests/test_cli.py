@@ -15,7 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uowsim import AggregateStats, FailureReason, Protocol, SimulationConfig, TrialMetrics
+from uowsim import (
+    AggregateStats,
+    FailureReason,
+    Protocol,
+    SimulationConfig,
+    TrialMetrics,
+    WeightMode,
+)
 from uowsim.cli import (
     BER_SWEEP_COLUMNS,
     CAMPAIGN_AGGREGATE_COLUMNS,
@@ -26,6 +33,8 @@ from uowsim.cli import (
     OutputRecordSet,
     SweepRecordSet,
     _format_cell,
+    _sim_config,
+    build_parser,
     cmd_ber_sweep,
     cmd_campaign,
     cmd_link_budget,
@@ -440,6 +449,39 @@ def test_main_malformed_config_exits_2(tmp_path):
             ("--distances", "1e-200"),
         ):
             assert main([command, flag, value, "--out", str(tmp_path)]) == 2
+
+
+def test_each_sim_flag_overrides_its_key_in_the_config_file(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "master_seed": 1,
+                "node_count": [5],
+                "realizations": 2,
+                "protocols": ["crp"],
+                "weight_mode": "paper",
+                "water": "coastal",
+            }
+        )
+    )
+    for command in ("route", "campaign"):
+
+        def resolved(*flags):
+            args = build_parser().parse_args([command, "--config", str(config), *flags])
+            return _sim_config(args, campaign=command == "campaign")
+
+        from_file = resolved()
+        assert (from_file.master_seed, from_file.node_count) == (1, 5)
+        for flag, value, changes in (
+            ("--seed", "9", {"master_seed": 9}),
+            ("--nodes", "7,8", {"node_count": (7, 8)}),
+            ("--realizations", "3", {"realizations": 3}),
+            ("--protocols", "srp,drp", {"protocols": (Protocol.DRP, Protocol.SRP)}),
+            ("--weight-mode", "exact", {"weight_mode": WeightMode.EXACT_LOG}),
+            ("--water", "turbid", {"channel": ChannelParams.for_water(WaterType.TURBID_HARBOR)}),
+        ):
+            assert resolved(flag, value) == dataclasses.replace(from_file, **changes), flag
 
 
 def _files(directory):

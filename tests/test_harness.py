@@ -1,11 +1,15 @@
 import dataclasses
 import math
+import os
+import struct
 import sys
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_campaign
 from uowsim import (
     ChannelParams,
     ConfigError,
@@ -352,6 +356,55 @@ def test_campaign_pool_is_capped_at_cpus_and_tasks(monkeypatch):
     assert built == [4]
     run_campaign(SimulationConfig(node_count=(20,), realizations=1))
     assert built == [4]
+
+
+def _layout(side):
+    """A square area of ``side`` metres with the stock source and target,
+    scaled from the 250 m area."""
+    return {
+        "area": (side, side),
+        "source_pos": (0.21 * side, 0.5 * side),
+        "target_pos": (0.79 * side, 0.5 * side),
+    }
+
+
+_REFERENCE_CONFIGS = st.builds(
+    lambda side, **fields: SimulationConfig(**_layout(side), **fields),
+    side=st.sampled_from((15.0, 40.0, 250.0)),
+    max_range=st.sampled_from((5.0, 15.0, 80.0)),
+    channel=st.sampled_from(list(WaterType)).map(ChannelParams.for_water),
+    weight_mode=st.sampled_from(list(WeightMode)),
+    node_count=st.lists(st.integers(2, 30), min_size=1, max_size=4, unique=True).map(tuple),
+    realizations=st.integers(1, 4),
+    protocols=st.sets(st.sampled_from(list(Protocol)), min_size=1).map(tuple),
+    srp_fallback=st.booleans(),
+    master_seed=st.integers(0, 2**32),
+)
+
+
+def _bit_fields(record):
+    """A record's fields by name, each float as its IEEE-754 bytes."""
+    return [
+        (f.name, struct.pack("<d", value) if isinstance(value, float) else value)
+        for f in dataclasses.fields(record)
+        for value in (getattr(record, f.name),)
+    ]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(_REFERENCE_CONFIGS, st.just("1"))
+@example(
+    SimulationConfig(**_layout(40.0), max_range=15.0, node_count=(30, 7, 19, 2), realizations=4),
+    "2",
+)
+def test_campaign_equals_the_reference_campaign(config, threads):
+    # Every view, memo, early stop and shared pricing call of the campaign
+    # must give the records and aggregates of plain per-count trials.
+    with mock.patch.dict(os.environ, {"UOWSN_THREADS": threads}):
+        result = run_campaign(config)
+    records, aggregates = reference_campaign(config)
+    assert list(map(_bit_fields, result.records)) == list(map(_bit_fields, records))
+    assert list(map(_bit_fields, result.aggregates)) == list(map(_bit_fields, aggregates))
 
 
 @pytest.mark.parametrize("realizations", [1, 7, 13])

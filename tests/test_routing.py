@@ -567,6 +567,8 @@ def test_greedy_routes_are_walks_and_srp_keeps_to_the_quadrant(case):
         ("srp-fallback", srp(graph, 0, 1, fallback=True)),
     ):
         if not outcome.success:
+            stuck = FailureReason.DEAD_END if protocol == "drp" else FailureReason.EMPTY_QUADRANT
+            assert outcome.failure_reason is stuck, protocol
             continue
         hops = outcome.route.hops
         assert (hops[0], hops[-1]) == (0, 1)

@@ -20,6 +20,7 @@ from uowsim import (
     received_power_los,
     single_link_ber,
 )
+from uowsim import channel
 from uowsim.topology import DEGENERATE_DISTANCE
 from conftest import edge_between, graph_edges, make_graph, priced_graph
 
@@ -230,7 +231,6 @@ def test_a_view_shares_the_whole_graph_and_ends_its_rows_early(default_setup):
     view = build_graph(positions[:40], small, whole)
     for name in ("positions", "indptr", "indices", "edge", "us", "vs", "distance", "ber", "weights"):
         assert getattr(view, name) is getattr(whole, name), name
-    assert view.links is whole.links
     assert (view.node_count, view.edge_count) == (40, len(small[0]))
     assert len(view.stop) == 40 and view.stop != whole.stop[:40]
     assert all(v < 40 for u, v, _, _ in graph_edges(view))
@@ -239,20 +239,27 @@ def test_a_view_shares_the_whole_graph_and_ends_its_rows_early(default_setup):
         view.check_nodes(40)
 
 
-def test_a_count_that_is_no_prefix_of_the_whole_graph_is_refused(default_setup):
+def test_a_count_that_is_no_prefix_of_the_whole_graph_is_refused(default_setup, monkeypatch):
+    # Each count is priced in its own slice of one channel call, the 60
+    # nodes' first; BERs that are not the first of the 100 nodes' are refused.
     params, noise = default_setup
     positions = generate_deployment(SimulationConfig(node_count=100), 42)
     small, large = price_links(positions, (60, 100), 80.0, params, noise)
     whole = build_graph(positions, large)
     m = len(small[0])
     assert build_graph(positions[:60], small, whole).edge_count == m
-    for field in (2, 3):  # distance, ber
-        for i in (0, m // 2, m - 1):
-            moved = list(small)
-            moved[field] = small[field].copy()
-            moved[field][i] = np.nextafter(moved[field][i], 1.0)
-            with pytest.raises(AssertionError):
-                build_graph(positions[:60], tuple(moved), whole)
+    price = channel.link_power_and_ber
+    for i in (0, m // 2, m - 1):
+
+        def moved(distances, params, noise, i=i):
+            powers, bers = price(distances, params, noise)
+            bers[i] = np.nextafter(bers[i], 1.0)
+            return powers, bers
+
+        monkeypatch.setattr(channel, "link_power_and_ber", moved)
+        with pytest.raises(AssertionError, match="60 nodes"):
+            price_links(positions, (60, 100), 80.0, params, noise)
+    monkeypatch.undo()
     # A prefix that stops one link short leaves a link among the 60 nodes out.
     with pytest.raises(ValueError):
         build_graph(positions[:60], tuple(a[: m - 1] for a in small), whole)
