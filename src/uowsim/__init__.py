@@ -35,7 +35,6 @@ from .routing import (
     WeightMode,
     crp,
     drp,
-    quadrant_filter,
     srp,
 )
 from .topology import (

@@ -268,36 +268,28 @@ def srp(
 ) -> RoutingOutcome:
     """Sectorized routing: DRP restricted to the quadrant holding the target.
 
-    Only unvisited neighbors that pass `quadrant_filter` are examined (and
-    counted).  With ``fallback`` enabled, a hop whose quadrant is empty
-    widens to all unvisited neighbors instead of failing.
+    Only the unvisited neighbors in the quadrant of the target, seen from
+    the current node, are examined (and counted): a neighbor's offset from
+    the current node must agree in sign with the target's on both axes.
+    An offset of 0 passes, an axis on which the target is aligned with the
+    current node constrains nothing, and the target itself always passes.
+    With ``fallback`` enabled, a hop whose quadrant is empty widens to all
+    unvisited neighbors instead of failing.
     """
     xy = graph.positions
+    tx, ty = xy[target]
 
     def in_quadrant(here, unvisited):
-        inside = quadrant_filter(xy[here], xy[target], [xy[v] for _, v, _ in unvisited])
+        cx, cy = xy[here]
+        dx = tx - cx
+        dy = ty - cy
+        inside = []
+        for candidate in unvisited:
+            x, y = xy[candidate[1]]
+            if (x - cx) * dx >= 0.0 and (y - cy) * dy >= 0.0:
+                inside.append(candidate)
         if fallback and not inside:
             return unvisited
-        return [unvisited[i] for i in inside]
+        return inside
 
     return _greedy_walk(graph, source, target, in_quadrant, FailureReason.EMPTY_QUADRANT)
-
-
-def quadrant_filter(current, target, candidates) -> list[int]:
-    """Indices of the ``(x, y)`` candidates in the quadrant of ``target``
-    seen from ``current``.
-
-    A candidate passes when its offset from the current position agrees in
-    sign with the target's offset on both axes; boundary nodes (offset 0)
-    pass, and an axis on which the target is aligned with the current
-    position constrains nothing.  The target itself always passes.
-    """
-    cx, cy = current
-    tx, ty = target
-    dx = tx - cx
-    dy = ty - cy
-    return [
-        i
-        for i, (x, y) in enumerate(candidates)
-        if (x - cx) * dx >= 0.0 and (y - cy) * dy >= 0.0
-    ]

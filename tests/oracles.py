@@ -4,9 +4,10 @@ Everything here except `reference_campaign` is deliberately written without
 importing uowsim: channel formulas in arbitrary precision via mpmath,
 end-to-end BER by exhaustive flip-pattern enumeration, a route's
 log10(1 - 2 BER) hop by hop, shortest paths by exhaustive simple-path
-search, Dijkstra run to exhaustion, reachability by boolean matrix closure.
-`reference_campaign` reuses the model's kernels (deployment, link pricing,
-the greedy walks) but none of the campaign's shortcuts.
+search, Dijkstra run to exhaustion, DRP's and SRP's greedy walk as a plain
+loop, reachability by boolean matrix closure.  `reference_campaign` reuses
+the model's kernels (deployment, link pricing, the route builder) but none
+of the campaign's shortcuts, and none of its routers.
 """
 
 import heapq
@@ -201,6 +202,54 @@ def exhaustive_dijkstra(graph, source, target, weights):
     return edges, evaluations
 
 
+def in_quadrant(current, target, point):
+    """Whether ``point`` lies in the quadrant of ``target`` seen from ``current``.
+
+    Both of the point's offsets from ``current`` must agree in sign with the
+    target's, or be 0; an axis on which the target is aligned with
+    ``current`` constrains nothing.
+    """
+    (cx, cy), (tx, ty), (x, y) = current, target, point
+    return (x - cx) * (tx - cx) >= 0.0 and (y - cy) * (ty - cy) >= 0.0
+
+
+def greedy_walk(graph, source, target, quadrant=False, fallback=False):
+    """DRP's walk, or SRP's when ``quadrant`` is set, one step at a time.
+
+    Each step collects the ``(ber, id, edge)`` triples of the unvisited
+    neighbors; SRP keeps those `in_quadrant` passes, or all of them under
+    ``fallback`` when none passes.  The kept triples count as evaluations,
+    and the walk moves to their ``min``.  ``graph`` is read through its CSR
+    lists and ``positions``.  Returns the edge ids of the route (None when
+    a step has no candidate) and the evaluation tally.
+    """
+    positions = graph.positions
+    visited = {source}
+    edges = []
+    evaluations = 0
+    here = source
+    while here != target:
+        candidates = []
+        for k in range(graph.indptr[here], graph.stop[here]):
+            v, e = graph.indices[k], graph.edge[k]
+            if v not in visited:
+                candidates.append((graph.ber[e], v, e))
+        if quadrant:
+            inside = [
+                c for c in candidates
+                if in_quadrant(positions[here], positions[target], positions[c[1]])
+            ]
+            if inside or not fallback:
+                candidates = inside
+        evaluations += len(candidates)
+        if not candidates:
+            return None, evaluations
+        _, here, e = min(candidates)
+        visited.add(here)
+        edges.append(e)
+    return edges, evaluations
+
+
 def reachability_closure(n, edges):
     """Boolean transitive closure over undirected edges by matrix powers."""
     reach = np.eye(n, dtype=bool)
@@ -222,7 +271,8 @@ def reference_campaign(config):
     from ``generate_deployment`` at the largest count, cut to the count;
     in-range pairs from a double loop; BERs from ``link_power_and_ber``
     over that count's own distances; a fresh ``NetworkGraph``; CRP by
-    `exhaustive_dijkstra` over fresh weights, DRP and SRP on that graph.
+    `exhaustive_dijkstra` over fresh weights, DRP and SRP by `greedy_walk`;
+    every route is built by ``routing._finish``.
     Returns ``(records, aggregates)`` in (node count, realization,
     protocol) and (node count, protocol) order.
     """
@@ -233,11 +283,9 @@ def reference_campaign(config):
         Protocol,
         RoutingOutcome,
         TrialMetrics,
-        drp,
         generate_deployment,
         link_power_and_ber,
         path_exists,
-        srp,
     )
     from uowsim.metrics import path_delay
     from uowsim.routing import _finish, edge_weights
@@ -272,18 +320,23 @@ def reference_campaign(config):
             connected = path_exists(graph, 0, 1)
             for protocol in config.protocols:
                 if not connected:
-                    outcome = RoutingOutcome(None, FailureReason.DISCONNECTED, 0)
+                    edges, evaluations, stuck = None, 0, FailureReason.DISCONNECTED
                 elif protocol is Protocol.CRP:
                     weights = edge_weights(graph.ber, config.weight_mode)
                     edges, evaluations = exhaustive_dijkstra(graph, 0, 1, weights)
-                    if edges is None:
-                        outcome = RoutingOutcome(None, FailureReason.DISCONNECTED, evaluations)
-                    else:
-                        outcome = _finish(graph, 0, 1, edges, evaluations)
+                    stuck = FailureReason.DISCONNECTED
                 elif protocol is Protocol.DRP:
-                    outcome = drp(graph, 0, 1)
+                    edges, evaluations = greedy_walk(graph, 0, 1)
+                    stuck = FailureReason.DEAD_END
                 else:
-                    outcome = srp(graph, 0, 1, fallback=config.srp_fallback)
+                    edges, evaluations = greedy_walk(
+                        graph, 0, 1, quadrant=True, fallback=config.srp_fallback
+                    )
+                    stuck = FailureReason.EMPTY_QUADRANT
+                if edges is None:
+                    outcome = RoutingOutcome(None, stuck, evaluations)
+                else:
+                    outcome = _finish(graph, 0, 1, edges, evaluations)
                 route = outcome.route
                 records.append(
                     TrialMetrics(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import best_paths_bruteforce, exhaustive_dijkstra, fold_reference
+from oracles import best_paths_bruteforce, exhaustive_dijkstra, fold_reference, in_quadrant
 from uowsim import (
     ChannelParams,
     FailureReason,
@@ -24,7 +24,6 @@ from uowsim import (
     generate_deployment,
     path_exists,
     price_links,
-    quadrant_filter,
     srp,
 )
 from uowsim.cli import route_dump_lines
@@ -472,28 +471,34 @@ def test_srp_empty_quadrant_and_fallback():
     assert relaxed.evaluations == 3  # both widened neighbors at S, the target at A
 
 
-def test_quadrant_filter_examples():
-    inside = (3.0, 7.0)
-    outside = (-1.0, 7.0)
-    assert quadrant_filter((0.0, 0.0), (10.0, 10.0), [inside]) == [0]
-    assert quadrant_filter((0.0, 0.0), (10.0, 10.0), [outside]) == []
-    assert quadrant_filter((0.0, 0.0), (10.0, 10.0), [outside, inside]) == [1]
-    # axis-aligned target constrains only the aligned axis
-    below = (5.0, -3.0)
-    assert quadrant_filter((0.0, 0.0), (10.0, 0.0), [below]) == [0]
-    target = (10.0, 10.0)
-    assert quadrant_filter((0.0, 0.0), target, [target]) == [0]
-
-
-def test_quadrant_filter_is_subset():
-    rng = np.random.default_rng(17)
-    for _ in range(200):
-        candidates = rng.uniform(-50, 50, size=(10, 2)).tolist()
-        current = tuple(rng.uniform(-50, 50, size=2))
-        target = tuple(rng.uniform(-50, 50, size=2))
-        kept = quadrant_filter(current, target, candidates)
-        assert kept == sorted(set(kept))
-        assert set(kept) <= set(range(len(candidates)))
+def test_srp_quadrant_examples():
+    # One graph per case: the source at (0, 0) and the target at (10, 10)
+    # unless the case moves it.  Each case pins SRP's first hop (None for an
+    # empty quadrant) and its evaluations.
+    source_links = {(0, 2): 0.2, (0, 3): 0.1, (2, 1): 0.1, (3, 1): 0.1}
+    cases = {
+        "inside": ([(0, 0), (10, 10), (3, 7)], {(0, 2): 0.1, (2, 1): 0.1}, 2, 2),
+        "outside": ([(0, 0), (10, 10), (-1, 7)], {(0, 2): 0.1, (2, 1): 0.1}, None, 0),
+        # The lower-BER neighbor lies outside, at the lower id and at the higher.
+        "outside first": (
+            [(0, 0), (10, 10), (-1, 7), (3, 7)], {(0, 2): 0.01, (0, 3): 0.2, (3, 1): 0.1}, 3, 2
+        ),
+        "inside first": (
+            [(0, 0), (10, 10), (3, 7), (-1, 7)], {(0, 2): 0.2, (0, 3): 0.01, (2, 1): 0.1}, 2, 2
+        ),
+        # Offsets of 0 on either axis pass: both count, and the lower BER wins.
+        "offset 0": ([(0, 0), (10, 10), (0, 7), (7, 0)], source_links, 3, 3),
+        # A target at the source's y leaves y unconstrained: (5, -3) passes.
+        "aligned target": ([(0, 0), (10, 0), (5, -3)], {(0, 2): 0.1, (2, 1): 0.1}, 2, 2),
+        # The target passes, and the lower-BER neighbor outside is not counted.
+        "target": ([(0, 0), (10, 10), (-5, 5)], {(0, 1): 0.3, (0, 2): 0.01, (2, 1): 0.1}, 1, 1),
+    }
+    for name, (positions, edges, first_hop, evaluations) in cases.items():
+        outcome = srp(make_graph(positions, edges), 0, 1)
+        hop = outcome.route.hops[1] if outcome.success else None
+        assert (hop, outcome.evaluations) == (first_hop, evaluations), name
+        if hop is None:
+            assert outcome.failure_reason is FailureReason.EMPTY_QUADRANT, name
 
 
 def _greedy_step_check(graph, route, quadrant_target=None):
@@ -504,9 +509,10 @@ def _greedy_step_check(graph, route, quadrant_target=None):
         neighbors = graph.indices[graph.indptr[here] : graph.stop[here]]
         candidates = [v for v in neighbors if v not in visited]
         if quadrant_target is not None:
-            points = [graph.positions[v] for v in candidates]
-            kept = quadrant_filter(graph.positions[here], quadrant_target, points)
-            candidates = [candidates[i] for i in kept]
+            candidates = [
+                v for v in candidates
+                if in_quadrant(graph.positions[here], quadrant_target, graph.positions[v])
+            ]
         chosen = route.hops[i + 1]
         best = min(candidates, key=lambda v: (graph.ber[edge_between(graph, here, v)], v))
         assert chosen == best
