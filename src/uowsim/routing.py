@@ -144,7 +144,10 @@ def crp(
 
     Ties in path weight resolve toward lower node ids (heap keys are
     (distance, id) and neighbors relax in id order), so the outcome is
-    reproducible across platforms.  The loop stops when it pops the
+    reproducible across platforms.  No weight is negative and a push needs
+    a strictly lower distance, so a popped entry above its node's distance
+    is stale and skipped, and a popped node never relaxes again: no
+    per-node settled flag is needed.  The loop stops when it pops the
     target, whose path is final then.  An edge of infinite weight never
     relaxes, since no tentative distance is below infinity, so Dijkstra
     run to exhaustion would settle exactly the nodes that finite-weight
@@ -163,20 +166,16 @@ def crp(
     n = graph.node_count
     dist = [math.inf] * n
     via = [-1] * n
-    settled = [False] * n
     dist[source] = 0.0
     heap = [(0.0, source)]
     while heap:
         d, u = heapq.heappop(heap)
-        if settled[u]:
+        if d > dist[u]:
             continue
         if u == target:
             break
-        settled[u] = True
         start, end = indptr[u], stop[u]
         for v, e in zip(indices[start:end], edge[start:end]):
-            if settled[v]:
-                continue
             candidate = d + weights[e]
             if candidate < dist[v]:
                 dist[v] = candidate

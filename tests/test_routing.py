@@ -293,12 +293,8 @@ def test_crp_fails_on_a_connected_graph_without_a_finite_path():
     assert outcome.evaluations == _reachable_degree_sum(graph, 0, WeightMode.EXACT_LOG)
 
 
-def test_crp_stops_popping_once_it_settles_the_target(monkeypatch):
-    # S(0) -- T(1) at 0.01, and eight more nodes each joined to S and to T
-    # at 0.2: Dijkstra run to exhaustion pops all ten nodes, CRP only S and T.
-    others = range(2, 10)
-    edges = {(0, 1): 0.01} | {(0, x): 0.2 for x in others} | {(1, x): 0.2 for x in others}
-    graph = make_graph([(0.0, 0.0), (10.0, 0.0)] + [(5.0, x) for x in others], edges)
+def _record_pops(monkeypatch):
+    """The ids of the heap entries CRP pops, in order, from now on."""
     popped = []
 
     def heappop(heap):
@@ -308,10 +304,60 @@ def test_crp_stops_popping_once_it_settles_the_target(monkeypatch):
     monkeypatch.setattr(
         routing, "heapq", SimpleNamespace(heappush=heapq.heappush, heappop=heappop)
     )
+    return popped
+
+
+def test_crp_stops_popping_once_it_settles_the_target(monkeypatch):
+    # S(0) -- T(1) at 0.01, and eight more nodes each joined to S and to T
+    # at 0.2: Dijkstra run to exhaustion pops all ten nodes, CRP only S and T.
+    others = range(2, 10)
+    edges = {(0, 1): 0.01} | {(0, x): 0.2 for x in others} | {(1, x): 0.2 for x in others}
+    graph = make_graph([(0.0, 0.0), (10.0, 0.0)] + [(5.0, x) for x in others], edges)
+    popped = _record_pops(monkeypatch)
     outcome = crp(graph, 0, 1)
     assert popped == [0, 1]
     assert outcome.route.hops == (0, 1)
     assert outcome.evaluations == 9 + 9 + 2 * len(others)
+
+
+@pytest.mark.parametrize("mode", list(WeightMode))
+def test_crp_skips_a_stale_heap_entry(monkeypatch, mode):
+    # S(0) pushes T(1) at 0.45, A(2) at 0.3 and B(3) at 0.1; B pushes A again
+    # at 0.1 + 0.1, and A pushes T at A + 0.2.  In both modes A's first entry
+    # is stale and pops after A and before T, and the loop passes over it.
+    graph = make_graph(
+        [(0.0, 0.0), (20.0, 0.0), (10.0, 0.0), (5.0, 5.0)],
+        {(0, 2): 0.3, (0, 3): 0.1, (3, 2): 0.1, (2, 1): 0.2, (0, 1): 0.45},
+    )
+    popped = _record_pops(monkeypatch)
+    outcome = _assert_crp_is_exhaustive_dijkstra(graph, 0, 1, mode)
+    assert popped == [0, 3, 2, 2, 1]
+    assert outcome.route.hops == (0, 3, 2, 1)
+    assert outcome.evaluations == 3 + 2 + 3 + 2
+
+
+def _chain_behind_target(chain):
+    """S(0) -- T(1) -- chain[0] -- chain[1] -- ..., every link at BER 0.1."""
+    order = [0, 1, *chain]
+    positions = [None] * len(order)
+    for k, node in enumerate(order):
+        positions[node] = (10.0 * k, 0.0)
+    return make_graph(positions, {(a, b): 0.1 for a, b in zip(order, order[1:])})
+
+
+@pytest.mark.parametrize("mode", list(WeightMode))
+def test_crp_counts_a_deep_chain_behind_the_target(mode):
+    # The loop stops at T before any chain node has a distance.  When the
+    # chain's ids fall away from T, each pass over the unreached rows in id
+    # order adds one chain node, so the closure needs one pass per node;
+    # rising ids need one pass that adds the whole chain.
+    falling = _chain_behind_target(range(61, 1, -1))
+    rising = _chain_behind_target(range(2, 62))
+    for graph in (falling, rising):
+        outcome = _assert_crp_is_exhaustive_dijkstra(graph, 0, 1, mode)
+        assert outcome.route.hops == (0, 1)
+        assert outcome.evaluations == _reachable_degree_sum(graph, 0, mode)
+        assert outcome.evaluations == 1 + 2 + 2 * 59 + 1
 
 
 def test_crp_rejects_unknown_ids():
