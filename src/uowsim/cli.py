@@ -32,12 +32,12 @@ from .harness import (
     run_campaign,
     run_single,
 )
-from .routing import Protocol, RoutingOutcome
+from .routing import Protocol, RoutingOutcome, WeightMode
 from .topology import NetworkGraph
 
 DEFAULT_DISTANCES = tuple(float(d) for d in range(5, 105, 5))
 DEFAULT_DIVERGENCES_DEG = (30.0, 60.0, 90.0)
-ALL_WATERS = (WaterType.CLEAR_OCEAN, WaterType.COASTAL_OCEAN, WaterType.TURBID_HARBOR)
+ALL_WATERS = tuple(WaterType)
 # Rows formatted per write, about 25 kB of sweep text: larger chunks wrote
 # no faster and held more memory.
 _LINES_PER_WRITE = 256
@@ -351,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated subset of crp,drp,srp",
     )
-    sim.add_argument("--weight-mode", choices=["paper", "exact"], default=None)
+    sim.add_argument("--weight-mode", choices=[mode.value for mode in WeightMode], default=None)
     sim.add_argument("--nodes", type=_list_of(int), default=None, help="node count(s), comma-separated")
     sim.add_argument("--realizations", type=int, default=None)
     sim.add_argument("--water", type=WaterType, default=None, help="water type (clear, coastal or turbid)")

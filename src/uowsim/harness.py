@@ -187,40 +187,33 @@ def run_single(config: SimulationConfig, seed: int) -> TrialResult:
     (links,) = price_links(
         positions, (len(positions),), config.max_range, config.channel, config.noise
     )
-    return _route_trial(config, positions, links, seed)
+    return _route_trial(config, build_graph(positions, links), seed)
 
 
-def _route_trial(config, positions, links, seed, realization=None, whole=None) -> TrialResult:
-    """Build one trial's graph from its priced links and run every selected protocol.
+_DISCONNECTED = RoutingOutcome(route=None, failure_reason=FailureReason.DISCONNECTED, evaluations=0)
 
-    Given ``whole``, the graph of the same realization at its largest
-    count, the trial routes a view of it (see `build_graph`).  A trial
-    whose graph leaves source and target disconnected records a
+
+def _route_trial(config, graph, seed, realization=None) -> TrialResult:
+    """Run every selected protocol on one trial's graph.
+
+    A trial whose graph leaves source and target disconnected records a
     DISCONNECTED failure for all protocols without running them.
     """
-    graph = build_graph(positions, links, whole)
-    connected = path_exists(graph, SOURCE_ID, TARGET_ID)
-
-    outcomes = {}
+    outcomes = dict.fromkeys(config.protocols, _DISCONNECTED)
     timings = {}
-    for protocol in config.protocols:
-        if not connected:
-            outcomes[protocol] = RoutingOutcome(
-                route=None, failure_reason=FailureReason.DISCONNECTED, evaluations=0
-            )
-            timings[protocol] = 0
-            continue
-        started = time.perf_counter_ns() if config.record_timing else 0
-        if protocol is Protocol.CRP:
-            outcome = crp(graph, SOURCE_ID, TARGET_ID, config.weight_mode)
-        elif protocol is Protocol.DRP:
-            outcome = drp(graph, SOURCE_ID, TARGET_ID)
-        else:
-            outcome = srp(graph, SOURCE_ID, TARGET_ID, fallback=config.srp_fallback)
-        timings[protocol] = time.perf_counter_ns() - started if config.record_timing else 0
-        outcomes[protocol] = outcome
+    if path_exists(graph, SOURCE_ID, TARGET_ID):
+        for protocol in config.protocols:
+            started = time.perf_counter_ns()
+            if protocol is Protocol.CRP:
+                outcomes[protocol] = crp(graph, SOURCE_ID, TARGET_ID, config.weight_mode)
+            elif protocol is Protocol.DRP:
+                outcomes[protocol] = drp(graph, SOURCE_ID, TARGET_ID)
+            else:
+                outcomes[protocol] = srp(graph, SOURCE_ID, TARGET_ID, fallback=config.srp_fallback)
+            if config.record_timing:
+                timings[protocol] = time.perf_counter_ns() - started
 
-    metrics = collect_trial(outcomes, config, len(positions), seed, realization, timings)
+    metrics = collect_trial(outcomes, config, graph.node_count, seed, realization, timings)
     return TrialResult(graph=graph, outcomes=outcomes, metrics=metrics)
 
 
@@ -278,10 +271,9 @@ def _run_index_range(
         priced = price_links(positions, counts, config.max_range, config.channel, config.noise)
         whole = None
         for c in order:
-            trial = _route_trial(config, positions[: counts[c]], priced[c], seed, index, whole)
-            if whole is None:
-                whole = trial.graph
-            records[c].extend(trial.metrics)
+            graph = build_graph(positions[: counts[c]], priced[c], whole)
+            whole = whole or graph
+            records[c].extend(_route_trial(config, graph, seed, index).metrics)
     return records
 
 

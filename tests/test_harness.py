@@ -148,6 +148,38 @@ def test_two_node_trial_disconnected():
         assert m.evaluations == 0
 
 
+def test_record_timing_times_every_routed_protocol(monkeypatch):
+    monkeypatch.delenv("UOWSN_THREADS", raising=False)
+    config = SimulationConfig(record_timing=True)
+    metrics = run_single(config, derive_trial_seed(config.master_seed, 0)).metrics
+    assert [m.protocol for m in metrics] == list(Protocol)
+    assert all(m.failure_reason is not FailureReason.DISCONNECTED for m in metrics)
+    for m in metrics:
+        assert type(m.wall_clock_ns) is int and m.wall_clock_ns >= 0
+    records = run_campaign(
+        SimulationConfig(node_count=(20, 40), realizations=3, record_timing=True)
+    ).records
+    assert all(type(r.wall_clock_ns) is int and r.wall_clock_ns >= 0 for r in records)
+    assert any(r.wall_clock_ns > 0 for r in records)
+
+
+def test_record_timing_writes_zero_for_a_disconnected_trial(monkeypatch):
+    import uowsim.harness as harness
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a router ran on a disconnected graph")
+
+    for name in ("crp", "drp", "srp"):
+        monkeypatch.setattr(harness, name, unreachable)
+    config = SimulationConfig(node_count=2, record_timing=True)  # endpoints 145 m apart, range 80
+    metrics = run_single(config, derive_trial_seed(config.master_seed, 0)).metrics
+    assert [m.protocol for m in metrics] == list(Protocol)
+    for m in metrics:
+        assert m.failure_reason is FailureReason.DISCONNECTED
+        assert m.evaluations == 0
+        assert m.wall_clock_ns == 0
+
+
 def test_run_single_respects_protocol_subset():
     config = SimulationConfig(node_count=30, protocols=(Protocol.CRP, Protocol.SRP))
     result = run_single(config, derive_trial_seed(config.master_seed, 0))
@@ -304,6 +336,24 @@ def test_campaign_builds_one_graph_and_one_weight_list_per_realization(monkeypat
     assert sorted(n for n, *_ in calls) == sorted(counts * realizations)
     for n, node_count, edge_count, links in calls:
         assert (node_count, edge_count) == (n, links)
+
+
+def test_campaign_routes_the_largest_count_first(monkeypatch):
+    # CRP's weight list, and under record_timing its cost, then fall to the
+    # largest count of each realization (README "Graph storage").
+    import uowsim.harness as harness
+
+    monkeypatch.delenv("UOWSN_THREADS", raising=False)
+    routed = []
+    check = harness.path_exists
+
+    def recording(graph, source, target):
+        routed.append(graph.node_count)
+        return check(graph, source, target)
+
+    monkeypatch.setattr(harness, "path_exists", recording)
+    run_campaign(SimulationConfig(node_count=(60, 20, 100), realizations=2, master_seed=11))
+    assert routed == [100, 60, 20] * 2
 
 
 def test_default_campaign_config_sweep():
