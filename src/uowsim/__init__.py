@@ -26,7 +26,7 @@ from .harness import (
     run_campaign,
     run_single,
 )
-from .metrics import DelayModel, TrialMetrics, collect_trial, e2e_delay
+from .metrics import DelayModel, TrialMetrics, collect_trial, path_delay
 from .routing import (
     FailureReason,
     Protocol,

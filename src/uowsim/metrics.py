@@ -9,7 +9,7 @@ between protocols are meaningful for comparison purposes.
 from dataclasses import dataclass
 
 from .channel import LIGHT_SPEED_WATER, NON_NEGATIVE, POSITIVE, check_fields, ranged
-from .routing import FailureReason, Protocol, Route
+from .routing import FailureReason, Protocol
 
 
 @dataclass(frozen=True)
@@ -63,11 +63,6 @@ def path_delay(hop_count, distance, config) -> float:
     return propagation + hop_count * per_hop
 
 
-def e2e_delay(route: Route, config) -> float:
-    """End-to-end delay of a route in seconds (empty route -> 0)."""
-    return path_delay(route.hop_count, route.total_distance, config)
-
-
 def collect_trial(
     outcomes, config, n_nodes, seed, realization=None, timings=None
 ) -> list[TrialMetrics]:
@@ -83,6 +78,10 @@ def collect_trial(
     records = []
     for protocol, outcome in outcomes.items():
         route = outcome.route
+        hops = ber = delay = distance = None
+        if route:
+            hops, ber, distance = route.hop_count, route.e2e_ber, route.total_distance
+            delay = path_delay(hops, distance, config)
         records.append(
             TrialMetrics(
                 protocol=protocol,
@@ -91,10 +90,10 @@ def collect_trial(
                 seed=seed,
                 success=outcome.success,
                 failure_reason=outcome.failure_reason,
-                hop_count=route.hop_count if route else None,
-                e2e_ber=route.e2e_ber if route else None,
-                e2e_delay_s=e2e_delay(route, config) if route else None,
-                total_distance_m=route.total_distance if route else None,
+                hop_count=hops,
+                e2e_ber=ber,
+                e2e_delay_s=delay,
+                total_distance_m=distance,
                 evaluations=outcome.evaluations,
                 wall_clock_ns=int(timings.get(protocol, 0)),
             )

@@ -1,4 +1,5 @@
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -10,6 +11,38 @@ from uowsim import (
     build_graph,
     price_links,
 )
+
+# Seconds each test may run, its fixtures included; the slowest takes about 7 s.
+TIME_LIMIT_S = 120
+
+
+def _expire(signum, frame):
+    # pytrace=False: pytest reports the message alone.  Formatting the
+    # traceback of an interrupted frame can fail on a line number of None,
+    # which ends the whole session with an internal error.
+    code = frame.f_code
+    pytest.fail(
+        f"still running after the {TIME_LIMIT_S} s limit, "
+        f"in {code.co_qualname} at {code.co_filename}:{frame.f_lineno}",
+        pytrace=False,
+    )
+
+
+# The limit is armed by hooks rather than an autouse fixture: a function-scoped
+# fixture starts only after the module-scoped campaigns are built, so a router
+# that never returns inside one would still hang the suite.
+@pytest.hookimpl(tryfirst=True)
+def pytest_runtest_setup(item):
+    if hasattr(signal, "SIGALRM"):
+        signal.signal(signal.SIGALRM, _expire)
+        signal.alarm(TIME_LIMIT_S)
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_teardown(item):
+    yield
+    if hasattr(signal, "SIGALRM"):
+        signal.alarm(0)
 
 
 @pytest.fixture

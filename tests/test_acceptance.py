@@ -14,11 +14,20 @@ hops of log10(1 - 2 b), and the mean paired L_srp - L_drp must exceed
 three standard errors at every node count.  The criterion prints one line
 per node count with the pair count, the mean and the standard error.
 ``test_log10_bias_matches_parity_and_mpmath`` checks that statistic.
+
+The ``test_dense_*`` checks share one 100-realization campaign on
+``configs/dense_clear.json`` (README "Two regimes"): the stock layout
+scaled to 40 x 40 m with a 15 m range, where every link carries
+information, so unlike the stock campaign it ranks the protocols on BER.
+They print one line per node count; DRP's delay is printed beside CRP's
+but not asserted.
 """
 
 import dataclasses
+import json
 import math
 import time
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -34,6 +43,7 @@ from uowsim import (
     SimulationConfig,
     WaterType,
     WeightMode,
+    config_from_dict,
     crp,
     derive_trial_seed,
     e2e_ber,
@@ -46,6 +56,8 @@ from uowsim import (
 from uowsim.channel import BER_FLOOR
 from uowsim.harness import DEFAULT_NODE_SWEEP
 from conftest import edge_between, make_graph
+
+REPO_DIR = Path(__file__).resolve().parent.parent
 
 
 def _report(number, description):
@@ -380,3 +392,60 @@ def test_criterion_9_route_validity_sweep(default_campaign):
                         assert route.e2e_ber == 0.0
                     else:
                         assert abs(route.e2e_ber - folded) / folded <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def dense_campaign():
+    doc = json.loads((REPO_DIR / "configs" / "dense_clear.json").read_text())
+    config = config_from_dict(
+        {**doc, "node_count": list(DEFAULT_NODE_SWEEP), "realizations": 100, "master_seed": 42}
+    )
+    return config, run_campaign(config)
+
+
+def _srp_crp_pairs(config, result):
+    """Per node count, (crp, srp) records of every realization where both succeed."""
+    trials = {}
+    for record in result.records:
+        if record.success:
+            trials.setdefault((record.n_nodes, record.realization), {})[record.protocol] = record
+    pairs = {n: [] for n in config.node_counts}
+    for (n, _), records in sorted(trials.items()):
+        if Protocol.CRP in records and Protocol.SRP in records:
+            pairs[n].append((records[Protocol.CRP], records[Protocol.SRP]))
+    return pairs
+
+
+def test_dense_srp_evaluates_less_than_crp(dense_campaign):
+    config, result = dense_campaign
+    for n, pairs in _srp_crp_pairs(config, result).items():
+        assert pairs, f"N={n}: no realization where crp and srp both succeed"
+        gap = min(crp.evaluations - srp.evaluations for crp, srp in pairs)
+        print(f"N={n}: {len(pairs)} pairs, smallest crp-srp evaluations gap {gap}")
+        assert gap > 0, f"N={n}: srp evaluates at least as much as crp on some realization"
+
+
+def test_dense_srp_delay_below_crp(dense_campaign):
+    config, result = dense_campaign
+    for n, pairs in _srp_crp_pairs(config, result).items():
+        mean = float(np.mean([srp.e2e_delay_s - crp.e2e_delay_s for crp, srp in pairs]))
+        crp_delay = result.get(Protocol.CRP, n).mean_delay_s
+        drp_delay = result.get(Protocol.DRP, n).mean_delay_s
+        print(
+            f"N={n}: mean paired srp-crp delay {mean * 1e3:+.1f} ms; "
+            f"mean delay drp {drp_delay * 1e3:.1f} ms, crp {crp_delay * 1e3:.1f} ms"
+        )
+        assert mean < 0.0, f"N={n}: mean paired srp-crp delay {mean} s"
+
+
+def test_dense_crp_ber_lowest_and_falling(dense_campaign):
+    config, result = dense_campaign
+    previous = None
+    for n in config.node_counts:
+        bers = {p: result.get(p, n).mean_e2e_ber for p in Protocol}
+        print(f"N={n}: mean e2e BER " + ", ".join(f"{p.value} {b:.2e}" for p, b in bers.items()))
+        crp_ber = bers.pop(Protocol.CRP)
+        assert all(crp_ber < other for other in bers.values()), f"N={n}: {crp_ber} {bers}"
+        if previous is not None:
+            assert crp_ber < previous, f"N={n}: crp mean BER {crp_ber} not below {previous}"
+        previous = crp_ber

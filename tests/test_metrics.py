@@ -12,7 +12,7 @@ from uowsim import (
     SimulationConfig,
     collect_trial,
     config_from_dict,
-    e2e_delay,
+    path_delay,
 )
 from uowsim.cli import main
 
@@ -41,17 +41,20 @@ def test_delay_model_validation():
 
 
 def test_empty_route_has_zero_delay():
-    assert e2e_delay(_route([], []), STOCK) == 0.0
+    route = _route([], [])
+    assert path_delay(route.hop_count, route.total_distance, STOCK) == 0.0
 
 
 def test_single_hop_delay_value():
     route = _route([0.1], [100.0])
-    assert e2e_delay(route, STOCK) == pytest.approx(DELAY_100M_ONE_HOP, rel=1e-12)
+    delay = path_delay(route.hop_count, route.total_distance, STOCK)
+    assert delay == pytest.approx(DELAY_100M_ONE_HOP, rel=1e-12)
 
 
 def test_extra_hop_costs_exactly_one_serialization():
-    one_hop = e2e_delay(_route([0.1], [100.0]), STOCK)
-    two_hops = e2e_delay(_route([0.1, 0.1], [50.0, 50.0]), STOCK)
+    one, two = _route([0.1], [100.0]), _route([0.1, 0.1], [50.0, 50.0])
+    one_hop = path_delay(one.hop_count, one.total_distance, STOCK)
+    two_hops = path_delay(two.hop_count, two.total_distance, STOCK)
     serialization = STOCK.delay.packet_bits / STOCK.noise.data_rate
     assert two_hops - one_hop == pytest.approx(serialization, rel=1e-12)
 
@@ -79,10 +82,10 @@ def test_delay_lower_bound_and_monotonicity():
         count = int(rng.integers(1, 8))
         dists = rng.uniform(1.0, 80.0, size=count).tolist()
         route = _route([0.1] * count, dists)
-        delay = e2e_delay(route, config)
+        delay = path_delay(route.hop_count, route.total_distance, config)
         assert delay >= sum(dists) / LIGHT_SPEED_WATER
         longer = _route([0.1] * (count + 1), dists + [float(rng.uniform(1.0, 80.0))])
-        assert e2e_delay(longer, config) > delay
+        assert path_delay(longer.hop_count, longer.total_distance, config) > delay
 
 
 def _success(route):
@@ -115,7 +118,7 @@ def test_collect_trial_success_consistency():
     assert record.success
     assert record.hop_count == 3
     assert record.e2e_ber == route.e2e_ber
-    assert record.e2e_delay_s == pytest.approx(e2e_delay(route, STOCK), rel=1e-15)
+    assert record.e2e_delay_s == path_delay(route.hop_count, route.total_distance, STOCK)
     assert record.total_distance_m == pytest.approx(75.0, rel=1e-15)
 
 
