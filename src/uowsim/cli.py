@@ -10,11 +10,13 @@ files are byte-reproducible.
 Exit codes: 0 success (routing failures are valid results), 2 configuration
 or usage error, 3 output I/O error, 4 a campaign worker process died.  An
 exception raised by trial code ends in its traceback, as in a serial run.
+SIGTERM exits with 143 (128 + 15), after a campaign has ended its workers.
 """
 
 import argparse
 import json
 import math
+import signal
 import sys
 from array import array
 from dataclasses import dataclass, replace
@@ -410,6 +412,9 @@ def _write_chunks(path: Path, chunks) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # SIGTERM raises SystemExit, so that a campaign ends its pool's workers
+    # on the way out (`harness.run_campaign`) instead of leaving them running.
+    previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     try:
         if args.command in ("link-budget", "ber-sweep"):
             if args.command == "link-budget":
@@ -455,6 +460,8 @@ def main(argv=None) -> int:
     except WorkerDiedError as exc:
         print(f"error: a campaign worker process died: {exc}", file=sys.stderr)
         return 4
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     return 0
 
 

@@ -8,7 +8,7 @@ between protocols are meaningful for comparison purposes.
 
 from dataclasses import dataclass
 
-from .channel import LIGHT_SPEED_WATER, NON_NEGATIVE, POSITIVE, check_fields, ranged
+from .channel import LIGHT_SPEED_WATER, check_fields, ranged
 from .routing import FailureReason, Protocol
 
 
@@ -21,8 +21,9 @@ class DelayModel:
     and the speed of light is ``LIGHT_SPEED_WATER``.
     """
 
-    packet_bits: float = ranged(1024.0, POSITIVE)
-    per_hop_processing: float = ranged(0.0, NON_NEGATIVE)
+    # Up to 1 Tb (125 GB) per packet and 1e6 s (11.6 days) per hop.
+    packet_bits: float = ranged(1024.0, (float, 0.0, 1e12, "(]"))
+    per_hop_processing: float = ranged(0.0, (float, 0.0, 1e6, "[]"))
 
     def __post_init__(self):
         check_fields(ValueError, self)

@@ -1,4 +1,5 @@
 import math
+import os
 import signal
 
 import numpy as np
@@ -100,3 +101,12 @@ def edge_between(graph, u, v):
         if graph.indices[k] == v:
             return graph.edge[k]
     return None
+
+
+def pid_alive(pid):
+    """Whether a process with this id exists (a zombie counts)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True

@@ -3,8 +3,10 @@ import hashlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from array import array
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import pid_alive
 from uowsim import (
     AggregateStats,
     FailureReason,
@@ -550,8 +553,8 @@ def test_main_overflowing_photon_rate_gives_ber_0(tmp_path, capsys):
 
 
 def test_main_rejects_an_overflowing_area_diagonal(tmp_path, capsys):
-    # 1.41e200 m apart and inside max_range: an overflowing squared distance
-    # would leave source and target disconnected.
+    # 1.41e200 m apart and inside max_range, whose squared distance would
+    # overflow: the area rule's 1e6 m sides reject it.
     config = tmp_path / "area.json"
     config.write_text(json.dumps({
         "area": [1e200, 1e200],
@@ -561,7 +564,7 @@ def test_main_rejects_an_overflowing_area_diagonal(tmp_path, capsys):
         "target_pos": [1e200, 1e200],
     }))
     assert main(["route", "--config", str(config), "--out", str(tmp_path)]) == 2
-    assert "area diagonal" in capsys.readouterr().err
+    assert "error: area must be a float in [0.001, 1000000.0]" in capsys.readouterr().err
 
 
 def test_main_rejects_delays_past_the_float_range(tmp_path, capsys):
@@ -571,10 +574,14 @@ def test_main_rejects_delays_past_the_float_range(tmp_path, capsys):
     for per_hop in (1e307, 1e308):
         config.write_text(json.dumps({"delay": {"per_hop_processing": per_hop}}))
         assert main(campaign) == 2
-        assert "delay.per_hop_processing" in capsys.readouterr().err
+        assert "per_hop_processing must be" in capsys.readouterr().err
     assert not (tmp_path / "campaign_trials.csv").exists()
-    # Inside the bound, every delay, mean and deviation is written finite.
-    config.write_text(json.dumps({"delay": {"per_hop_processing": 1e151}}))
+    # At the rules' longest per-hop delay, every delay, mean and deviation
+    # is written finite.
+    config.write_text(json.dumps({
+        "delay": {"packet_bits": 1e12, "per_hop_processing": 1e6},
+        "noise": {"data_rate": 1},
+    }))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(campaign) == 0
@@ -745,7 +752,12 @@ def _campaign_on_pool_raising(monkeypatch, tmp_path, error):
     import uowsim.harness as harness
 
     class Pool:
+        _processes = {}  # no worker for `harness._stop_workers` to end
+
         def __init__(self, max_workers):
+            pass
+
+        def shutdown(self, wait=True, cancel_futures=False):
             pass
 
         def __enter__(self):
@@ -773,6 +785,61 @@ def test_main_dead_worker_exits_4(monkeypatch, tmp_path, capsys):
 def test_main_trial_exception_keeps_its_traceback(monkeypatch, tmp_path):
     with pytest.raises(ZeroDivisionError):
         _campaign_on_pool_raising(monkeypatch, tmp_path, ZeroDivisionError("in a trial"))
+
+
+# A campaign whose CRP never returns: each pool worker leaves its pid in
+# argv[1] and spins.  crp is patched before the pool forks.
+_SPINNING_CAMPAIGN = """
+import os, sys
+from pathlib import Path
+import uowsim.harness as harness
+from uowsim.cli import main
+
+def spin(*args):
+    (Path(sys.argv[1]) / str(os.getpid())).touch()
+    while True:
+        pass
+
+harness.crp = spin
+harness.os.cpu_count = lambda: 2
+sys.exit(main(["campaign", "--config", sys.argv[2], "--out", sys.argv[1]]))
+"""
+
+
+def test_sigterm_ends_a_pooled_campaign_and_its_workers(tmp_path):
+    pids = tmp_path / "pids"
+    pids.mkdir()
+    config = tmp_path / "config.json"
+    # Every node reaches every other in this area, so CRP runs.
+    config.write_text(json.dumps({
+        "area": [40, 40], "source_pos": [10, 20], "target_pos": [30, 20],
+        "node_count": 20, "realizations": 8, "protocols": ["crp"],
+    }))
+    pythonpath = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
+    child = subprocess.Popen(
+        [sys.executable, "-c", _SPINNING_CAMPAIGN, str(pids), str(config)],
+        env={**os.environ, "PYTHONPATH": pythonpath, "UOWSN_THREADS": "2"},
+        start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 30.0
+        while len(list(pids.iterdir())) < 2 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        workers = [int(path.name) for path in pids.iterdir()]
+        child.send_signal(signal.SIGTERM)
+        code = child.wait(timeout=5.0)
+        deadline = time.monotonic() + 5.0
+        while any(map(pid_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+    finally:
+        # Whatever is left of the run is not left spinning.
+        try:
+            os.killpg(child.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        child.wait()
+    assert code == 128 + signal.SIGTERM
+    assert len(workers) == 2 and not any(map(pid_alive, workers))
 
 
 def test_module_entry_point(tmp_path):
@@ -890,15 +957,45 @@ def test_main_sweeps_match_reference_digests(tmp_path):
 
 
 def test_main_rejects_node_counts_past_the_index_range(tmp_path, capsys):
-    # n(n-1)/2 node pairs past sys.maxsize cannot be indexed: a config
-    # error, not a traceback from numpy's allocation.
-    huge = str(10**20)
-    commands = [
-        ["route", "--nodes", huge],
-        ["campaign", "--nodes", f"20,{huge}", "--realizations", "1"],
-    ]
-    for args in commands:
-        assert main([*args, "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: node_count ") and huge in err
+    # Past the node_count rule's 4000, which bounds the memory a run takes:
+    # a config error, not an allocation that exhausts the host.
+    for huge in (str(10**20), "12000"):
+        commands = [
+            ["route", "--nodes", huge],
+            ["campaign", "--nodes", f"20,{huge}", "--realizations", "1"],
+        ]
+        for args in commands:
+            assert main([*args, "--out", str(tmp_path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: node_count ") and huge in err
     assert not list(tmp_path.iterdir())
+
+
+def test_values_past_the_rules_exit_2_with_one_error_line(tmp_path, capsys):
+    # Each of these once reached a check of the float range behind the
+    # rules; the rules now reject it.
+    runs = [
+        ["campaign", "--nodes", "20", "--realizations", str(10**400)],
+        ["route", "--nodes", str(10**20)],
+        ["route", "--nodes", "12000"],
+    ]
+    for index, doc in enumerate((
+        {"noise": {"pulse_duration": 1e-300}},
+        {"noise": {"pulse_duration": 1e30, "data_rate": 1e300}},
+        {"noise": {"dark_count_rate": 1e308, "background_rate": 1e308}},
+        {"area": [1e200, 1e200]},
+        {"area": [1e-170, 1e-170]},
+        {"delay": {"per_hop_processing": 1e307}},
+        {"realizations": 10**400},
+        {"node_count": 10**20},
+        {"node_count": 12000},
+    )):
+        config = tmp_path / f"config{index}.json"
+        config.write_text(json.dumps(doc))
+        runs.append(["route", "--config", str(config)])
+    out = tmp_path / "out"
+    for args in runs:
+        assert main([*args, "--out", str(out)]) == 2, args
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (args, err)
+    assert not out.exists()

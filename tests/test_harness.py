@@ -1,14 +1,16 @@
 import dataclasses
 import math
 import os
+import signal
 import struct
-import sys
+import time
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import pid_alive
 from oracles import reference_campaign
 from uowsim import (
     ChannelParams,
@@ -68,22 +70,26 @@ def test_config_validation():
 
 
 def test_config_rejects_an_overflowing_area_diagonal():
-    # Each side squares to a float, but the sum of the squares does not.
-    with pytest.raises(ConfigError, match="area"):
-        SimulationConfig(area=(1.2e154, 1.2e154))
-    assert SimulationConfig(area=(1.2e154, 250.0)).area == (1.2e154, 250.0)
+    # The area rule's sides, [1e-3, 1e6] m, keep each square a normal float
+    # and the diagonal finite.
+    for area in ((1.2e154, 1.2e154), (1.2e154, 250.0), (1e-170, 250.0)):
+        with pytest.raises(ConfigError, match="area"):
+            SimulationConfig(area=area)
+    assert SimulationConfig(area=(1e6, 1e6)).area == (1e6, 1e6)
 
 
 def test_config_rejects_route_delays_past_the_float_range():
+    # The rules bound every factor of the longest route's delay.
     assert SimulationConfig().delay == DelayModel()  # the stock config passes
-    for delay, realizations, node_count in (
-        (DelayModel(per_hop_processing=1e307), 20, (20, 40)),  # a 39-hop delay is inf
-        (DelayModel(per_hop_processing=1e152), 20, (20, 40)),  # the sum of its squares is
-        (DelayModel(), 10**400, 40),  # ints past the float range
-        (DelayModel(), 10, (10**400,)),
+    for build, name in (
+        (lambda: DelayModel(per_hop_processing=1e307), "per_hop_processing"),
+        (lambda: DelayModel(per_hop_processing=1e152), "per_hop_processing"),
+        (lambda: DelayModel(packet_bits=1e300), "packet_bits"),
+        (lambda: SimulationConfig(realizations=10**400), "realizations"),
+        (lambda: SimulationConfig(node_count=(10, 10**400)), "node_count"),
     ):
-        with pytest.raises(ConfigError, match="delay"):
-            SimulationConfig(delay=delay, realizations=realizations, node_count=node_count)
+        with pytest.raises(ValueError, match=name):
+            build()
 
 
 def test_one_element_node_count_list_is_one_count():
@@ -392,6 +398,61 @@ class _InlinePool:
         return map(fn, *iterables)
 
 
+class _Interrupted(Exception):
+    pass
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+def test_an_interrupted_pooled_campaign_leaves_no_worker(monkeypatch, tmp_path):
+    import uowsim.harness as harness
+
+    def spin(*args):
+        (tmp_path / str(os.getpid())).touch()
+        while True:
+            pass
+
+    # Patched before the pool forks, so every worker spins in its first CRP
+    # call; every node reaches every other in this area, so CRP runs.
+    monkeypatch.setattr(harness, "crp", spin)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("UOWSN_THREADS", "2")
+    config = SimulationConfig(
+        area=(40.0, 40.0), source_pos=(10.0, 20.0), target_pos=(30.0, 20.0),
+        node_count=20, realizations=8, protocols=(Protocol.CRP,),
+    )
+
+    # The first alarm interrupts the run; if the run still waits for its
+    # workers 3 s later, a second one fails the test instead of hanging it.
+    def interrupt(signum, frame):
+        signal.signal(signal.SIGALRM, give_up)
+        signal.alarm(3)
+        raise _Interrupted
+
+    def give_up(signum, frame):
+        pytest.fail("run_campaign still waits for its workers 3 s after an exception")
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    limit = signal.alarm(2)  # the suite's own time limit, armed again below
+    started = time.monotonic()
+    try:
+        with pytest.raises(_Interrupted):
+            run_campaign(config)
+        elapsed = time.monotonic() - started
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+        signal.alarm(limit)
+        workers = [int(path.name) for path in tmp_path.iterdir()]
+        # The pool's own thread reaps the ended workers.
+        deadline = time.monotonic() + 5.0
+        while any(map(pid_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        left = [pid for pid in workers if pid_alive(pid)]
+        for pid in left:  # not left spinning when the check fails
+            os.kill(pid, signal.SIGKILL)
+    assert elapsed < 5.0
+    assert len(workers) == 2 and not left
+
+
 def test_campaign_pool_is_capped_at_cpus_and_tasks(monkeypatch):
     import uowsim.harness as harness
 
@@ -624,11 +685,10 @@ def test_config_from_dict_builds_or_raises_config_error(doc):
 
 
 def test_config_rejects_node_pairs_past_the_index_range():
-    # The largest count whose n(n-1)/2 node pairs an index can hold passes;
-    # the config is only checked here, no deployment is drawn.
-    largest = 2**32
-    assert largest * (largest - 1) // 2 <= sys.maxsize < (largest + 1) * largest // 2
-    assert SimulationConfig(node_count=largest).node_count == largest
-    for node_count in (largest + 1, (20, largest + 1), 10**20):
+    # The node_count rule's bound lies far below the counts whose n(n-1)/2
+    # node pairs pass sys.maxsize; the config is only checked here, no
+    # deployment is drawn.
+    assert SimulationConfig(node_count=4000).node_count == 4000
+    for node_count in (4001, 12000, (20, 2**32 + 1), 10**20):
         with pytest.raises(ConfigError, match="node_count"):
             SimulationConfig(node_count=node_count)
