@@ -43,9 +43,9 @@ _EXTINCTION_PER_M = {
 }
 
 
-# A rule, for `ranged` fields and `check_rule`, is (kind, low, high, ends):
-# the type, int or float, and the interval from low to high whose ends are
-# "[" or "(" then "]" or ")".
+# A rule, for `ranged` fields and `check_rule`, is a class, whose instances
+# it admits, or (kind, low, high, ends): the type, int or float, and the
+# interval from low to high whose ends are "[" or "(" then "]" or ")".
 POSITIVE = (float, 0.0, math.inf, "()")
 NON_NEGATIVE = (float, 0.0, math.inf, "[)")
 FRACTION = (float, 0.0, 1.0, "[]")
@@ -59,12 +59,17 @@ def ranged(default, rule, each: bool = False):
 
 
 def check_rule(error, name: str, value, rule) -> None:
-    """Raise ``error`` unless ``value`` is of the rule's kind and in its interval.
+    """Raise ``error`` unless ``value`` is an instance of the rule's class,
+    or of the rule's kind and in its interval.
 
     Bools are not numbers here, and a float value may be an int but not
     past the float range: an int is compared exactly with the largest
     float, where ``math.isfinite`` would raise OverflowError.
     """
+    if isinstance(rule, type):
+        if not isinstance(value, rule):
+            raise error(f"{name} must be a {rule.__name__}, got {value!r}")
+        return
     kind, low, high, ends = rule
     if (
         isinstance(value, bool)
@@ -78,12 +83,11 @@ def check_rule(error, name: str, value, rule) -> None:
 
 
 def check_fields(error, obj) -> None:
-    """`check_rule` on every field of the dataclass ``obj`` that has a rule."""
+    """`check_rule` on every field of the dataclass ``obj``; every field has a rule."""
     for spec in fields(obj):
-        if "rule" in spec.metadata:
-            value = getattr(obj, spec.name)
-            for item in value if spec.metadata["each"] and isinstance(value, tuple) else (value,):
-                check_rule(error, spec.name, item, spec.metadata["rule"])
+        value = getattr(obj, spec.name)
+        for item in value if spec.metadata["each"] and isinstance(value, tuple) else (value,):
+            check_rule(error, spec.name, item, spec.metadata["rule"])
 
 
 @dataclass(frozen=True)

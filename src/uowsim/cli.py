@@ -439,7 +439,7 @@ def main(argv=None) -> int:
                 cell = dict(zip(names, row))
                 status = "ok" if cell["success"] else f"failed ({cell['failure_reason'].value})"
                 print(f"  {cell['protocol'].value}: {status}")
-        elif args.command == "campaign":
+        else:  # campaign; argparse allows no other command
             config = _sim_config(args, campaign=True)
             trials, aggregate = cmd_campaign(config)
             out = _out_dir(args)
@@ -449,8 +449,6 @@ def main(argv=None) -> int:
                 f"wrote {out / 'campaign_trials.csv'} ({trials.row_count} rows) and "
                 f"{out / 'campaign_aggregate.csv'} ({aggregate.row_count} rows)"
             )
-        else:  # pragma: no cover - argparse enforces the command set
-            raise ConfigError(f"unknown command {args.command}")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,7 +16,7 @@ rejected config never load it.
 import math
 import os
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 from .channel import FINITE, POSITIVE, ChannelParams, ReceiverNoise, WaterType, check_fields, ranged
 from .metrics import DelayModel, TrialMetrics, collect_trial
@@ -66,30 +66,20 @@ class SimulationConfig:
     # A route at 4000 nodes peaks at 918 MB (about 115 bytes per node pair).
     node_count: int | tuple[int, ...] = ranged(40, (int, 2, 4000, "[]"), each=True)
     max_range: float = ranged(80.0, POSITIVE)
-    channel: ChannelParams = field(default_factory=ChannelParams)
-    noise: ReceiverNoise = field(default_factory=ReceiverNoise)
+    channel: ChannelParams = ranged(ChannelParams(), ChannelParams)
+    noise: ReceiverNoise = ranged(ReceiverNoise(), ReceiverNoise)
     source_pos: tuple[float, float] = ranged((52.5, 125.0), FINITE, each=True)
     target_pos: tuple[float, float] = ranged((197.5, 125.0), FINITE, each=True)
-    protocols: tuple[Protocol, ...] = (Protocol.CRP, Protocol.DRP, Protocol.SRP)
-    weight_mode: WeightMode = WeightMode.EXACT_LOG
-    delay: DelayModel = field(default_factory=DelayModel)
+    protocols: tuple[Protocol, ...] = ranged(tuple(Protocol), Protocol, each=True)
+    weight_mode: WeightMode = ranged(WeightMode.EXACT_LOG, WeightMode)
+    delay: DelayModel = ranged(DelayModel(), DelayModel)
     # A stock campaign's peak RSS grows about 12 KB per realization: 1.2 GB at the bound.
     realizations: int = ranged(500, (int, 1, 10**5, "[]"))
     master_seed: int = ranged(42, (int, 0, math.inf, "[)"))
-    srp_fallback: bool = False
-    record_timing: bool = False
+    srp_fallback: bool = ranged(False, bool)
+    record_timing: bool = ranged(False, bool)
 
     def __post_init__(self):
-        for name, cls in (
-            ("channel", ChannelParams),
-            ("noise", ReceiverNoise),
-            ("delay", DelayModel),
-            ("weight_mode", WeightMode),
-            ("srp_fallback", bool),
-            ("record_timing", bool),
-        ):
-            if not isinstance(getattr(self, name), cls):
-                raise ConfigError(f"{name} must be a {cls.__name__}, got {getattr(self, name)!r}")
         if isinstance(self.node_count, (list, tuple)) and self.node_count:
             counts = tuple(self.node_count)
             object.__setattr__(self, "node_count", counts[0] if len(counts) == 1 else counts)
@@ -102,14 +92,13 @@ class SimulationConfig:
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise ConfigError(f"{name} must be a pair of numbers, got {pair!r}")
             object.__setattr__(self, name, tuple(pair))
+        if not isinstance(self.protocols, (list, tuple)) or not self.protocols:
+            raise ConfigError(f"protocols must be a non-empty list or tuple, got {self.protocols!r}")
+        object.__setattr__(self, "protocols", tuple(self.protocols))
         check_fields(ConfigError, self)
         counts = self.node_counts
         if len(set(counts)) != len(counts):
             raise ConfigError(f"node_count sweep repeats a value: {counts}")
-        if not isinstance(self.protocols, (list, tuple)) or not self.protocols:
-            raise ConfigError(f"protocols must be a non-empty list or tuple, got {self.protocols!r}")
-        if not all(isinstance(p, Protocol) for p in self.protocols):
-            raise ConfigError(f"protocols must be Protocol values, got {self.protocols!r}")
         if len(set(self.protocols)) != len(self.protocols):
             raise ConfigError(f"protocols repeat a value: {[p.value for p in self.protocols]}")
         # Enum order, so that every output lists the protocols the same way.
@@ -286,16 +275,13 @@ def _stop_workers(pool) -> None:
     Leaving the pool's ``with`` block waits for every running task, so a
     run that is interrupted, or a task that never returns, would hang
     there.  Python 3.14 has `terminate_workers`; before it the workers are
-    reachable only through the private ``_processes`` map, which
-    ``shutdown`` clears, so it is read first.  They are joined here too:
-    the pool's own thread, which would reap them, can die on a future that
-    ``map`` already cancelled (Python 3.11).
+    reachable only through the private ``_processes`` map.  They are joined
+    here, so that none is left when the exception propagates.
     """
     if hasattr(pool, "terminate_workers"):
         pool.terminate_workers()
         return
     processes = list(pool._processes.values())
-    pool.shutdown(wait=False, cancel_futures=True)
     for process in processes:
         process.terminate()
     for process in processes:
@@ -330,7 +316,10 @@ def run_campaign(config: SimulationConfig) -> CampaignResult:
         try:
             with _pool(workers) as pool:
                 try:
-                    chunks = list(pool.map(_run_index_range, *zip(*tasks)))
+                    # Not `map`, which cancels its queued futures on an exception;
+                    # before Python 3.12 the pool's thread can then die marking them broken.
+                    futures = [pool.submit(_run_index_range, *task) for task in tasks]
+                    chunks = [future.result() for future in futures]
                 except BaseException:
                     _stop_workers(pool)
                     raise
@@ -369,8 +358,8 @@ def aggregate_records(records, config: SimulationConfig) -> list[AggregateStats]
                     std_e2e_ber=std_ber,
                     mean_delay_s=mean_delay,
                     std_delay_s=std_delay,
-                    mean_evaluations=_mean([m.evaluations for m in successes]),
-                    mean_hops=_mean([m.hop_count for m in successes]),
+                    mean_evaluations=_mean_std([m.evaluations for m in successes])[0],
+                    mean_hops=_mean_std([m.hop_count for m in successes])[0],
                 )
             )
     return aggregates
@@ -407,12 +396,6 @@ def config_from_dict(raw: dict) -> SimulationConfig:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _mean(values):
-    import numpy as np
-
-    return float(np.array(values, dtype=float).mean()) if values else None
 
 
 def _mean_std(values):

@@ -748,7 +748,7 @@ def test_main_usage_error_exits_2():
 
 
 def _campaign_on_pool_raising(monkeypatch, tmp_path, error):
-    """Run a 2-worker campaign on a stand-in pool whose map raises ``error``."""
+    """Run a 2-worker campaign on a stand-in pool whose submit raises ``error``."""
     import uowsim.harness as harness
 
     class Pool:
@@ -757,16 +757,13 @@ def _campaign_on_pool_raising(monkeypatch, tmp_path, error):
         def __init__(self, max_workers):
             pass
 
-        def shutdown(self, wait=True, cancel_futures=False):
-            pass
-
         def __enter__(self):
             return self
 
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
+        def submit(self, fn, *args):
             raise error
 
     monkeypatch.setattr(harness, "_pool", Pool)

@@ -31,6 +31,7 @@ from uowsim import (
     path_delay,
     photon_arrival_rate,
 )
+from uowsim import channel
 from uowsim.channel import NON_NEGATIVE
 from uowsim.cli import main
 
@@ -134,8 +135,6 @@ _BOUNDS = [
     (SimulationConfig, "realizations", int, "[", 1, 10**5, "]"),
     (SimulationConfig, "master_seed", int, "[", 0, INF, ")"),
 ]
-# Fields checked by isinstance instead: nested parameter sets, enums, bools.
-_TYPED = {"channel", "noise", "delay", "weight_mode", "protocols", "srp_fallback", "record_timing"}
 _PAIR_FILL = {"area": 250.0, "source_pos": 125.0, "target_pos": 125.0}
 
 
@@ -191,14 +190,15 @@ _CLASSES = (ChannelParams, ReceiverNoise, DelayModel, SimulationConfig)
 
 
 def _declared_rules():
-    """Each rule the code declares, by (class, field), with its ``each``
-    flag: the `ranged` fields' metadata, and the rule `ChannelParams.for_water`
-    holds its two extinction components to."""
+    """Each interval rule the code declares, by (class, field), with its
+    ``each`` flag: the `ranged` fields' metadata, and the rule
+    `ChannelParams.for_water` holds its two extinction components to.  A
+    field whose rule is a class is left out."""
     rules = {
         (cls, spec.name): (spec.metadata["rule"], spec.metadata["each"])
         for cls in _CLASSES
         for spec in dataclasses.fields(cls)
-        if "rule" in spec.metadata
+        if not isinstance(spec.metadata["rule"], type)
     }
     for name in ("absorption", "scattering"):
         rules[ChannelParams, name] = (NON_NEGATIVE, False)
@@ -217,13 +217,28 @@ def test_each_declared_rule_is_its_table_row():
     assert {key: rule for key, (rule, _) in _declared_rules().items()} == table
 
 
-def test_every_config_field_has_a_rule_or_a_type_check():
+def test_every_config_field_has_a_rule(monkeypatch):
     for cls in _CLASSES:
         for spec in dataclasses.fields(cls):
-            assert ("rule" in spec.metadata) != (spec.name in _TYPED), (cls.__name__, spec.name)
-    for name in _TYPED:
-        with pytest.raises(ConfigError, match=name):
-            SimulationConfig(**{name: "1"})
+            assert "rule" in spec.metadata, (cls.__name__, spec.name)
+    # `check_rule` is the one checker: building each class runs it on every field.
+    seen = set()
+    check_rule = channel.check_rule
+
+    def recording(error, name, value, rule):
+        seen.add(name)
+        check_rule(error, name, value, rule)
+
+    monkeypatch.setattr(channel, "check_rule", recording)
+    for cls in _CLASSES:
+        seen.clear()
+        cls()
+        assert set(_keys_of(cls)) <= seen, (cls.__name__, set(_keys_of(cls)) - seen)
+    # A field whose rule is a class takes only instances of it.
+    for spec in dataclasses.fields(SimulationConfig):
+        if isinstance(spec.metadata["rule"], type):
+            with pytest.raises(ConfigError, match=spec.name):
+                SimulationConfig(**{spec.name: "1"})
 
 
 def test_no_float_limit_is_reached_at_the_corners_of_the_rules():

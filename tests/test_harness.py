@@ -4,6 +4,7 @@ import os
 import signal
 import struct
 import time
+from concurrent.futures import Future
 from unittest import mock
 
 import pytest
@@ -386,7 +387,8 @@ def test_resolve_workers(monkeypatch):
 
 
 class _InlinePool:
-    """Stand-in for `harness._pool`'s process pool: maps in this process."""
+    """Stand-in for `harness._pool`'s process pool: runs each task in this
+    process when it is submitted."""
 
     def __enter__(self):
         return self
@@ -394,8 +396,10 @@ class _InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
 
 
 class _Interrupted(Exception):
@@ -415,6 +419,18 @@ def test_an_interrupted_pooled_campaign_leaves_no_worker(monkeypatch, tmp_path):
     # call; every node reaches every other in this area, so CRP runs.
     monkeypatch.setattr(harness, "crp", spin)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    # A queued task that is cancelled can end the pool's own thread with
+    # InvalidStateError when the workers die (Python 3.10 and 3.11).
+    cancelled = []
+    cancel = Future.cancel
+
+    def recording_cancel(future):
+        done = cancel(future)
+        if done:
+            cancelled.append(future)
+        return done
+
+    monkeypatch.setattr(Future, "cancel", recording_cancel)
     monkeypatch.setenv("UOWSN_THREADS", "2")
     config = SimulationConfig(
         area=(40.0, 40.0), source_pos=(10.0, 20.0), target_pos=(30.0, 20.0),
@@ -451,6 +467,7 @@ def test_an_interrupted_pooled_campaign_leaves_no_worker(monkeypatch, tmp_path):
             os.kill(pid, signal.SIGKILL)
     assert elapsed < 5.0
     assert len(workers) == 2 and not left
+    assert not cancelled
 
 
 def test_campaign_pool_is_capped_at_cpus_and_tasks(monkeypatch):
