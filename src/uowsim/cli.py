@@ -10,7 +10,8 @@ files are byte-reproducible.
 Exit codes: 0 success (routing failures are valid results), 2 configuration
 or usage error, 3 output I/O error, 4 a campaign worker process died.  An
 exception raised by trial code ends in its traceback, as in a serial run.
-SIGTERM exits with 143 (128 + 15), after a campaign has ended its workers.
+SIGTERM exits with 143 (128 + 15), after a campaign has ended its workers;
+off the main thread `main` sets no SIGTERM handler.
 """
 
 import argparse
@@ -18,6 +19,7 @@ import json
 import math
 import signal
 import sys
+import threading
 from array import array
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -25,17 +27,15 @@ from operator import attrgetter
 from pathlib import Path
 
 from .channel import ChannelParams, WaterType, received_power_los, single_link_ber
-from .harness import (
+from .config import (
     DEFAULT_NODE_SWEEP,
     ConfigError,
+    Protocol,
     SimulationConfig,
+    WeightMode,
     WorkerDiedError,
     config_from_dict,
-    run_campaign,
-    run_single,
 )
-from .routing import Protocol, RoutingOutcome, WeightMode
-from .topology import NetworkGraph
 
 DEFAULT_DISTANCES = tuple(float(d) for d in range(5, 105, 5))
 DEFAULT_DIVERGENCES_DEG = (30.0, 60.0, 90.0)
@@ -259,7 +259,7 @@ def _record_set(columns, records) -> OutputRecordSet:
     return OutputRecordSet(columns, tuple(map(cells, records)))
 
 
-def route_dump_lines(protocol: Protocol, graph: NetworkGraph, outcome: RoutingOutcome) -> list[str]:
+def route_dump_lines(protocol: Protocol, graph: "NetworkGraph", outcome: "RoutingOutcome") -> list[str]:
     """Overlay-friendly dump of a successful outcome's route.
 
     One ``protocol hop_index node_id x y ber_to_next`` line per visited
@@ -279,6 +279,18 @@ def route_dump_lines(protocol: Protocol, graph: NetworkGraph, outcome: RoutingOu
 
 def _floats(*values) -> str:
     return " ".join(_format_cell(value, "float") for value in values)
+
+
+# The runners import `harness`, and with it `routing`, `topology` and
+# `metrics`, when first called, so that the sweeps never load them.
+def run_single(config: SimulationConfig, seed: int):
+    from . import harness
+    return harness.run_single(config, seed)
+
+
+def run_campaign(config: SimulationConfig):
+    from . import harness
+    return harness.run_campaign(config)
 
 
 def cmd_route(config: SimulationConfig, seed: int):
@@ -414,7 +426,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # SIGTERM raises SystemExit, so that a campaign ends its pool's workers
     # on the way out (`harness.run_campaign`) instead of leaving them running.
-    previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+    # Only the main thread may set a handler; elsewhere main leaves it as it is.
+    on_main = threading.current_thread() is threading.main_thread()
+    if on_main:
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     try:
         if args.command in ("link-budget", "ber-sweep"):
             if args.command == "link-budget":
@@ -459,7 +474,8 @@ def main(argv=None) -> int:
         print(f"error: a campaign worker process died: {exc}", file=sys.stderr)
         return 4
     finally:
-        signal.signal(signal.SIGTERM, previous)
+        if on_main:
+            signal.signal(signal.SIGTERM, previous)
     return 0
 
 

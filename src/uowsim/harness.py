@@ -16,19 +16,11 @@ rejected config never load it.
 import math
 import os
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
-from .channel import FINITE, POSITIVE, ChannelParams, ReceiverNoise, WaterType, check_fields, ranged
-from .metrics import DelayModel, TrialMetrics, collect_trial
-from .routing import (
-    FailureReason,
-    Protocol,
-    RoutingOutcome,
-    WeightMode,
-    crp,
-    drp,
-    srp,
-)
+from .config import ConfigError, Protocol, SimulationConfig, WorkerDiedError
+from .metrics import TrialMetrics, collect_trial
+from .routing import FailureReason, RoutingOutcome, crp, drp, srp
 from .topology import (
     SOURCE_ID,
     TARGET_ID,
@@ -39,91 +31,6 @@ from .topology import (
 )
 
 THREADS_ENV_VAR = "UOWSN_THREADS"
-
-DEFAULT_NODE_SWEEP = (20, 30, 40, 50, 60, 70, 80, 90, 100)
-
-
-class ConfigError(ValueError):
-    """Invalid simulation configuration."""
-
-
-class WorkerDiedError(RuntimeError):
-    """A campaign's pool lost a worker process."""
-
-
-@dataclass(frozen=True)
-class SimulationConfig:
-    """Full description of one experiment.
-
-    ``node_count`` may be a single int (one deployment size) or a sequence
-    of ints (a campaign sweep); a one-element sequence is stored as its
-    int.  ``channel`` holds the resolved water: `config_from_dict` builds
-    it with ``ChannelParams.for_water``.
-    """
-
-    # From a 1 mm side to 1000 km, wider than any deployment.
-    area: tuple[float, float] = ranged((250.0, 250.0), (float, 1e-3, 1e6, "[]"), each=True)
-    # A route at 4000 nodes peaks at 918 MB (about 115 bytes per node pair).
-    node_count: int | tuple[int, ...] = ranged(40, (int, 2, 4000, "[]"), each=True)
-    max_range: float = ranged(80.0, POSITIVE)
-    channel: ChannelParams = ranged(ChannelParams(), ChannelParams)
-    noise: ReceiverNoise = ranged(ReceiverNoise(), ReceiverNoise)
-    source_pos: tuple[float, float] = ranged((52.5, 125.0), FINITE, each=True)
-    target_pos: tuple[float, float] = ranged((197.5, 125.0), FINITE, each=True)
-    protocols: tuple[Protocol, ...] = ranged(tuple(Protocol), Protocol, each=True)
-    weight_mode: WeightMode = ranged(WeightMode.EXACT_LOG, WeightMode)
-    delay: DelayModel = ranged(DelayModel(), DelayModel)
-    # A stock campaign's peak RSS grows about 12 KB per realization: 1.2 GB at the bound.
-    realizations: int = ranged(500, (int, 1, 10**5, "[]"))
-    master_seed: int = ranged(42, (int, 0, math.inf, "[)"))
-    srp_fallback: bool = ranged(False, bool)
-    record_timing: bool = ranged(False, bool)
-
-    def __post_init__(self):
-        if isinstance(self.node_count, (list, tuple)) and self.node_count:
-            counts = tuple(self.node_count)
-            object.__setattr__(self, "node_count", counts[0] if len(counts) == 1 else counts)
-        elif not isinstance(self.node_count, int):
-            raise ConfigError(
-                f"node_count must be an int or a non-empty list of ints, got {self.node_count!r}"
-            )
-        for name in ("area", "source_pos", "target_pos"):
-            pair = getattr(self, name)
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise ConfigError(f"{name} must be a pair of numbers, got {pair!r}")
-            object.__setattr__(self, name, tuple(pair))
-        if not isinstance(self.protocols, (list, tuple)) or not self.protocols:
-            raise ConfigError(f"protocols must be a non-empty list or tuple, got {self.protocols!r}")
-        object.__setattr__(self, "protocols", tuple(self.protocols))
-        check_fields(ConfigError, self)
-        counts = self.node_counts
-        if len(set(counts)) != len(counts):
-            raise ConfigError(f"node_count sweep repeats a value: {counts}")
-        if len(set(self.protocols)) != len(self.protocols):
-            raise ConfigError(f"protocols repeat a value: {[p.value for p in self.protocols]}")
-        # Enum order, so that every output lists the protocols the same way.
-        object.__setattr__(self, "protocols", tuple(p for p in Protocol if p in self.protocols))
-        width, height = self.area
-        for name, (x, y) in (("source_pos", self.source_pos), ("target_pos", self.target_pos)):
-            if not (0.0 <= x <= width and 0.0 <= y <= height):
-                raise ConfigError(f"{name} {(x, y)} lies outside the {self.area} area")
-        (sx, sy), (tx, ty) = self.source_pos, self.target_pos
-        if (tx - sx) * (tx - sx) + (ty - sy) * (ty - sy) == 0.0 and (sx, sy) != (tx, ty):
-            raise ConfigError("source_pos and target_pos are too close to square their distance")
-
-    @property
-    def node_counts(self) -> tuple[int, ...]:
-        """The node-count sweep as a tuple, even for a single value."""
-        if isinstance(self.node_count, int):
-            return (self.node_count,)
-        return self.node_count
-
-    def single_node_count(self) -> int:
-        if not isinstance(self.node_count, int):
-            raise ConfigError(
-                f"a single trial needs one node_count, got sweep {self.node_count}"
-            )
-        return self.node_count
 
 
 def derive_trial_seed(master_seed: int, realization_index: int) -> int:
@@ -363,39 +270,6 @@ def aggregate_records(records, config: SimulationConfig) -> list[AggregateStats]
                 )
             )
     return aggregates
-
-
-def config_from_dict(raw: dict) -> SimulationConfig:
-    """Build a SimulationConfig from a parsed config document.
-
-    Keys mirror the dataclass field names, plus ``water``, which resolves
-    into ``channel``; unknown keys are rejected so typos fail loudly.
-    Angles inside ``channel`` are radians; water names are clear / coastal
-    / turbid; protocol names crp / drp / srp; weight mode paper / exact.
-    """
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config document must be a mapping, got {type(raw).__name__}")
-    unknown = set(raw) - {f.name for f in fields(SimulationConfig)} - {"water"}
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-
-    kwargs = dict(raw)
-    try:
-        water = WaterType(kwargs.pop("water", WaterType.CLEAR_OCEAN))
-        kwargs["channel"] = ChannelParams.for_water(water, **raw.get("channel", {}))
-        for name, cls in (("noise", ReceiverNoise), ("delay", DelayModel)):
-            if name in raw:
-                kwargs[name] = cls(**raw[name])
-        # Any other value reaches SimulationConfig, which rejects it.
-        if isinstance(raw.get("protocols"), list):
-            kwargs["protocols"] = tuple(Protocol(p) for p in raw["protocols"])
-        if "weight_mode" in raw:
-            kwargs["weight_mode"] = WeightMode(raw["weight_mode"])
-        return SimulationConfig(**kwargs)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _mean_std(values):

@@ -8,25 +8,9 @@ between protocols are meaningful for comparison purposes.
 
 from dataclasses import dataclass
 
-from .channel import LIGHT_SPEED_WATER, check_fields, ranged
-from .routing import FailureReason, Protocol
-
-
-@dataclass(frozen=True)
-class DelayModel:
-    """Per-packet constants of the delay computation.
-
-    ``packet_bits`` bits per packet, ``per_hop_processing`` seconds.  The
-    data rate is the receiver's ``noise.data_rate`` of the simulation config
-    and the speed of light is ``LIGHT_SPEED_WATER``.
-    """
-
-    # Up to 1 Tb (125 GB) per packet and 1e6 s (11.6 days) per hop.
-    packet_bits: float = ranged(1024.0, (float, 0.0, 1e12, "(]"))
-    per_hop_processing: float = ranged(0.0, (float, 0.0, 1e6, "[]"))
-
-    def __post_init__(self):
-        check_fields(ValueError, self)
+from .channel import LIGHT_SPEED_WATER
+from .config import Protocol
+from .routing import FailureReason
 
 
 @dataclass(frozen=True)

@@ -26,26 +26,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .channel import e2e_ber as fold_e2e_ber
+from .config import WeightMode
 from .topology import NetworkGraph
-
-
-class Protocol(Enum):
-    CRP = "crp"
-    DRP = "drp"
-    SRP = "srp"
-
-
-class WeightMode(Enum):
-    """Edge-weight choices for CRP.
-
-    PAPER_SUM uses the link BER itself, so Dijkstra minimizes the plain sum
-    of per-hop error probabilities.  EXACT_LOG uses -ln(1 - 2*ber), whose
-    sum-minimizing path provably has the least end-to-end BER; links with
-    ber >= 0.5 carry no information and are treated as absent.
-    """
-
-    PAPER_SUM = "paper"
-    EXACT_LOG = "exact"
 
 
 class FailureReason(Enum):

@@ -5,8 +5,8 @@ relay nodes uniformly over the area with a seeded generator, so the same
 (config, seed) pair always reproduces the same network bit for bit.  Edges
 exist exactly between node pairs within the maximum transmission range and
 carry distance and single-link BER.  numpy is imported in the functions
-that use it, not at module load, so that importing the package (as the
-sweeps do) does not pay for it.
+that use it, not at module load, so that importing the module does not pay
+for it.
 """
 
 import copy
@@ -134,12 +134,14 @@ def generate_deployment(config, seed):
     return positions
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)
 def _pair_indices(n: int) -> tuple:
     """Every node pair (i, j), i < j, ordered by j and then by i, read-only.
 
     In this order the pairs of the first ``k`` nodes come first, so any
-    count's links are a prefix of the largest count's.
+    count's links are a prefix of the largest count's.  A campaign asks only
+    for its largest count and ``route`` for its one count, so one entry is
+    kept: at 4000 nodes the pair arrays take 128 MB.
     """
     import numpy as np
 

@@ -22,9 +22,10 @@ def _expire(signum, frame):
     # traceback of an interrupted frame can fail on a line number of None,
     # which ends the whole session with an internal error.
     code = frame.f_code
+    name = getattr(code, "co_qualname", code.co_name)  # co_qualname is new in Python 3.11
     pytest.fail(
         f"still running after the {TIME_LIMIT_S} s limit, "
-        f"in {code.co_qualname} at {code.co_filename}:{frame.f_lineno}",
+        f"in {name} at {code.co_filename}:{frame.f_lineno}",
         pytrace=False,
     )
 

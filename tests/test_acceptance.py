@@ -54,7 +54,7 @@ from uowsim import (
     single_link_ber,
 )
 from uowsim.channel import BER_FLOOR
-from uowsim.harness import DEFAULT_NODE_SWEEP
+from uowsim.config import DEFAULT_NODE_SWEEP
 from conftest import edge_between, make_graph
 
 REPO_DIR = Path(__file__).resolve().parent.parent

@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 import warnings
@@ -300,6 +301,17 @@ def test_main_link_budget_writes_csv(tmp_path):
     lines = text.splitlines()
     assert lines[0] == "water,divergence_deg,distance_m,received_power_w"
     assert lines[1].startswith("clear,6.00000000e+01,5.00000000e+01,")
+
+
+def test_main_runs_off_the_main_thread(tmp_path):
+    # Only the main thread may set a signal handler; main sets none elsewhere.
+    codes = []
+    args = ["link-budget", "--out", str(tmp_path), "--distances", "50", "--water", "clear"]
+    thread = threading.Thread(target=lambda: codes.append(main(args)))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and codes == [0]
+    assert len((tmp_path / "link_budget.csv").read_text().splitlines()) == 4
 
 
 def test_main_route_golden_snapshot(tmp_path):
@@ -898,6 +910,8 @@ def test_cli_commands_do_not_import_scipy(tmp_path):
 def test_sweeps_and_usage_errors_do_not_import_numpy(tmp_path):
     # The sweeps run on the scalar math path, and importing numpy would be
     # about half of their start-up.  route and campaign load it on first use.
+    # Nor do the sweeps load the routing stack: they read a config from
+    # `uowsim.config` and never route.
     pythonpath = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
     out = ["--out", str(tmp_path)]
     commands = [
@@ -908,6 +922,7 @@ def test_sweeps_and_usage_errors_do_not_import_numpy(tmp_path):
         ["route", "--nodes", "20", "--seed", "3", *out],
         ["campaign", "--nodes", "20", "--realizations", "2", *out],
     ]
+    stack = ["uowsim.harness", "uowsim.routing", "uowsim.topology", "uowsim.metrics"]
     script = (
         "import sys\n"
         "import uowsim\n"
@@ -918,7 +933,8 @@ def test_sweeps_and_usage_errors_do_not_import_numpy(tmp_path):
         "    except SystemExit as exc:\n"
         "        code = exc.code\n"
         "    numpy = any(m.split('.')[0] == 'numpy' for m in sys.modules)\n"
-        "    print('imports', args[0], code, numpy)\n"
+        f"    stack = [m in sys.modules for m in {stack!r}]\n"
+        "    print('imports', args[0], code, numpy, any(stack), all(stack))\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", script],
@@ -928,13 +944,27 @@ def test_sweeps_and_usage_errors_do_not_import_numpy(tmp_path):
     )
     checks = [line.split()[1:] for line in result.stdout.splitlines() if line.startswith("imports ")]
     assert checks == [
-        ["link-budget", "0", "False"],
-        ["ber-sweep", "0", "False"],
-        ["route", "2", "False"],
-        ["route", "2", "False"],
-        ["route", "0", "True"],
-        ["campaign", "0", "True"],
+        ["link-budget", "0", "False", "False", "False"],
+        ["ber-sweep", "0", "False", "False", "False"],
+        ["route", "2", "False", "False", "False"],
+        ["route", "2", "False", "False", "False"],
+        ["route", "0", "True", "True", "True"],
+        ["campaign", "0", "True", "True", "True"],
     ], result.stdout + result.stderr
+
+
+def test_package_exports_resolve_on_first_access():
+    import importlib
+
+    import uowsim
+
+    listed = dir(uowsim)
+    for name, module in uowsim._MODULE_OF.items():
+        assert getattr(uowsim, name) is getattr(importlib.import_module(f"uowsim.{module}"), name)
+        assert name in listed, name
+    assert set(uowsim.__all__) == set(uowsim._MODULE_OF)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        uowsim.no_such_name
 
 
 def test_main_sweeps_match_reference_digests(tmp_path):

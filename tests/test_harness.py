@@ -28,7 +28,8 @@ from uowsim import (
     run_campaign,
     run_single,
 )
-from uowsim.harness import DEFAULT_NODE_SWEEP, resolve_workers
+from uowsim.config import DEFAULT_NODE_SWEEP
+from uowsim.harness import resolve_workers
 
 
 def test_derive_trial_seed_is_stable():

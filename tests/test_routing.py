@@ -27,7 +27,7 @@ from uowsim import (
     srp,
 )
 from uowsim.cli import route_dump_lines
-from uowsim.harness import DEFAULT_NODE_SWEEP
+from uowsim.config import DEFAULT_NODE_SWEEP
 from uowsim import routing
 from uowsim.routing import _finish, edge_weights
 from conftest import edge_between, graph_edges, make_graph, priced_graph

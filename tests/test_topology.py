@@ -21,7 +21,7 @@ from uowsim import (
     single_link_ber,
 )
 from uowsim import channel
-from uowsim.topology import DEGENERATE_DISTANCE
+from uowsim.topology import DEGENERATE_DISTANCE, _pair_indices
 from conftest import edge_between, graph_edges, make_graph, priced_graph
 
 BER_CLEAR_50M = 0.49999618051689926
@@ -220,6 +220,16 @@ def test_coincident_pair_is_priced_for_every_count_that_holds_it(default_setup, 
                 assert graph.distance[e] == DEGENERATE_DISTANCE
             else:
                 assert e is None
+
+
+def test_pair_indices_keep_only_the_last_count(default_setup):
+    # The pair arrays take 16 bytes per node pair (128 MB at 4000 nodes); a
+    # run prices one largest count, so no earlier count's arrays are kept.
+    params, noise = default_setup
+    for n in (30, 40):
+        positions = generate_deployment(SimulationConfig(node_count=n), 7)
+        price_links(positions, (n,), 80.0, params, noise)
+    assert _pair_indices.cache_info().currsize == 1
 
 
 def test_a_view_shares_the_whole_graph_and_ends_its_rows_early(default_setup):
