@@ -15,7 +15,6 @@ off the main thread `main` sets no SIGTERM handler.
 """
 
 import argparse
-import json
 import math
 import signal
 import sys
@@ -381,6 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config_doc(path) -> dict:
     if path is None:
         return {}
+    import json  # only a --config run reads JSON
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
@@ -446,8 +447,13 @@ def main(argv=None) -> int:
             summary, dumps = cmd_route(config, config.master_seed)
             out = _out_dir(args)
             summary.write(out / "route_summary.csv")
-            for protocol, lines in dumps.items():
-                _write_chunks(out / f"route_{protocol.value}.txt", (line + "\n" for line in lines))
+            # Every dump in `out` is this run's: a protocol without a route loses its old one.
+            for protocol in Protocol:
+                path = out / f"route_{protocol.value}.txt"
+                if protocol in dumps:
+                    _write_chunks(path, (line + "\n" for line in dumps[protocol]))
+                else:
+                    path.unlink(missing_ok=True)
             print(f"wrote {out / 'route_summary.csv'} ({summary.row_count} protocols)")
             names = [name for name, _ in summary.columns]
             for row in summary.rows:

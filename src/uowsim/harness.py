@@ -8,15 +8,16 @@ prefix of them, and source and target stay fixed.  All three protocols run
 on the identical graph of a trial.  Realizations are independent, so they
 can execute on any number of workers; records are always assembled and
 reduced in (node count, realization, protocol) order, which keeps results
-bit-identical regardless of parallelism.  numpy is imported in the
-functions that use it, not at module load, so that the sweeps and a
-rejected config never load it.
+bit-identical regardless of parallelism.
 """
 
 import math
 import os
+import signal
 import time
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .config import ConfigError, Protocol, SimulationConfig, WorkerDiedError
 from .metrics import TrialMetrics, collect_trial
@@ -35,8 +36,6 @@ THREADS_ENV_VAR = "UOWSN_THREADS"
 
 def derive_trial_seed(master_seed: int, realization_index: int) -> int:
     """Deterministic per-trial seed from the master seed and trial index."""
-    import numpy as np
-
     sequence = np.random.SeedSequence([int(master_seed), int(realization_index)])
     return int(sequence.generate_state(1, np.uint64)[0])
 
@@ -112,12 +111,6 @@ class CampaignResult:
     records: list[TrialMetrics]
     aggregates: list[AggregateStats]
 
-    def get(self, protocol: Protocol, n_nodes: int) -> AggregateStats:
-        for stats in self.aggregates:
-            if stats.protocol is protocol and stats.n_nodes == n_nodes:
-                return stats
-        raise KeyError((protocol, n_nodes))
-
 
 def _run_index_range(
     config: SimulationConfig, first_index: int, seeds
@@ -168,7 +161,6 @@ def _pool(workers: int):
     worker would inherit the CLI's SIGTERM handler; each takes the default
     back, so that `_stop_workers` ends it.
     """
-    import signal
     from concurrent.futures import ProcessPoolExecutor
 
     return ProcessPoolExecutor(
@@ -275,7 +267,5 @@ def aggregate_records(records, config: SimulationConfig) -> list[AggregateStats]
 def _mean_std(values):
     if not values:
         return None, None
-    import numpy as np
-
     arr = np.array(values, dtype=float)
     return float(arr.mean()), float(arr.std(ddof=0))

@@ -4,20 +4,17 @@ A deployment places the source and target at fixed positions and scatters
 relay nodes uniformly over the area with a seeded generator, so the same
 (config, seed) pair always reproduces the same network bit for bit.  Edges
 exist exactly between node pairs within the maximum transmission range and
-carry distance and single-link BER.  numpy is imported in the functions
-that use it, not at module load, so that importing the module does not pay
-for it.
+carry distance and single-link BER.
 """
 
 import copy
-import logging
 from bisect import bisect_left
 from collections import deque
 from functools import lru_cache
 
-from . import channel
+import numpy as np
 
-log = logging.getLogger(__name__)
+from . import channel
 
 SOURCE_ID = 0
 TARGET_ID = 1
@@ -49,8 +46,6 @@ class NetworkGraph:
         ``us`` and ``vs`` are the endpoint ids of each undirected edge, in
         any order; ``distance`` and ``ber`` are its figures.
         """
-        import numpy as np
-
         positions = np.asarray(positions, dtype=float)
         if positions.ndim != 2 or positions.shape[1] != 2:
             raise ValueError(f"positions must be an (n, 2) array, got {positions.shape}")
@@ -121,8 +116,6 @@ def generate_deployment(config, seed):
     arrays.  Returns the (n, 2) positions: row 0 is the source, row 1 the
     target and the rest are relays.
     """
-    import numpy as np
-
     n = config.single_node_count()
     width, height = config.area
     positions = np.empty((n, 2))
@@ -143,8 +136,6 @@ def _pair_indices(n: int) -> tuple:
     for its largest count and ``route`` for its one count, so one entry is
     kept: at 4000 nodes the pair arrays take 128 MB.
     """
-    import numpy as np
-
     # The lower triangle's (row, column) pairs, row-major, are the (j, i).
     js, is_ = np.tril_indices(n, -1)
     for ids in (is_, js):
@@ -174,8 +165,6 @@ def price_links(
     received power; they get a perfect link (ber 0) at the stand-in
     distance and a log entry for each count that holds them.
     """
-    import numpy as np
-
     if max_range <= 0.0:
         raise ValueError(f"max_range must be > 0, got {max_range}")
     positions = np.asarray(positions, dtype=float)
@@ -206,7 +195,9 @@ def price_links(
             raise AssertionError(f"the BERs of {k} nodes are no prefix of the largest count's")
         zero = degenerate[:m]
         if zero.any():
-            log.warning(
+            import logging  # only this rare warning logs
+
+            logging.getLogger(__name__).warning(
                 "%d coincident node pair(s) among %d nodes; links forced to ber=0 at %g m",
                 int(zero.sum()),
                 k,

@@ -104,6 +104,14 @@ def edge_between(graph, u, v):
     return None
 
 
+def aggregate_of(result, protocol, n_nodes):
+    """The campaign's `AggregateStats` cell for (protocol, node count)."""
+    for stats in result.aggregates:
+        if stats.protocol is protocol and stats.n_nodes == n_nodes:
+            return stats
+    raise KeyError((protocol, n_nodes))
+
+
 def pid_alive(pid):
     """Whether a process with this id exists (a zombie counts)."""
     try:

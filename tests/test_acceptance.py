@@ -55,7 +55,7 @@ from uowsim import (
 )
 from uowsim.channel import BER_FLOOR
 from uowsim.config import DEFAULT_NODE_SWEEP
-from conftest import edge_between, make_graph
+from conftest import aggregate_of, edge_between, make_graph
 
 REPO_DIR = Path(__file__).resolve().parent.parent
 
@@ -289,8 +289,8 @@ def test_criterion_5_ber_trend(default_campaign):
         assert elapsed < 120.0, f"campaign took {elapsed:.1f}s, budget 120s"
         previous = None
         for n in config.node_counts:
-            crp_ber = result.get(Protocol.CRP, n).mean_e2e_ber
-            srp_ber = result.get(Protocol.SRP, n).mean_e2e_ber
+            crp_ber = aggregate_of(result, Protocol.CRP, n).mean_e2e_ber
+            srp_ber = aggregate_of(result, Protocol.SRP, n).mean_e2e_ber
             assert crp_ber <= srp_ber, f"N={n}: crp {crp_ber} > srp {srp_ber}"
             if previous is not None:
                 assert crp_ber <= previous, f"N={n}: crp mean increased"
@@ -315,9 +315,9 @@ def test_criterion_6_delay_trend(default_campaign):
         for n in config.node_counts:
             if n < 40:
                 continue
-            crp_delay = result.get(Protocol.CRP, n).mean_delay_s
-            srp_delay = result.get(Protocol.SRP, n).mean_delay_s
-            drp_delay = result.get(Protocol.DRP, n).mean_delay_s
+            crp_delay = aggregate_of(result, Protocol.CRP, n).mean_delay_s
+            srp_delay = aggregate_of(result, Protocol.SRP, n).mean_delay_s
+            drp_delay = aggregate_of(result, Protocol.DRP, n).mean_delay_s
             assert srp_delay < crp_delay < drp_delay, (
                 f"N={n}: srp {srp_delay} crp {crp_delay} drp {drp_delay}"
             )
@@ -329,15 +329,15 @@ def test_criterion_7_complexity_trend(default_campaign):
         for n in config.node_counts:
             if n < 40:
                 continue
-            crp_evals = result.get(Protocol.CRP, n).mean_evaluations
-            srp_evals = result.get(Protocol.SRP, n).mean_evaluations
-            drp_evals = result.get(Protocol.DRP, n).mean_evaluations
+            crp_evals = aggregate_of(result, Protocol.CRP, n).mean_evaluations
+            srp_evals = aggregate_of(result, Protocol.SRP, n).mean_evaluations
+            drp_evals = aggregate_of(result, Protocol.DRP, n).mean_evaluations
             assert srp_evals < drp_evals < crp_evals, (
                 f"N={n}: srp {srp_evals} drp {drp_evals} crp {crp_evals}"
             )
         ns = np.array(config.node_counts, dtype=float)
         evals = np.array(
-            [result.get(Protocol.CRP, int(n)).mean_evaluations for n in ns]
+            [aggregate_of(result, Protocol.CRP, int(n)).mean_evaluations for n in ns]
         )
 
         def r_squared(degree):
@@ -429,8 +429,8 @@ def test_dense_srp_delay_below_crp(dense_campaign):
     config, result = dense_campaign
     for n, pairs in _srp_crp_pairs(config, result).items():
         mean = float(np.mean([srp.e2e_delay_s - crp.e2e_delay_s for crp, srp in pairs]))
-        crp_delay = result.get(Protocol.CRP, n).mean_delay_s
-        drp_delay = result.get(Protocol.DRP, n).mean_delay_s
+        crp_delay = aggregate_of(result, Protocol.CRP, n).mean_delay_s
+        drp_delay = aggregate_of(result, Protocol.DRP, n).mean_delay_s
         print(
             f"N={n}: mean paired srp-crp delay {mean * 1e3:+.1f} ms; "
             f"mean delay drp {drp_delay * 1e3:.1f} ms, crp {crp_delay * 1e3:.1f} ms"
@@ -442,7 +442,7 @@ def test_dense_crp_ber_lowest_and_falling(dense_campaign):
     config, result = dense_campaign
     previous = None
     for n in config.node_counts:
-        bers = {p: result.get(p, n).mean_e2e_ber for p in Protocol}
+        bers = {p: aggregate_of(result, p, n).mean_e2e_ber for p in Protocol}
         print(f"N={n}: mean e2e BER " + ", ".join(f"{p.value} {b:.2e}" for p, b in bers.items()))
         crp_ber = bers.pop(Protocol.CRP)
         assert all(crp_ber < other for other in bers.values()), f"N={n}: {crp_ber} {bers}"

@@ -140,6 +140,25 @@ def test_main_route_prints_each_protocols_status(tmp_path, capsys):
     assert "  drp: failed (disconnected)" in capsys.readouterr().out.splitlines()
 
 
+def _route_dumps(out):
+    return sorted(path.name for path in out.glob("route_*.txt"))
+
+
+def test_main_route_leaves_no_dump_of_an_earlier_run(tmp_path):
+    # Every dump in --out belongs to this run: a protocol without a route,
+    # or not selected, leaves none behind.
+    full = ["route", "--seed", "42", "--out", str(tmp_path)]
+    assert main(full) == 0
+    assert _route_dumps(tmp_path) == ["route_crp.txt", "route_drp.txt", "route_srp.txt"]
+    assert main(["route", "--nodes", "2", "--out", str(tmp_path)]) == 0
+    assert _route_dumps(tmp_path) == []
+    assert main(full) == 0
+    assert main(full + ["--protocols", "crp"]) == 0
+    assert _route_dumps(tmp_path) == ["route_crp.txt"]
+    golden = (DATA_DIR / "golden_route" / "route_crp.txt").read_bytes()
+    assert (tmp_path / "route_crp.txt").read_bytes() == golden
+
+
 def test_columns_name_record_fields():
     # Each row reads every cell from the record attribute its column names.
     trial_fields = {field.name for field in dataclasses.fields(TrialMetrics)}
@@ -907,50 +926,61 @@ def test_cli_commands_do_not_import_scipy(tmp_path):
     assert checks == [[args[0], "0", "False"] for args in commands], result.stdout + result.stderr
 
 
+# Run in a fresh interpreter: main(argv), then report the exit code, which
+# of the optional modules are loaded, and how much of the routing stack.
+# A pooled campaign needs two CPUs, so the script reports two.
+_IMPORT_SET_SCRIPT = """
+import os, sys
+os.cpu_count = lambda: 2
+import uowsim
+from uowsim.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+loaded = [m for m in ("numpy", "logging", "json", "concurrent.futures") if m in sys.modules]
+stack = [m in sys.modules for m in ("uowsim.harness", "uowsim.routing", "uowsim.topology", "uowsim.metrics")]
+print("imports", code, ",".join(loaded) or "-", "all" if all(stack) else "some" if any(stack) else "none")
+"""
+
+
 def test_sweeps_and_usage_errors_do_not_import_numpy(tmp_path):
-    # The sweeps run on the scalar math path, and importing numpy would be
-    # about half of their start-up.  route and campaign load it on first use.
-    # Nor do the sweeps load the routing stack: they read a config from
-    # `uowsim.config` and never route.
+    # Each command loads only what it runs.  The sweeps run on the scalar
+    # math path, where numpy would be about half of their start-up, and
+    # never route, so they load no routing stack either.  `logging` is
+    # loaded only by the rare coincident-pair warning, `json` only by
+    # --config, and the process pool only by a pooled campaign (which
+    # brings `logging` with it).
     pythonpath = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath}
+    env.pop("UOWSN_THREADS", None)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"node_count": 20}))
     out = ["--out", str(tmp_path)]
-    commands = [
-        ["link-budget", *out],
-        ["ber-sweep", *out],
-        ["route", "--water", "clear,coastal", *out],  # argparse exits 2
-        ["route", "--nodes", str(10**20), *out],  # ConfigError
-        ["route", "--nodes", "20", "--seed", "3", *out],
-        ["campaign", "--nodes", "20", "--realizations", "2", *out],
+    cases = [
+        ({}, ["link-budget", *out], "0 - none"),
+        ({}, ["ber-sweep", *out], "0 - none"),
+        ({}, ["route", "--water", "clear,coastal", *out], "2 - none"),  # argparse
+        ({}, ["route", "--nodes", str(10**20), *out], "2 - none"),  # ConfigError
+        ({}, ["link-budget", "--config", str(config), *out], "0 json none"),
+        ({}, ["route", "--nodes", "20", "--seed", "3", *out], "0 numpy all"),
+        ({}, ["route", "--config", str(config), "--seed", "3", *out], "0 numpy,json all"),
+        ({}, ["campaign", "--nodes", "20", "--realizations", "2", *out], "0 numpy all"),
+        (
+            {"UOWSN_THREADS": "2"},
+            ["campaign", "--nodes", "20", "--realizations", "2", *out],
+            "0 numpy,logging,concurrent.futures all",  # concurrent.futures imports logging
+        ),
     ]
-    stack = ["uowsim.harness", "uowsim.routing", "uowsim.topology", "uowsim.metrics"]
-    script = (
-        "import sys\n"
-        "import uowsim\n"
-        "from uowsim.cli import main\n"
-        f"for args in {commands!r}:\n"
-        "    try:\n"
-        "        code = main(args)\n"
-        "    except SystemExit as exc:\n"
-        "        code = exc.code\n"
-        "    numpy = any(m.split('.')[0] == 'numpy' for m in sys.modules)\n"
-        f"    stack = [m in sys.modules for m in {stack!r}]\n"
-        "    print('imports', args[0], code, numpy, any(stack), all(stack))\n"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": pythonpath},
-    )
-    checks = [line.split()[1:] for line in result.stdout.splitlines() if line.startswith("imports ")]
-    assert checks == [
-        ["link-budget", "0", "False", "False", "False"],
-        ["ber-sweep", "0", "False", "False", "False"],
-        ["route", "2", "False", "False", "False"],
-        ["route", "2", "False", "False", "False"],
-        ["route", "0", "True", "True", "True"],
-        ["campaign", "0", "True", "True", "True"],
-    ], result.stdout + result.stderr
+    for extra, args, expected in cases:
+        result = subprocess.run(
+            [sys.executable, "-c", _IMPORT_SET_SCRIPT, *args],
+            capture_output=True,
+            text=True,
+            env={**env, **extra},
+        )
+        lines = [line for line in result.stdout.splitlines() if line.startswith("imports ")]
+        assert lines == [f"imports {expected}"], (args, extra, result.stdout + result.stderr)
 
 
 def test_package_exports_resolve_on_first_access():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import pid_alive
+from conftest import aggregate_of, pid_alive
 from oracles import reference_campaign
 from uowsim import (
     ChannelParams,
@@ -236,7 +236,7 @@ def test_campaign_conservation_and_shape():
     assert len(result.records) == 2 * 25 * 3
     for n in (20, 40):
         for protocol in Protocol:
-            stats = result.get(protocol, n)
+            stats = aggregate_of(result, protocol, n)
             assert stats.trials == 25
             failures = sum(
                 1
