@@ -96,7 +96,6 @@ class AggregateStats:
     protocol: Protocol
     n_nodes: int
     trials: int
-    successes: int
     success_rate: float
     mean_e2e_ber: float | None
     std_e2e_ber: float | None
@@ -251,7 +250,6 @@ def aggregate_records(records, config: SimulationConfig) -> list[AggregateStats]
                     protocol=protocol,
                     n_nodes=n,
                     trials=len(cell),
-                    successes=len(successes),
                     success_rate=len(successes) / len(cell) if cell else 0.0,
                     mean_e2e_ber=mean_ber,
                     std_e2e_ber=std_ber,

@@ -375,7 +375,6 @@ def reference_campaign(config):
                     protocol=protocol,
                     n_nodes=n,
                     trials=len(cell),
-                    successes=len(ok),
                     success_rate=len(ok) / len(cell),
                     mean_e2e_ber=stats["e2e_ber"][0],
                     std_e2e_ber=stats["e2e_ber"][1],

@@ -1,8 +1,12 @@
+import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
+import re
+import shlex
 import signal
 import subprocess
 import sys
@@ -1056,3 +1060,56 @@ def test_values_past_the_rules_exit_2_with_one_error_line(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (args, err)
     assert not out.exists()
+
+
+def _readme_table(header):
+    """The rows, as lists of cells, of the README table under ``header``."""
+    lines = (REPO_DIR / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index(header) + 2
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start:])
+    return [[cell.strip() for cell in row.strip("|").split("|")] for row in rows]
+
+
+def test_readme_flags_match_the_parser():
+    (commands,) = (
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    parsed = {
+        name: sorted(
+            option
+            for action in subparser._actions
+            for option in action.option_strings
+            if option not in ("-h", "--help")
+        )
+        for name, subparser in commands.choices.items()
+    }
+    documented = {}
+    for names, flags in _readme_table("| command | flags |"):
+        for name in re.findall(r"`([\w-]+)`", names):
+            assert name not in documented, name
+            documented[name] = sorted(re.findall(r"`(--[\w-]+)`", flags))
+    assert documented == parsed
+    # Every command README shows, in a code block or inline, parses too.
+    text = (REPO_DIR / "README.md").read_text(encoding="utf-8")
+    shown = re.findall(r"^uowsim ([^#\n]+)", text, re.M) + re.findall(r"`uowsim ([^`]+)`", text)
+    assert len(shown) >= 6
+    for command in shown:
+        build_parser().parse_args(shlex.split(command))
+
+
+def test_readme_schemas_match_the_column_tuples():
+    tables = {
+        "campaign_trials.csv": CAMPAIGN_TRIAL_COLUMNS,
+        "campaign_aggregate.csv": CAMPAIGN_AGGREGATE_COLUMNS,
+        "route_summary.csv": ROUTE_SUMMARY_COLUMNS,
+        "link_budget.csv": LINK_BUDGET_COLUMNS,
+        "ber_sweep.csv": BER_SWEEP_COLUMNS,
+    }
+    documented = {
+        name.strip("`"): columns.strip("`").split(",")
+        for name, columns in _readme_table("| file | columns |")
+    }
+    assert documented == {
+        name: [column for column, _ in columns] for name, columns in tables.items()
+    }

@@ -238,14 +238,11 @@ def test_campaign_conservation_and_shape():
         for protocol in Protocol:
             stats = aggregate_of(result, protocol, n)
             assert stats.trials == 25
-            failures = sum(
-                1
-                for r in result.records
-                if r.n_nodes == n
-                and r.protocol is protocol
-                and not r.success
-            )
-            assert stats.successes + failures == stats.trials
+            cell = [r for r in result.records if r.n_nodes == n and r.protocol is protocol]
+            successes = sum(1 for r in cell if r.success)
+            failures = sum(1 for r in cell if not r.success)
+            assert successes + failures == stats.trials
+            assert stats.success_rate == successes / stats.trials
             assert 0.0 <= stats.success_rate <= 1.0
 
 
