@@ -27,6 +27,7 @@ from pathlib import Path
 
 from .channel import ChannelParams, WaterType, received_power_los, single_link_ber
 from .config import (
+    CONFIG_KEYS,
     DEFAULT_NODE_SWEEP,
     ConfigError,
     Protocol,
@@ -339,6 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = argparse.ArgumentParser(add_help=False)
     sweep.add_argument(
         "--water",
+        dest="waters",  # a grid axis, not the config key ``water``
+        metavar="WATER",
         type=_list_of(WaterType),
         default=ALL_WATERS,
         help="comma-separated water types (clear,coastal,turbid)",
@@ -356,24 +359,29 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated divergence angles [deg]",
     )
 
-    sim = argparse.ArgumentParser(add_help=False)
-    sim.add_argument("--seed", type=int, default=None, help="master seed (route: the trial seed)")
+    # Each flag of `route` and `campaign` is stored under the config key it
+    # sets, and only when given, so `_config` lays the given flags over the file.
+    sim = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     sim.add_argument(
-        "--protocols",
-        type=_list_of(Protocol),
-        default=None,
-        help="comma-separated subset of crp,drp,srp",
+        "--seed", dest="master_seed", metavar="SEED", type=int,
+        help="master seed (route: the trial seed)",
     )
-    sim.add_argument("--weight-mode", choices=[mode.value for mode in WeightMode], default=None)
-    sim.add_argument("--nodes", type=_list_of(int), default=None, help="node count(s), comma-separated")
-    sim.add_argument("--realizations", type=int, default=None)
-    sim.add_argument("--water", type=WaterType, default=None, help="water type (clear, coastal or turbid)")
+    sim.add_argument(
+        "--protocols", type=_list_of(Protocol), help="comma-separated subset of crp,drp,srp"
+    )
+    sim.add_argument("--weight-mode", choices=[mode.value for mode in WeightMode])
+    sim.add_argument(
+        "--nodes", dest="node_count", metavar="NODES", type=_list_of(int),
+        help="node count(s), comma-separated",
+    )
+    sim.add_argument("--water", type=WaterType, help="water type (clear, coastal or turbid)")
 
     commands = parser.add_subparsers(dest="command", required=True)
     commands.add_parser("link-budget", parents=[common, sweep], help="received power sweep")
     commands.add_parser("ber-sweep", parents=[common, sweep], help="single-link BER sweep")
     commands.add_parser("route", parents=[common, sim], help="route one seeded trial")
-    commands.add_parser("campaign", parents=[common, sim], help="run a Monte-Carlo campaign")
+    campaign = commands.add_parser("campaign", parents=[common, sim], help="run a Monte-Carlo campaign")
+    campaign.add_argument("--realizations", type=int, default=argparse.SUPPRESS)
     return parser
 
 
@@ -384,30 +392,34 @@ def _load_config_doc(path) -> dict:
 
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+            doc = json.load(handle, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except ValueError as exc:  # bad JSON or UTF-8, or an int of over 4300 digits
+    # Bad JSON or UTF-8, a repeated key, an int of over 4300 digits, or nesting too deep.
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")
     return doc
 
 
-def _sim_config(args, campaign: bool) -> SimulationConfig:
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict, refusing a repeated key, of which json keeps the last."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError(f"repeated key {key!r}")
+        doc[key] = value
+    return doc
+
+
+def _config(args) -> SimulationConfig:
+    """Every command's config: the ``--config`` document, the given flags
+    over it, and `campaign`'s default node sweep where neither sets one."""
     doc = _load_config_doc(args.config)
-    for key, value in (
-        ("master_seed", args.seed),
-        ("node_count", args.nodes),
-        ("realizations", args.realizations),
-        ("protocols", args.protocols),
-        ("weight_mode", args.weight_mode),
-        ("water", args.water),
-    ):
-        if value is not None:
-            doc[key] = value
-    if campaign and "node_count" not in doc:
-        doc["node_count"] = list(DEFAULT_NODE_SWEEP)
+    doc.update((key, value) for key, value in vars(args).items() if key in CONFIG_KEYS)
+    if args.command == "campaign":
+        doc.setdefault("node_count", list(DEFAULT_NODE_SWEEP))
     return config_from_dict(doc)
 
 
@@ -432,18 +444,17 @@ def main(argv=None) -> int:
     if on_main:
         previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     try:
+        config = _config(args)
         if args.command in ("link-budget", "ber-sweep"):
             if args.command == "link-budget":
                 command, filename = cmd_link_budget, "link_budget.csv"
             else:
                 command, filename = cmd_ber_sweep, "ber_sweep.csv"
-            config = config_from_dict(_load_config_doc(args.config))
-            recordset = command(config, args.distances, args.water, args.divergences)
+            recordset = command(config, args.distances, args.waters, args.divergences)
             out = _out_dir(args)
             recordset.write(out / filename)
             print(f"wrote {out / filename} ({recordset.row_count} rows)")
         elif args.command == "route":
-            config = _sim_config(args, campaign=False)
             summary, dumps = cmd_route(config, config.master_seed)
             out = _out_dir(args)
             summary.write(out / "route_summary.csv")
@@ -461,7 +472,6 @@ def main(argv=None) -> int:
                 status = "ok" if cell["success"] else f"failed ({cell['failure_reason'].value})"
                 print(f"  {cell['protocol'].value}: {status}")
         else:  # campaign; argparse allows no other command
-            config = _sim_config(args, campaign=True)
             trials, aggregate = cmd_campaign(config)
             out = _out_dir(args)
             trials.write(out / "campaign_trials.csv")

@@ -135,17 +135,20 @@ class SimulationConfig:
         return self.node_count
 
 
+# The config document's keys: the fields, plus ``water``, which resolves into ``channel``.
+CONFIG_KEYS = frozenset(f.name for f in fields(SimulationConfig)) | {"water"}
+
+
 def config_from_dict(raw: dict) -> SimulationConfig:
     """Build a SimulationConfig from a parsed config document.
 
-    Keys mirror the dataclass field names, plus ``water``, which resolves
-    into ``channel``; unknown keys are rejected so typos fail loudly.
+    Its keys are `CONFIG_KEYS`; an unknown key is rejected, so a typo fails loudly.
     Angles inside ``channel`` are radians; water names are clear / coastal
     / turbid; protocol names crp / drp / srp; weight mode paper / exact.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"config document must be a mapping, got {type(raw).__name__}")
-    unknown = set(raw) - {f.name for f in fields(SimulationConfig)} - {"water"}
+    unknown = set(raw) - CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 

@@ -5,7 +5,8 @@ importing uowsim: channel formulas in arbitrary precision via mpmath,
 end-to-end BER by exhaustive flip-pattern enumeration, a route's
 log10(1 - 2 BER) hop by hop, shortest paths by exhaustive simple-path
 search, Dijkstra run to exhaustion, DRP's and SRP's greedy walk as a plain
-loop, reachability by boolean matrix closure.  `reference_campaign` reuses
+loop, reachability by boolean matrix closure, the random geometric graph's
+mean edge count in closed form.  `reference_campaign` reuses
 the model's kernels (deployment, link pricing, the route builder) but none
 of the campaign's shortcuts, and none of its routers.
 """
@@ -262,6 +263,69 @@ def reachability_closure(n, edges):
             break
         reach = updated
     return reach
+
+
+def pair_in_range_probability(r):
+    """P(|X - Y| <= r) for X, Y uniform in the unit square, 0 <= r <= 1:
+    pi r^2 - 8 r^3 / 3 + r^4 / 2 (Ghosh, "Random distances within a
+    rectangle and between two rectangles", Bull. Calcutta Math. Soc. 43,
+    1951; Philip, "The probability distribution of the distance between two
+    random points in a box", 2007)."""
+    if not 0.0 <= r <= 1.0:
+        raise ValueError(f"the square-distance law holds for 0 <= r <= 1, got {r}")
+    return math.pi * r**2 - 8.0 * r**3 / 3.0 + r**4 / 2.0
+
+
+def _disk_beyond(radius, h1, h2=None):
+    """Area of the disk of ``radius`` at the origin beyond the line x = h1,
+    and beyond y = h2 too if given; h1, h2 >= 0."""
+    if h2 is None:  # a circular segment
+        if h1 >= radius:
+            return 0.0
+        return radius**2 * math.acos(h1 / radius) - h1 * math.sqrt(radius**2 - h1**2)
+    if h1**2 + h2**2 >= radius**2:  # the corner lies outside the disk
+        return 0.0
+    x_end = math.sqrt(radius**2 - h2**2)
+
+    def antiderivative(x):  # of sqrt(radius^2 - x^2)
+        return (x * math.sqrt(radius**2 - x**2) + radius**2 * math.asin(x / radius)) / 2.0
+
+    return antiderivative(x_end) - antiderivative(h1) - h2 * (x_end - h1)
+
+
+def fixed_in_range_probability(point, side, radius):
+    """P(|point - Y| <= radius) for Y uniform in the square [0, side]^2 and
+    ``point`` inside it: the area of the range disk cut by the square's
+    sides, over side^2.  By inclusion and exclusion: the disk, less its
+    segment beyond each side, plus the part beyond each two adjacent sides
+    (no part lies beyond two opposite sides)."""
+    x, y = point
+    if not (0.0 <= x <= side and 0.0 <= y <= side):
+        raise ValueError(f"{point} lies outside the square of side {side}")
+    left, right, bottom, top = x, side - x, y, side - y
+    area = math.pi * radius**2
+    area -= sum(_disk_beyond(radius, h) for h in (left, right, bottom, top))
+    area += sum(
+        _disk_beyond(radius, h1, h2)
+        for h1 in (left, right)
+        for h2 in (bottom, top)
+    )
+    return area / side**2
+
+
+def expected_edge_count(n, side, source, target, radius):
+    """E[m_n], the mean edge count of the random geometric graph that
+    `generate_deployment` and `price_links` build: fixed ``source`` and
+    ``target``, n - 2 relays uniform in the square [0, side]^2, and an edge
+    between every two nodes at most ``radius`` apart.  By linearity of
+    expectation it is C(n - 2, 2) p_relays + (n - 2) (p_source + p_target)
+    + [|source - target| <= radius], with the two laws above."""
+    relays = n - 2
+    return (
+        math.comb(relays, 2) * pair_in_range_probability(radius / side)
+        + relays * sum(fixed_in_range_probability(p, side, radius) for p in (source, target))
+        + (math.dist(source, target) <= radius)
+    )
 
 
 def reference_campaign(config):

@@ -21,6 +21,16 @@ scaled to 40 x 40 m with a 15 m range, where every link carries
 information, so unlike the stock campaign it ranks the protocols on BER.
 They print one line per node count; DRP's delay is printed beside CRP's
 but not asserted.
+
+The ``test_rgg_*`` checks compare the graphs with the model's mathematics
+rather than with another implementation of it: the mean edge count of
+500 seed-42 realizations, drawn and priced as a campaign draws them,
+against its closed form (`oracles.expected_edge_count`) at N = 20, 60 and
+100, and on the dense config CRP's evaluations against twice the edge
+count, trial by trial and in the mean.  Their bounds are fixed by theory
+before any run: each of the nine cells (six edge means, three evaluation
+means) passes within `RGG_Z` standard errors, the Bonferroni bound for a
+1% false-alarm rate over the nine.
 """
 
 import dataclasses
@@ -28,6 +38,7 @@ import json
 import math
 import time
 from pathlib import Path
+from statistics import NormalDist
 
 import mpmath as mp
 import numpy as np
@@ -43,11 +54,14 @@ from uowsim import (
     SimulationConfig,
     WaterType,
     WeightMode,
+    build_graph,
     config_from_dict,
     crp,
     derive_trial_seed,
     e2e_ber,
+    generate_deployment,
     photon_arrival_rate,
+    price_links,
     received_power_los,
     run_campaign,
     run_single,
@@ -449,3 +463,112 @@ def test_dense_crp_ber_lowest_and_falling(dense_campaign):
         if previous is not None:
             assert crp_ber < previous, f"N={n}: crp mean BER {crp_ber} not below {previous}"
         previous = crp_ber
+
+
+RGG_COUNTS = (20, 60, 100)
+RGG_REALIZATIONS = 500
+# CRP's evaluations are checked on the first 100 realizations, which keeps
+# the test near 1 s.
+RGG_CRP_REALIZATIONS = 100
+# Two-sided, Bonferroni over the nine cells: a 1% family-wise false alarm.
+RGG_Z = NormalDist().inv_cdf(1.0 - 0.01 / (2 * 9))
+
+
+def _rgg_config(name):
+    if name == "stock":
+        return SimulationConfig()
+    return config_from_dict(json.loads((REPO_DIR / "configs" / "dense_clear.json").read_text()))
+
+
+def _expected_edges(config, n):
+    (side, height), radius = config.area, config.max_range
+    assert side == height, "the closed form is for a square"
+    return oracles.expected_edge_count(n, side, config.source_pos, config.target_pos, radius)
+
+
+def _z(values, expected):
+    values = np.asarray(values, dtype=float)
+    return (values.mean() - expected) / (values.std(ddof=1) / math.sqrt(len(values)))
+
+
+def _source_component_edges(n, us, vs):
+    """The number of edges (us[i], vs[i]) in node 0's component, by a plain
+    depth-first search over adjacency lists built from the edge list."""
+    adjacency = [[] for _ in range(n)]
+    for u, v in zip(us, vs):
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    reached, stack = {0}, [0]
+    while stack:
+        for neighbor in adjacency[stack.pop()]:
+            if neighbor not in reached:
+                reached.add(neighbor)
+                stack.append(neighbor)
+    return sum(u in reached for u in us)
+
+
+@pytest.fixture(scope="module")
+def rgg_samples():
+    """Per config, per count: each realization's edge count, and for the
+    dense config CRP's evaluations and the edge count of the source's
+    component.  Each realization is drawn at the largest count and priced
+    at every count, as the campaign does."""
+    samples = {}
+    for name in ("stock", "dense"):
+        config = _rgg_config(name)
+        largest = dataclasses.replace(config, node_count=max(RGG_COUNTS))
+        edges = {n: [] for n in RGG_COUNTS}
+        evaluations = {n: [] for n in RGG_COUNTS}
+        component_edges = {n: [] for n in RGG_COUNTS}
+        for r in range(RGG_REALIZATIONS):
+            positions = generate_deployment(largest, derive_trial_seed(42, r))
+            priced = price_links(positions, RGG_COUNTS, config.max_range, config.channel, config.noise)
+            for n, links in zip(RGG_COUNTS, priced):
+                us, vs = links[0], links[1]
+                edges[n].append(len(us))
+                if name == "dense" and r < RGG_CRP_REALIZATIONS:
+                    graph = build_graph(positions[:n], links)
+                    evaluations[n].append(crp(graph, 0, 1).evaluations)
+                    component_edges[n].append(_source_component_edges(n, us.tolist(), vs.tolist()))
+        samples[name] = (config, edges, evaluations, component_edges)
+    return samples
+
+
+def test_rgg_fixed_node_law_averages_to_the_pair_law():
+    # Two derivations checked against each other: a relay pair is in range
+    # with the mean, over one end's position, of a fixed node's
+    # probability.  r = 0.9 cuts the disk by corners as well as sides.
+    # The midpoint rule over a 60 x 60 grid is within 5e-5 of both.
+    points = (np.arange(60) + 0.5) / 60
+    for r in (0.32, 0.9):
+        mean = np.mean([oracles.fixed_in_range_probability((x, y), 1.0, r) for x in points for y in points])
+        assert mean == pytest.approx(oracles.pair_in_range_probability(r), abs=1e-4), r
+
+
+@pytest.mark.parametrize("name", ["stock", "dense"])
+def test_rgg_mean_edge_count_matches_the_closed_form(rgg_samples, name):
+    config, edges, _, _ = rgg_samples[name]
+    for n in RGG_COUNTS:
+        expected = _expected_edges(config, n)
+        z = _z(edges[n], expected)
+        print(f"{name} N={n}: mean edges {np.mean(edges[n]):.2f}, E[m] {expected:.2f}, z {z:+.2f}")
+        assert abs(z) <= RGG_Z, f"{name} N={n}: z = {z:.2f} past {RGG_Z:.2f}"
+
+
+def test_rgg_dense_crp_evaluates_each_component_edge_twice(rgg_samples):
+    # On the dense config every link is finite, so CRP's evaluations are the
+    # degree sum of the source's component: twice its edges.  That mean
+    # falls below 2 E[m] only where the component misses a node, by at most
+    # the share of such trials times 2 E[m].
+    config, edges, evaluations, component_edges = rgg_samples["dense"]
+    for n in RGG_COUNTS:
+        assert evaluations[n] == [2 * m for m in component_edges[n]], f"N={n}"
+        expected = 2 * _expected_edges(config, n)
+        short = np.mean(np.array(component_edges[n]) < np.array(edges[n][:RGG_CRP_REALIZATIONS]))
+        z = _z(evaluations[n], expected)
+        low = _z(evaluations[n], expected * (1.0 - short))
+        print(
+            f"dense N={n}: mean CRP evaluations {np.mean(evaluations[n]):.1f}, "
+            f"2 E[m] {expected:.1f}, z {z:+.2f}, share of trials short of a node {short:.2f}"
+        )
+        assert z <= RGG_Z and low >= -RGG_Z, f"N={n}: z = {z:.2f} against {RGG_Z:.2f}"

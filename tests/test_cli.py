@@ -40,8 +40,8 @@ from uowsim.cli import (
     _LINES_PER_WRITE,
     OutputRecordSet,
     SweepRecordSet,
+    _config,
     _format_cell,
-    _sim_config,
     build_parser,
     cmd_ber_sweep,
     cmd_campaign,
@@ -489,6 +489,30 @@ def test_main_malformed_config_exits_2(tmp_path):
             assert main([command, flag, value, "--out", str(tmp_path)]) == 2
 
 
+def test_a_deep_or_repeating_config_file_exits_2_with_one_error_line(tmp_path, capsys):
+    # json raises RecursionError past about 1000 nested arrays, and keeps
+    # the last of two equal keys; both are malformed files, at any depth.
+    deep = "[" * 200_000 + "]" * 200_000
+    texts = {
+        "deep.json": deep,
+        "deep_channel.json": '{"channel": ' + deep + "}",
+        "water.json": '{"water": "turbid", "water": "clear"}',
+    }
+    for name, key in (("channel", "tx_power"), ("noise", "data_rate"), ("delay", "packet_bits")):
+        texts[f"{name}.json"] = f'{{"{name}": {{"{key}": 1, "{key}": 2}}}}'
+    out = tmp_path / "out"
+    for name, text in texts.items():
+        config = tmp_path / name
+        config.write_text(text)
+        for command in ("link-budget", "ber-sweep", "route", "campaign"):
+            assert main([command, "--config", str(config), "--out", str(out)]) == 2, (name, command)
+            err = capsys.readouterr().err
+            assert err.startswith("error: malformed config file ") and err.count("\n") == 1, err
+            if not name.startswith("deep"):
+                assert "repeated key" in err, err
+    assert not out.exists()
+
+
 def test_each_sim_flag_overrides_its_key_in_the_config_file(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(
@@ -507,23 +531,91 @@ def test_each_sim_flag_overrides_its_key_in_the_config_file(tmp_path):
 
         def resolved(*flags):
             args = build_parser().parse_args([command, "--config", str(config), *flags])
-            return _sim_config(args, campaign=command == "campaign")
+            return _config(args)
 
         from_file = resolved()
         assert (from_file.master_seed, from_file.node_count) == (1, 5)
-        for flag, value, changes in (
+        overrides = [
             ("--seed", "9", {"master_seed": 9}),
             ("--nodes", "7,8", {"node_count": (7, 8)}),
-            ("--realizations", "3", {"realizations": 3}),
             ("--protocols", "srp,drp", {"protocols": (Protocol.DRP, Protocol.SRP)}),
             ("--weight-mode", "exact", {"weight_mode": WeightMode.EXACT_LOG}),
             ("--water", "turbid", {"channel": ChannelParams.for_water(WaterType.TURBID_HARBOR)}),
-        ):
+        ]
+        if command == "campaign":
+            overrides.append(("--realizations", "3", {"realizations": 3}))
+        for flag, value, changes in overrides:
             assert resolved(flag, value) == dataclasses.replace(from_file, **changes), flag
 
 
 def _files(directory):
     return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+def _parser_flags():
+    """Each subcommand's flags, help excluded, as parsed by `build_parser`."""
+    (commands,) = (
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return {
+        name: sorted(
+            option
+            for action in subparser._actions
+            for option in action.option_strings
+            if option not in ("-h", "--help")
+        )
+        for name, subparser in commands.choices.items()
+    }
+
+
+def test_every_flag_changes_what_its_command_writes(tmp_path):
+    # A flag that is accepted but changes nothing suggests a setting that
+    # does not exist, so each flag but --out gets one value that must
+    # change some byte its command writes, against the command's base run.
+    config = tmp_path / "tx_power.json"
+    config.write_text(json.dumps({"channel": {"tx_power": 1.0}}))
+    campaign = ["--nodes", "20", "--realizations", "2"]
+    runs = [
+        (command, [], flag, value)
+        for command in ("link-budget", "ber-sweep")
+        for flag, value in (
+            ("--config", str(config)),
+            ("--water", "clear"),
+            ("--distances", "50"),
+            ("--divergences", "30"),
+        )
+    ]
+    runs += [
+        ("route", [], "--config", str(config)),
+        ("route", [], "--seed", "7"),
+        ("route", [], "--protocols", "crp"),
+        ("route", [], "--nodes", "20"),
+        ("route", [], "--water", "turbid"),
+        # Where the modes differ (README "Known limitation").
+        ("route", ["--water", "turbid", "--seed", "7"], "--weight-mode", "paper"),
+        ("campaign", campaign, "--config", str(config)),
+        ("campaign", campaign, "--seed", "7"),
+        ("campaign", campaign, "--protocols", "crp"),
+        ("campaign", campaign, "--nodes", "30"),
+        ("campaign", campaign, "--water", "turbid"),
+        ("campaign", campaign, "--weight-mode", "paper"),
+        ("campaign", campaign, "--realizations", "3"),
+    ]
+    assert sorted((command, flag) for command, _, flag, _ in runs) == sorted(
+        (command, flag) for command, flags in _parser_flags().items() for flag in flags if flag != "--out"
+    )
+    written = {}
+
+    def files(*argv):
+        if argv not in written:
+            out = tmp_path / f"run{len(written)}"
+            assert main([*argv, "--out", str(out)]) == 0, argv
+            written[argv] = _files(out)
+        return written[argv]
+
+    for command, base, flag, value in runs:
+        assert files(command, *base, flag, value) != files(command, *base), (command, flag)
 
 
 def test_main_takes_a_one_element_node_count_list_as_one_count(tmp_path):
@@ -771,15 +863,15 @@ def test_main_unwritable_out_exits_3(tmp_path):
 
 
 def test_main_usage_error_exits_2():
-    with pytest.raises(SystemExit) as excinfo:
-        main(["link-budget", "--distances", ""])
-    assert excinfo.value.code == 2
-    with pytest.raises(SystemExit) as excinfo:
-        main(["link-budget", "--water", "clear,swamp"])
-    assert excinfo.value.code == 2
-    with pytest.raises(SystemExit) as excinfo:
-        main(["route", "--water", "clear,coastal"])
-    assert excinfo.value.code == 2
+    for argv in (
+        ["link-budget", "--distances", ""],
+        ["link-budget", "--water", "clear,swamp"],
+        ["route", "--water", "clear,coastal"],
+        ["route", "--realizations", "3"],  # one trial has no realizations
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2, argv
 
 
 def _campaign_on_pool_raising(monkeypatch, tmp_path, error):
@@ -1071,19 +1163,7 @@ def _readme_table(header):
 
 
 def test_readme_flags_match_the_parser():
-    (commands,) = (
-        action for action in build_parser()._actions
-        if isinstance(action, argparse._SubParsersAction)
-    )
-    parsed = {
-        name: sorted(
-            option
-            for action in subparser._actions
-            for option in action.option_strings
-            if option not in ("-h", "--help")
-        )
-        for name, subparser in commands.choices.items()
-    }
+    parsed = _parser_flags()
     documented = {}
     for names, flags in _readme_table("| command | flags |"):
         for name in re.findall(r"`([\w-]+)`", names):
