@@ -15,6 +15,7 @@ scalar ``math`` path, do not pay for it.
 """
 
 import math
+import reprlib
 import sys
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -52,6 +53,17 @@ FRACTION = (float, 0.0, 1.0, "[]")
 FINITE = (float, -math.inf, math.inf, "()")
 
 
+# A value read from outside the program may be of any size: each message
+# shows at most the first items of a list, and a nested one as [...].
+_SHORT = reprlib.Repr()
+_SHORT.maxlevel = 1
+
+
+def short_repr(value) -> str:
+    """``repr(value)`` cut to a few hundred characters at most."""
+    return _SHORT.repr(value)
+
+
 def ranged(default, rule, each: bool = False):
     """A dataclass field that `check_fields` holds to ``rule``, or with
     ``each`` a tuple field whose elements it holds to it."""
@@ -68,7 +80,7 @@ def check_rule(error, name: str, value, rule) -> None:
     """
     if isinstance(rule, type):
         if not isinstance(value, rule):
-            raise error(f"{name} must be a {rule.__name__}, got {value!r}")
+            raise error(f"{name} must be a {rule.__name__}, got {short_repr(value)}")
         return
     kind, low, high, ends = rule
     if (
@@ -79,7 +91,8 @@ def check_rule(error, name: str, value, rule) -> None:
         or not (value < high if ends[1] == ")" else value <= high)
     ):
         kind_name = "a float" if kind is float else "an int"
-        raise error(f"{name} must be {kind_name} in {ends[0]}{low}, {high}{ends[1]}, got {value!r}")
+        interval = f"{ends[0]}{low}, {high}{ends[1]}"
+        raise error(f"{name} must be {kind_name} in {interval}, got {short_repr(value)}")
 
 
 def check_fields(error, obj) -> None:

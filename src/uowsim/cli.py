@@ -20,12 +20,12 @@ import signal
 import sys
 import threading
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from operator import attrgetter
 from pathlib import Path
 
-from .channel import ChannelParams, WaterType, received_power_los, single_link_ber
+from .channel import ChannelParams, WaterType, received_power_los, short_repr, single_link_ber
 from .config import (
     CONFIG_KEYS,
     DEFAULT_NODE_SWEEP,
@@ -49,15 +49,14 @@ _FLOAT = "%.8e"
 
 @dataclass(frozen=True)
 class OutputRecordSet:
-    """A typed table: (name, kind) columns and value rows.
+    """A table: column names and value rows.
 
-    Kinds are str / int / float / bool.  Floats serialize as ``%.8e``,
-    bools as true/false, an Enum as its value, None as the empty cell.
-    Every row must have one value per column; that is checked when the
-    table is made, so a malformed table raises before `write` opens a file.
+    Each cell is written by its value's type (`_format_cell`).  Every row
+    must have one value per column; that is checked when the table is
+    made, so a malformed table raises before `write` opens a file.
     """
 
-    columns: tuple[tuple[str, str], ...]
+    columns: tuple[str, ...]
     rows: tuple[tuple, ...]
 
     def __post_init__(self):
@@ -77,27 +76,30 @@ class OutputRecordSet:
         ``_LINES_PER_WRITE`` rows at a time, lazily.  `write` streams them
         to its file, so the table is never held as text."""
         yield _header(self.columns)
-        kinds = tuple(kind for _, kind in self.columns)
         for start in range(0, len(self.rows), _LINES_PER_WRITE):
             batch = self.rows[start : start + _LINES_PER_WRITE]
-            yield "".join(",".join(map(_format_cell, row, kinds)) + "\n" for row in batch)
+            yield "".join(",".join(map(_format_cell, row)) + "\n" for row in batch)
 
     def write(self, path) -> None:
         _write_chunks(Path(path), self.chunks())
 
 
 def _header(columns) -> str:
-    return ",".join(name for name, _ in columns) + "\n"
+    return ",".join(columns) + "\n"
 
 
-def _format_cell(value, kind: str) -> str:
+def _format_cell(value) -> str:
+    """A float by `_FLOAT`, a bool as true/false, an Enum as its value,
+    None as the empty cell, anything else by `str`."""
+    kind = type(value)
+    # Exact type tests first, for speed: most cells are floats and ints.
+    if kind is float:
+        return _FLOAT % value
+    if kind is int:
+        return str(value)
     if value is None:
         return ""
-    if kind == "float":
-        return _FLOAT % value
-    if kind == "int":
-        return str(int(value))
-    if kind == "bool":
+    if kind is bool:
         return "true" if value else "false"
     if isinstance(value, Enum):
         return str(value.value)
@@ -146,52 +148,10 @@ class SweepRecordSet(OutputRecordSet):
                 yield template % tuple(values[start:stop])
 
 
-LINK_BUDGET_COLUMNS = (
-    ("water", "str"),
-    ("divergence_deg", "float"),
-    ("distance_m", "float"),
-    ("received_power_w", "float"),
-)
-
-BER_SWEEP_COLUMNS = (
-    ("water", "str"),
-    ("divergence_deg", "float"),
-    ("distance_m", "float"),
-    ("ber", "float"),
-)
-
-METRIC_COLUMNS = (
-    ("success", "bool"),
-    ("failure_reason", "str"),
-    ("hop_count", "int"),
-    ("e2e_ber", "float"),
-    ("e2e_delay_s", "float"),
-    ("total_distance_m", "float"),
-    ("evaluations", "int"),
-    ("wall_clock_ns", "int"),
-)
-
-ROUTE_SUMMARY_COLUMNS = (("protocol", "str"), ("seed", "int")) + METRIC_COLUMNS
-
-CAMPAIGN_TRIAL_COLUMNS = (
-    ("protocol", "str"),
-    ("n_nodes", "int"),
-    ("realization", "int"),
-    ("seed", "int"),
-) + METRIC_COLUMNS
-
-CAMPAIGN_AGGREGATE_COLUMNS = (
-    ("protocol", "str"),
-    ("n_nodes", "int"),
-    ("trials", "int"),
-    ("success_rate", "float"),
-    ("mean_e2e_ber", "float"),
-    ("std_e2e_ber", "float"),
-    ("mean_delay_s", "float"),
-    ("std_delay_s", "float"),
-    ("mean_evaluations", "float"),
-    ("mean_hops", "float"),
-)
+LINK_BUDGET_COLUMNS = ("water", "divergence_deg", "distance_m", "received_power_w")
+BER_SWEEP_COLUMNS = ("water", "divergence_deg", "distance_m", "ber")
+# The route summary's one trial needs no node count or realization column.
+_ROUTE_SUMMARY_SKIPS = ("n_nodes", "realization")
 
 
 def _sweep_params(base: ChannelParams, water: WaterType, divergence_deg: float) -> ChannelParams:
@@ -226,13 +186,13 @@ def _sweep(config, distances, waters, divergences_deg, with_ber: bool) -> SweepR
     efficiency is 0.
     """
     _require_sweep(distances, waters, divergences_deg)
-    distance_cells = tuple(_format_cell(distance, "float") for distance in distances)
+    distance_cells = tuple(_FLOAT % distance for distance in distances)
     noise = config.noise
     blocks = []
     for water in waters:
         for div_deg in divergences_deg:
             params = _sweep_params(config.channel, water, div_deg)
-            prefix = f"{_format_cell(water, 'str')},{_format_cell(div_deg, 'float')},"
+            prefix = f"{water.value},{_FLOAT % div_deg},"
             values = array("d", [received_power_los(distance, params) for distance in distances])
             if with_ber:
                 values = array("d", [single_link_ber(power, params, noise) for power in values])
@@ -252,11 +212,11 @@ def _require_sweep(distances, waters, divergences_deg):
         raise ConfigError("distances must be finite and > 0, with a square above 0")
 
 
-def _record_set(columns, records) -> OutputRecordSet:
-    """A table with one row per record, each cell read from the record
-    attribute its column names."""
-    cells = attrgetter(*(name for name, _ in columns))
-    return OutputRecordSet(columns, tuple(map(cells, records)))
+def _record_set(cls, records, skips=()) -> OutputRecordSet:
+    """A table of ``cls`` records: one column per field of ``cls`` but
+    ``skips``, in field order, and one row per record."""
+    columns = tuple(spec.name for spec in fields(cls) if spec.name not in skips)
+    return OutputRecordSet(columns, tuple(map(attrgetter(*columns), records)))
 
 
 def route_dump_lines(protocol: Protocol, graph: "NetworkGraph", outcome: "RoutingOutcome") -> list[str]:
@@ -278,16 +238,11 @@ def route_dump_lines(protocol: Protocol, graph: "NetworkGraph", outcome: "Routin
 
 
 def _floats(*values) -> str:
-    return " ".join(_format_cell(value, "float") for value in values)
+    return " ".join(_FLOAT % value for value in values)
 
 
-# The runners import `harness`, and with it `routing`, `topology` and
-# `metrics`, when first called, so that the sweeps never load them.
-def run_single(config: SimulationConfig, seed: int):
-    from . import harness
-    return harness.run_single(config, seed)
-
-
+# `harness`, and with it `routing`, `topology` and `metrics`, is imported
+# when a trial runs, so that the sweeps never load it.
 def run_campaign(config: SimulationConfig):
     from . import harness
     return harness.run_campaign(config)
@@ -295,22 +250,23 @@ def run_campaign(config: SimulationConfig):
 
 def cmd_route(config: SimulationConfig, seed: int):
     """One trial at the given trial seed: summary rows plus route dumps."""
+    from .harness import TrialMetrics, run_single
+
     result = run_single(config, seed)
     dumps = {
         protocol: route_dump_lines(protocol, result.graph, outcome)
         for protocol, outcome in result.outcomes.items()
         if outcome.success
     }
-    return _record_set(ROUTE_SUMMARY_COLUMNS, result.metrics), dumps
+    return _record_set(TrialMetrics, result.metrics, _ROUTE_SUMMARY_SKIPS), dumps
 
 
 def cmd_campaign(config: SimulationConfig):
     """Full campaign: per-trial and aggregate record sets."""
+    from .harness import AggregateStats, TrialMetrics
+
     result = run_campaign(config)
-    return (
-        _record_set(CAMPAIGN_TRIAL_COLUMNS, result.records),
-        _record_set(CAMPAIGN_AGGREGATE_COLUMNS, result.aggregates),
-    )
+    return _record_set(TrialMetrics, result.records), _record_set(AggregateStats, result.aggregates)
 
 
 def _list_of(convert):
@@ -320,7 +276,7 @@ def _list_of(convert):
         try:
             values = [convert(part.strip()) for part in text.split(",") if part.strip()]
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid comma-separated list {text!r}")
+            raise argparse.ArgumentTypeError(f"invalid comma-separated list {short_repr(text)}")
         if not values:
             raise argparse.ArgumentTypeError("list must not be empty")
         return values
@@ -408,7 +364,7 @@ def _unique_keys(pairs) -> dict:
     doc = {}
     for key, value in pairs:
         if key in doc:
-            raise ConfigError(f"repeated key {key!r}")
+            raise ConfigError(f"repeated key {short_repr(key)}")
         doc[key] = value
     return doc
 
@@ -466,9 +422,8 @@ def main(argv=None) -> int:
                 else:
                     path.unlink(missing_ok=True)
             print(f"wrote {out / 'route_summary.csv'} ({summary.row_count} protocols)")
-            names = [name for name, _ in summary.columns]
             for row in summary.rows:
-                cell = dict(zip(names, row))
+                cell = dict(zip(summary.columns, row))
                 status = "ok" if cell["success"] else f"failed ({cell['failure_reason'].value})"
                 print(f"  {cell['protocol'].value}: {status}")
         else:  # campaign; argparse allows no other command

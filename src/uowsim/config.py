@@ -11,7 +11,9 @@ import math
 from dataclasses import dataclass, fields
 from enum import Enum
 
-from .channel import FINITE, POSITIVE, ChannelParams, ReceiverNoise, WaterType, check_fields, ranged
+from .channel import (
+    FINITE, POSITIVE, ChannelParams, ReceiverNoise, WaterType, check_fields, ranged, short_repr,
+)
 
 DEFAULT_NODE_SWEEP = (20, 30, 40, 50, 60, 70, 80, 90, 100)
 
@@ -94,22 +96,26 @@ class SimulationConfig:
             object.__setattr__(self, "node_count", counts[0] if len(counts) == 1 else counts)
         elif not isinstance(self.node_count, int):
             raise ConfigError(
-                f"node_count must be an int or a non-empty list of ints, got {self.node_count!r}"
+                "node_count must be an int or a non-empty list of ints, "
+                f"got {short_repr(self.node_count)}"
             )
         for name in ("area", "source_pos", "target_pos"):
             pair = getattr(self, name)
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise ConfigError(f"{name} must be a pair of numbers, got {pair!r}")
+                raise ConfigError(f"{name} must be a pair of numbers, got {short_repr(pair)}")
             object.__setattr__(self, name, tuple(pair))
         if not isinstance(self.protocols, (list, tuple)) or not self.protocols:
-            raise ConfigError(f"protocols must be a non-empty list or tuple, got {self.protocols!r}")
+            raise ConfigError(
+                f"protocols must be a non-empty list or tuple, got {short_repr(self.protocols)}"
+            )
         object.__setattr__(self, "protocols", tuple(self.protocols))
         check_fields(ConfigError, self)
         counts = self.node_counts
         if len(set(counts)) != len(counts):
-            raise ConfigError(f"node_count sweep repeats a value: {counts}")
+            raise ConfigError(f"node_count sweep repeats a value: {short_repr(counts)}")
         if len(set(self.protocols)) != len(self.protocols):
-            raise ConfigError(f"protocols repeat a value: {[p.value for p in self.protocols]}")
+            values = [p.value for p in self.protocols]
+            raise ConfigError(f"protocols repeat a value: {short_repr(values)}")
         # Enum order, so that every output lists the protocols the same way.
         object.__setattr__(self, "protocols", tuple(p for p in Protocol if p in self.protocols))
         width, height = self.area
@@ -130,42 +136,63 @@ class SimulationConfig:
     def single_node_count(self) -> int:
         if not isinstance(self.node_count, int):
             raise ConfigError(
-                f"a single trial needs one node_count, got sweep {self.node_count}"
+                f"a single trial needs one node_count, got sweep {short_repr(self.node_count)}"
             )
         return self.node_count
 
 
+def _field_names(cls) -> frozenset:
+    return frozenset(spec.name for spec in fields(cls))
+
+
 # The config document's keys: the fields, plus ``water``, which resolves into ``channel``.
-CONFIG_KEYS = frozenset(f.name for f in fields(SimulationConfig)) | {"water"}
+CONFIG_KEYS = _field_names(SimulationConfig) | {"water"}
 
 
 def config_from_dict(raw: dict) -> SimulationConfig:
     """Build a SimulationConfig from a parsed config document.
 
-    Its keys are `CONFIG_KEYS`; an unknown key is rejected, so a typo fails loudly.
+    Its keys are `CONFIG_KEYS`; an unknown key, there or in ``channel``,
+    ``noise`` or ``delay``, is rejected, so a typo fails loudly.
     Angles inside ``channel`` are radians; water names are clear / coastal
     / turbid; protocol names crp / drp / srp; weight mode paper / exact.
     """
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config document must be a mapping, got {type(raw).__name__}")
-    unknown = set(raw) - CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-
-    kwargs = dict(raw)
+    kwargs = dict(_known_keys("config", raw, CONFIG_KEYS))
     try:
-        water = WaterType(kwargs.pop("water", WaterType.CLEAR_OCEAN))
-        kwargs["channel"] = ChannelParams.for_water(water, **raw.get("channel", {}))
+        water = _member(WaterType, "water", kwargs.pop("water", WaterType.CLEAR_OCEAN))
+        # Besides its fields, ``for_water`` takes the two extinction components.
+        channel_keys = _field_names(ChannelParams) | {"absorption", "scattering"}
+        channel = _known_keys("channel", raw.get("channel", {}), channel_keys)
+        kwargs["channel"] = ChannelParams.for_water(water, **channel)
         for name, cls in (("noise", ReceiverNoise), ("delay", DelayModel)):
             if name in raw:
-                kwargs[name] = cls(**raw[name])
+                kwargs[name] = cls(**_known_keys(name, raw[name], _field_names(cls)))
         # Any other value reaches SimulationConfig, which rejects it.
         if isinstance(raw.get("protocols"), list):
-            kwargs["protocols"] = tuple(Protocol(p) for p in raw["protocols"])
+            kwargs["protocols"] = tuple(_member(Protocol, "protocols", p) for p in raw["protocols"])
         if "weight_mode" in raw:
-            kwargs["weight_mode"] = WeightMode(raw["weight_mode"])
+            kwargs["weight_mode"] = _member(WeightMode, "weight_mode", raw["weight_mode"])
         return SimulationConfig(**kwargs)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _known_keys(name: str, doc, keys: frozenset) -> dict:
+    """``doc``, if it is an object whose every key is in ``keys``."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{name} must be an object, got {type(doc).__name__}")
+    unknown = set(doc) - keys
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {short_repr(sorted(unknown))}")
+    return doc
+
+
+def _member(cls, name: str, value):
+    """The member of the enum ``cls`` whose value is ``value``."""
+    try:
+        return cls(value)
+    except ValueError:
+        choices = ", ".join(member.value for member in cls)
+        raise ConfigError(f"{name} must be one of {choices}, got {short_repr(value)}") from None

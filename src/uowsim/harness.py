@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .channel import short_repr
 from .config import ConfigError, Protocol, SimulationConfig, WorkerDiedError
 from .metrics import TrialMetrics, collect_trial
 from .routing import FailureReason, RoutingOutcome, crp, drp, srp
@@ -146,9 +147,9 @@ def resolve_workers() -> int:
     try:
         workers = int(raw)
     except ValueError:
-        raise ConfigError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}")
+        raise ConfigError(f"{THREADS_ENV_VAR} must be an integer, got {short_repr(raw)}")
     if workers < 0:
-        raise ConfigError(f"worker count must be >= 0, got {workers}")
+        raise ConfigError(f"worker count must be >= 0, got {short_repr(workers)}")
     return workers if workers > 0 else (os.cpu_count() or 1)
 
 

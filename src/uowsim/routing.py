@@ -51,7 +51,7 @@ class Route:
 
     @property
     def total_distance(self) -> float:
-        return sum(self.hop_distances)
+        return sum(self.hop_distances, 0.0)
 
 
 @dataclass(frozen=True)

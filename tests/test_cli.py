@@ -13,6 +13,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import typing
 import warnings
 from array import array
 from concurrent.futures.process import BrokenProcessPool
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import pid_alive
+from conftest import make_graph, pid_alive
 from uowsim import (
     AggregateStats,
     FailureReason,
@@ -30,13 +31,14 @@ from uowsim import (
     SimulationConfig,
     TrialMetrics,
     WeightMode,
+    collect_trial,
+    crp,
+    run_campaign,
+    run_single,
 )
 from uowsim.cli import (
     BER_SWEEP_COLUMNS,
-    CAMPAIGN_AGGREGATE_COLUMNS,
-    CAMPAIGN_TRIAL_COLUMNS,
     LINK_BUDGET_COLUMNS,
-    ROUTE_SUMMARY_COLUMNS,
     _LINES_PER_WRITE,
     OutputRecordSet,
     SweepRecordSet,
@@ -163,14 +165,37 @@ def test_main_route_leaves_no_dump_of_an_earlier_run(tmp_path):
     assert (tmp_path / "route_crp.txt").read_bytes() == golden
 
 
-def test_columns_name_record_fields():
-    # Each row reads every cell from the record attribute its column names.
-    trial_fields = {field.name for field in dataclasses.fields(TrialMetrics)}
-    for name, _ in CAMPAIGN_TRIAL_COLUMNS + ROUTE_SUMMARY_COLUMNS:
-        assert name in trial_fields
-    aggregate_fields = {field.name for field in dataclasses.fields(AggregateStats)}
-    for name, _ in CAMPAIGN_AGGREGATE_COLUMNS:
-        assert name in aggregate_fields
+def test_record_values_match_their_annotations():
+    # Each cell is written by its value's type, so a record field must hold
+    # the type its annotation names: an int where a float belongs would be
+    # written as an int.  Every type an annotation allows is seen at least once.
+    records = []
+    for water in (WaterType.CLEAR_OCEAN, WaterType.TURBID_HARBOR):
+        for record_timing in (False, True):
+            config = SimulationConfig(
+                node_count=(20, 60),
+                realizations=4,
+                channel=ChannelParams.for_water(water),
+                record_timing=record_timing,
+            )
+            result = run_campaign(config)
+            records += result.records + result.aggregates
+    records += run_single(SimulationConfig(node_count=40), 7).metrics
+    # A route of no hops has a total distance of 0.0, not the int 0.
+    graph = make_graph([(0.0, 0.0), (1.0, 0.0)], {(0, 1): 0.1})
+    (zero_hops,) = collect_trial({Protocol.CRP: crp(graph, 0, 0)}, SimulationConfig(), 2, 7)
+    assert zero_hops.hop_count == 0 and _format_cell(zero_hops.total_distance_m) == "0.00000000e+00"
+    records.append(zero_hops)
+    seen = set()
+    for record in records:
+        for spec in dataclasses.fields(record):
+            value = getattr(record, spec.name)
+            assert type(value) in (typing.get_args(spec.type) or (spec.type,)), (spec.name, value)
+            seen.add((type(record), spec.name, type(value)))
+    for cls in (TrialMetrics, AggregateStats):
+        for spec in dataclasses.fields(cls):
+            for allowed in typing.get_args(spec.type) or (spec.type,):
+                assert (cls, spec.name, allowed) in seen, (cls.__name__, spec.name, allowed)
 
 
 def test_cmd_route_disconnected():
@@ -182,7 +207,13 @@ def test_cmd_route_disconnected():
         assert row[3] is FailureReason.DISCONNECTED
 
 
-_PARSE = {"str": str, "int": int, "float": float, "bool": lambda cell: cell == "true"}
+def _parse_cell(cell, like):
+    """The value of type ``type(like)`` that ``cell`` writes."""
+    if not cell:
+        return None
+    if isinstance(like, bool):
+        return cell == "true"
+    return type(like)(cell)
 
 
 def test_recordset_roundtrip():
@@ -191,25 +222,22 @@ def test_recordset_roundtrip():
     summary, _ = cmd_route(SimulationConfig(node_count=20), 11)
     sweep = cmd_link_budget(SimulationConfig(), [5.0, 10.0], [WaterType.CLEAR_OCEAN], [60.0])
     bers = cmd_ber_sweep(SimulationConfig(), [5.0, 10.0], [WaterType.CLEAR_OCEAN], [60.0])
-    for rs, columns in (
-        (trials, CAMPAIGN_TRIAL_COLUMNS),
-        (aggregate, CAMPAIGN_AGGREGATE_COLUMNS),
-        (summary, ROUTE_SUMMARY_COLUMNS),
-        (sweep, LINK_BUDGET_COLUMNS),
-        (bers, BER_SWEEP_COLUMNS),
-    ):
+    # A sweep row is its water then three floats.
+    sweep_row = (WaterType.CLEAR_OCEAN, 0.0, 0.0, 0.0)
+    for rs in (trials, aggregate, summary, sweep, bers):
         lines = "".join(rs.chunks()).splitlines()
-        assert lines[0] == ",".join(name for name, _ in columns)
+        assert lines[0] == ",".join(rs.columns)
         assert len(lines) == rs.row_count + 1
-        for line in lines[1:]:
+        rows = [sweep_row] * rs.row_count if isinstance(rs, SweepRecordSet) else rs.rows
+        for line, row in zip(lines[1:], rows, strict=True):
             cells = line.split(",")
-            assert len(cells) == len(columns)
-            for cell, (_, kind) in zip(cells, columns):
-                value = _PARSE[kind](cell) if cell else None
-                assert _format_cell(value, kind) == cell
-    # Enum cells are written as their values.
-    assert _format_cell(Protocol.CRP, "str") == "crp"
-    assert _format_cell(FailureReason.DEAD_END, "str") == "dead_end"
+            assert len(cells) == len(rs.columns)
+            for cell, like in zip(cells, row):
+                assert _format_cell(_parse_cell(cell, like)) == cell
+    # Enum cells are written as their values, bools as true/false.
+    assert _format_cell(Protocol.CRP) == "crp"
+    assert _format_cell(FailureReason.DEAD_END) == "dead_end"
+    assert [_format_cell(value) for value in (True, False, None, 7)] == ["true", "false", "", "7"]
 
 
 def test_a_malformed_table_fails_before_its_file_is_opened(tmp_path):
@@ -217,7 +245,7 @@ def test_a_malformed_table_fails_before_its_file_is_opened(tmp_path):
     # schema must be refused when the table is made, not half way through.
     path = tmp_path / "table.csv"
     with pytest.raises(ValueError, match="row width 1 != schema width 2"):
-        OutputRecordSet((("a", "int"), ("b", "int")), ((1, 2), (3,))).write(path)
+        OutputRecordSet(("a", "b"), ((1, 2), (3,))).write(path)
     block = ("clear,6.00000000e+01,", ("1.00000000e+00",), array("d", [1.0, 2.0]))
     with pytest.raises(ValueError, match="2 values for 1 distances"):
         SweepRecordSet(LINK_BUDGET_COLUMNS, (block,)).write(path)
@@ -250,7 +278,7 @@ def test_the_float_rule_writes_what_format_spec_writes(value):
     # Every float cell, route dump and sweep value is written by the ``%``
     # rule; it must give the bytes of the ``.8e`` format spec for every
     # float, NaN, infinities, signed zeros and subnormals included.
-    assert _format_cell(value, "float") == f"{value:.8e}"
+    assert _format_cell(value) == f"{value:.8e}"
 
 
 def test_sweep_write_holds_less_than_its_file(tmp_path, capsys):
@@ -511,6 +539,27 @@ def test_a_deep_or_repeating_config_file_exits_2_with_one_error_line(tmp_path, c
             if not name.startswith("deep"):
                 assert "repeated key" in err, err
     assert not out.exists()
+
+
+def test_a_config_value_of_any_size_gives_a_short_error_line(tmp_path, capsys):
+    # Each message shows a value from the file cut short, and still names
+    # the key and the rule it breaks.
+    long_key = "c" * 100_000
+    texts = {
+        "max_range must be a float": json.dumps({"max_range": list(range(200_000))}),
+        "unknown config keys": json.dumps({f"k{i}": 1 for i in range(100_000)}),
+        "water must be one of clear, coastal, turbid": json.dumps({"water": "x" * 300_000}),
+        "unknown channel keys": json.dumps({"channel": {long_key: 1}}),
+        "repeated key": f'{{"channel": {{"{long_key}": 1, "{long_key}": 2}}}}',
+        "node_count sweep repeats a value": json.dumps({"node_count": [20] * 4000}),
+    }
+    config = tmp_path / "config.json"
+    for rule, text in texts.items():
+        config.write_text(text)
+        assert main(["route", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert rule in err and err.count("\n") == 1 and len(err.encode()) < 500, err[:1000]
+    assert not (tmp_path / "out").exists()
 
 
 def test_each_sim_flag_overrides_its_key_in_the_config_file(tmp_path):
@@ -788,7 +837,7 @@ def _assert_sweeps_match_rows_formatted_one_by_one(tmp_path, distances, waters, 
         ("ber-sweep", "ber_sweep.csv", BER_SWEEP_COLUMNS),
     ):
         assert main([command, *grid]) == 0
-        expected = [",".join(name for name, _ in columns)]
+        expected = [",".join(columns)]
         for water in waters:
             for divergence in divergences:
                 params = ChannelParams.for_water(water, divergence_angle=math.radians(divergence))
@@ -797,9 +846,7 @@ def _assert_sweeps_match_rows_formatted_one_by_one(tmp_path, distances, waters, 
                     if command == "ber-sweep":
                         value = single_link_ber(value, params, noise)
                     row = (water.value, divergence, distance, value)
-                    expected.append(
-                        ",".join(_format_cell(cell, kind) for cell, (_, kind) in zip(row, columns))
-                    )
+                    expected.append(",".join(map(_format_cell, row)))
         assert (tmp_path / filename).read_bytes() == ("\n".join(expected) + "\n").encode()
 
 
@@ -1178,18 +1225,27 @@ def test_readme_flags_match_the_parser():
         build_parser().parse_args(shlex.split(command))
 
 
-def test_readme_schemas_match_the_column_tuples():
+def test_readme_schemas_match_the_tables():
+    # The trial and aggregate tables are their record types' fields, and the
+    # route summary the trial fields but the node count and realization.
+    trial_fields = [spec.name for spec in dataclasses.fields(TrialMetrics)]
     tables = {
-        "campaign_trials.csv": CAMPAIGN_TRIAL_COLUMNS,
-        "campaign_aggregate.csv": CAMPAIGN_AGGREGATE_COLUMNS,
-        "route_summary.csv": ROUTE_SUMMARY_COLUMNS,
-        "link_budget.csv": LINK_BUDGET_COLUMNS,
-        "ber_sweep.csv": BER_SWEEP_COLUMNS,
+        "campaign_trials.csv": trial_fields,
+        "campaign_aggregate.csv": [spec.name for spec in dataclasses.fields(AggregateStats)],
+        "route_summary.csv": [name for name in trial_fields if name not in ("n_nodes", "realization")],
+        "link_budget.csv": list(LINK_BUDGET_COLUMNS),
+        "ber_sweep.csv": list(BER_SWEEP_COLUMNS),
     }
     documented = {
         name.strip("`"): columns.strip("`").split(",")
         for name, columns in _readme_table("| file | columns |")
     }
-    assert documented == {
-        name: [column for column, _ in columns] for name, columns in tables.items()
-    }
+    assert documented == tables
+    trials, aggregate = cmd_campaign(SimulationConfig(node_count=(20,), realizations=1))
+    summary, _ = cmd_route(SimulationConfig(node_count=20), 11)
+    for name, table in (
+        ("campaign_trials.csv", trials),
+        ("campaign_aggregate.csv", aggregate),
+        ("route_summary.csv", summary),
+    ):
+        assert list(table.columns) == tables[name]
