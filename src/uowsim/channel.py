@@ -11,7 +11,8 @@ the recursive odd-parity rule.
 Everything here is a pure function of its inputs; no shared state, safe to
 call from any number of threads.  numpy is imported in the two functions
 that use it, not at module load, so that the sweeps, which run on the
-scalar ``math`` path, do not pay for it.
+scalar ``math`` path, do not pay for it.  The config rules live here too:
+`check_rule` and the `ConfigError` every rule raises, re-exported by `config`.
 """
 
 import math
@@ -44,6 +45,10 @@ _EXTINCTION_PER_M = {
 }
 
 
+class ConfigError(ValueError):
+    """Invalid simulation configuration."""
+
+
 # A rule, for `ranged` fields and `check_rule`, is a class, whose instances
 # it admits, or (kind, low, high, ends): the type, int or float, and the
 # interval from low to high whose ends are "[" or "(" then "]" or ")".
@@ -70,8 +75,8 @@ def ranged(default, rule, each: bool = False):
     return field(default=default, metadata={"rule": rule, "each": each})
 
 
-def check_rule(error, name: str, value, rule) -> None:
-    """Raise ``error`` unless ``value`` is an instance of the rule's class,
+def check_rule(name: str, value, rule) -> None:
+    """Raise ConfigError unless ``value`` is an instance of the rule's class,
     or of the rule's kind and in its interval.
 
     Bools are not numbers here, and a float value may be an int but not
@@ -80,7 +85,7 @@ def check_rule(error, name: str, value, rule) -> None:
     """
     if isinstance(rule, type):
         if not isinstance(value, rule):
-            raise error(f"{name} must be a {rule.__name__}, got {short_repr(value)}")
+            raise ConfigError(f"{name} must be a {rule.__name__}, got {short_repr(value)}")
         return
     kind, low, high, ends = rule
     if (
@@ -92,15 +97,15 @@ def check_rule(error, name: str, value, rule) -> None:
     ):
         kind_name = "a float" if kind is float else "an int"
         interval = f"{ends[0]}{low}, {high}{ends[1]}"
-        raise error(f"{name} must be {kind_name} in {interval}, got {short_repr(value)}")
+        raise ConfigError(f"{name} must be {kind_name} in {interval}, got {short_repr(value)}")
 
 
-def check_fields(error, obj) -> None:
+def check_fields(obj) -> None:
     """`check_rule` on every field of the dataclass ``obj``; every field has a rule."""
     for spec in fields(obj):
         value = getattr(obj, spec.name)
         for item in value if spec.metadata["each"] and isinstance(value, tuple) else (value,):
-            check_rule(error, spec.name, item, spec.metadata["rule"])
+            check_rule(spec.name, item, spec.metadata["rule"])
 
 
 @dataclass(frozen=True)
@@ -122,11 +127,11 @@ class ChannelParams:
     divergence_angle: float = ranged(math.radians(60.0), (float, 0.0, math.pi, "(]"))
 
     def __post_init__(self):
-        check_fields(ValueError, self)
+        check_fields(self)
         # The spreading divides by 1 - cos(angle), which rounds to 0 below
         # about 1.05e-8 rad.
         if math.cos(self.divergence_angle) == 1.0:
-            raise ValueError(
+            raise ConfigError(
                 f"divergence_angle must be in (0, pi] with cos < 1, got {self.divergence_angle}"
             )
         # The link model's constants, computed once here for both kernels.
@@ -154,13 +159,13 @@ class ChannelParams:
         if absorption is None and scattering is None:
             return cls(**{"extinction": _EXTINCTION_PER_M[water], **overrides})
         if absorption is None or scattering is None:
-            raise ValueError("absorption and scattering must be given together")
-        check_rule(ValueError, "absorption", absorption, NON_NEGATIVE)
-        check_rule(ValueError, "scattering", scattering, NON_NEGATIVE)
+            raise ConfigError("absorption and scattering must be given together")
+        check_rule("absorption", absorption, NON_NEGATIVE)
+        check_rule("scattering", scattering, NON_NEGATIVE)
         total = absorption + scattering
         params = cls(**{"extinction": total, **overrides})
         if not math.isclose(params.extinction, total, rel_tol=1e-12, abs_tol=1e-15):
-            raise ValueError(f"extinction {params.extinction} != absorption + scattering {total}")
+            raise ConfigError(f"extinction {params.extinction} != absorption + scattering {total}")
         return params
 
 
@@ -182,7 +187,7 @@ class ReceiverNoise:
     data_rate: float = ranged(1e6, (float, 1.0, 1e15, "[]"))
 
     def __post_init__(self):
-        check_fields(ValueError, self)
+        check_fields(self)
         noise_rate = self.dark_count_rate + self.background_rate
         # What the photon arrival rate divides the detected power by, in J m.
         denominator = self.pulse_duration * self.data_rate * PLANCK * LIGHT_SPEED_WATER

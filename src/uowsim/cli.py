@@ -32,7 +32,6 @@ from .config import (
     ConfigError,
     Protocol,
     SimulationConfig,
-    WeightMode,
     WorkerDiedError,
     config_from_dict,
 )
@@ -159,7 +158,7 @@ def _sweep_params(base: ChannelParams, water: WaterType, divergence_deg: float) 
     extinction = ChannelParams.for_water(water).extinction
     try:
         return replace(base, extinction=extinction, divergence_angle=math.radians(divergence_deg))
-    except ValueError as exc:
+    except ConfigError as exc:
         raise ConfigError(f"divergence {divergence_deg} degrees: {exc}") from exc
 
 
@@ -205,8 +204,10 @@ def _sweep(config, distances, waters, divergences_deg, with_ber: bool) -> SweepR
 
 
 def _require_sweep(distances, waters, divergences_deg):
-    if not distances or not waters or not divergences_deg:
-        raise ConfigError("sweep lists must not be empty")
+    lists = (("--water", waters), ("--distances", distances), ("--divergences", divergences_deg))
+    for flag, values in lists:
+        if not values:
+            raise ConfigError(f"{flag} must not be empty")
     # The link model divides by d * d, which underflows to 0 below about 1e-162.
     if not all(0.0 < d < math.inf and d * d > 0.0 for d in distances):
         raise ConfigError("distances must be finite and > 0, with a square above 0")
@@ -270,22 +271,33 @@ def cmd_campaign(config: SimulationConfig):
 
 
 def _list_of(convert):
-    """argparse type: a non-empty comma-separated list of ``convert`` values."""
+    """argparse type: a comma-separated list of ``convert`` values, which may be empty."""
 
     def parse(text: str):
         try:
-            values = [convert(part.strip()) for part in text.split(",") if part.strip()]
+            return [convert(part.strip()) for part in text.split(",") if part.strip()]
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid comma-separated list {short_repr(text)}")
-        if not values:
-            raise argparse.ArgumentTypeError("list must not be empty")
-        return values
 
     return parse
 
 
+def _cut(text: str) -> str:
+    """A path or argparse's message, of any length, cut to its first 300
+    characters: room for a flag's name and a path of a few directories."""
+    return text if len(text) <= 300 else text[:300] + "..."
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose error line is cut short: argparse repeats a
+    bad value whole.  The subcommands' parsers take its class."""
+
+    def error(self, message):
+        super().error(_cut(message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="uowsim",
         description="Underwater optical wireless sensor network simulator",
     )
@@ -316,21 +328,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     # Each flag of `route` and `campaign` is stored under the config key it
-    # sets, and only when given, so `_config` lays the given flags over the file.
+    # sets, and only when given: `_config` lays the given flags over the file,
+    # and `config_from_dict` converts and checks both alike.
     sim = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     sim.add_argument(
         "--seed", dest="master_seed", metavar="SEED", type=int,
         help="master seed (route: the trial seed)",
     )
     sim.add_argument(
-        "--protocols", type=_list_of(Protocol), help="comma-separated subset of crp,drp,srp"
+        "--protocols", type=_list_of(str), help="comma-separated subset of crp,drp,srp"
     )
-    sim.add_argument("--weight-mode", choices=[mode.value for mode in WeightMode])
+    sim.add_argument("--weight-mode", metavar="MODE", help="CRP edge weight (paper or exact)")
     sim.add_argument(
         "--nodes", dest="node_count", metavar="NODES", type=_list_of(int),
         help="node count(s), comma-separated",
     )
-    sim.add_argument("--water", type=WaterType, help="water type (clear, coastal or turbid)")
+    sim.add_argument("--water", help="water type (clear, coastal or turbid)")
 
     commands = parser.add_subparsers(dest="command", required=True)
     commands.add_parser("link-budget", parents=[common, sweep], help="received power sweep")
@@ -350,13 +363,21 @@ def _load_config_doc(path) -> dict:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle, object_pairs_hook=_unique_keys)
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise ConfigError(f"cannot read config file {_os_error(exc)}") from exc
     # Bad JSON or UTF-8, a repeated key, an int of over 4300 digits, or nesting too deep.
     except (ValueError, RecursionError) as exc:
-        raise ConfigError(f"malformed config file {path}: {exc}") from exc
+        raise ConfigError(f"malformed config file {_cut(path)}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")
     return doc
+
+
+def _os_error(exc: OSError) -> str:
+    """``exc`` as its file name, cut short, and its reason: its own text
+    repeats the name whole."""
+    if exc.filename is None:
+        return str(exc)
+    return f"{_cut(str(exc.filename))}: {exc.strerror}"
 
 
 def _unique_keys(pairs) -> dict:
@@ -439,7 +460,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        print(f"output error: {exc}", file=sys.stderr)
+        print(f"output error: {_os_error(exc)}", file=sys.stderr)
         return 3
     except WorkerDiedError as exc:
         print(f"error: a campaign worker process died: {exc}", file=sys.stderr)

@@ -2,9 +2,10 @@
 
 `SimulationConfig` and the parameter sets and enums it holds, the JSON
 reader `config_from_dict`, the default node-count sweep, and the two
-errors the CLI maps to exit codes.  This module imports only `channel`,
-so the sweeps, which read a config but route nothing, never load the
-routing stack (`harness`, `routing`, `topology`, `metrics`).
+errors the CLI maps to exit codes (`ConfigError` is re-exported from
+`channel`, beside its rules).  This module imports only `channel`, so the
+sweeps, which read a config but route nothing, never load the routing
+stack (`harness`, `routing`, `topology`, `metrics`).
 """
 
 import math
@@ -12,14 +13,11 @@ from dataclasses import dataclass, fields
 from enum import Enum
 
 from .channel import (
-    FINITE, POSITIVE, ChannelParams, ReceiverNoise, WaterType, check_fields, ranged, short_repr,
+    FINITE, POSITIVE, ChannelParams, ConfigError, ReceiverNoise, WaterType, check_fields, ranged,
+    short_repr,
 )
 
 DEFAULT_NODE_SWEEP = (20, 30, 40, 50, 60, 70, 80, 90, 100)
-
-
-class ConfigError(ValueError):
-    """Invalid simulation configuration."""
 
 
 class WorkerDiedError(RuntimeError):
@@ -59,7 +57,7 @@ class DelayModel:
     per_hop_processing: float = ranged(0.0, (float, 0.0, 1e6, "[]"))
 
     def __post_init__(self):
-        check_fields(ValueError, self)
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -109,7 +107,7 @@ class SimulationConfig:
                 f"protocols must be a non-empty list or tuple, got {short_repr(self.protocols)}"
             )
         object.__setattr__(self, "protocols", tuple(self.protocols))
-        check_fields(ConfigError, self)
+        check_fields(self)
         counts = self.node_counts
         if len(set(counts)) != len(counts):
             raise ConfigError(f"node_count sweep repeats a value: {short_repr(counts)}")
@@ -158,25 +156,20 @@ def config_from_dict(raw: dict) -> SimulationConfig:
     / turbid; protocol names crp / drp / srp; weight mode paper / exact.
     """
     kwargs = dict(_known_keys("config", raw, CONFIG_KEYS))
-    try:
-        water = _member(WaterType, "water", kwargs.pop("water", WaterType.CLEAR_OCEAN))
-        # Besides its fields, ``for_water`` takes the two extinction components.
-        channel_keys = _field_names(ChannelParams) | {"absorption", "scattering"}
-        channel = _known_keys("channel", raw.get("channel", {}), channel_keys)
-        kwargs["channel"] = ChannelParams.for_water(water, **channel)
-        for name, cls in (("noise", ReceiverNoise), ("delay", DelayModel)):
-            if name in raw:
-                kwargs[name] = cls(**_known_keys(name, raw[name], _field_names(cls)))
-        # Any other value reaches SimulationConfig, which rejects it.
-        if isinstance(raw.get("protocols"), list):
-            kwargs["protocols"] = tuple(_member(Protocol, "protocols", p) for p in raw["protocols"])
-        if "weight_mode" in raw:
-            kwargs["weight_mode"] = _member(WeightMode, "weight_mode", raw["weight_mode"])
-        return SimulationConfig(**kwargs)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    water = _member(WaterType, "water", kwargs.pop("water", WaterType.CLEAR_OCEAN))
+    # Besides its fields, ``for_water`` takes the two extinction components.
+    channel_keys = _field_names(ChannelParams) | {"absorption", "scattering"}
+    channel = _known_keys("channel", raw.get("channel", {}), channel_keys)
+    kwargs["channel"] = ChannelParams.for_water(water, **channel)
+    for name, cls in (("noise", ReceiverNoise), ("delay", DelayModel)):
+        if name in raw:
+            kwargs[name] = cls(**_known_keys(name, raw[name], _field_names(cls)))
+    # Any other value reaches SimulationConfig, which rejects it.
+    if isinstance(raw.get("protocols"), list):
+        kwargs["protocols"] = tuple(_member(Protocol, "protocols", p) for p in raw["protocols"])
+    if "weight_mode" in raw:
+        kwargs["weight_mode"] = _member(WeightMode, "weight_mode", raw["weight_mode"])
+    return SimulationConfig(**kwargs)
 
 
 def _known_keys(name: str, doc, keys: frozenset) -> dict:
@@ -190,7 +183,8 @@ def _known_keys(name: str, doc, keys: frozenset) -> dict:
 
 
 def _member(cls, name: str, value):
-    """The member of the enum ``cls`` whose value is ``value``."""
+    """The member of the enum ``cls`` whose value is ``value``: every enum
+    name from a file or a flag is converted here."""
     try:
         return cls(value)
     except ValueError:

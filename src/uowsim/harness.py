@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import short_repr
+from .channel import check_rule, short_repr
 from .config import ConfigError, Protocol, SimulationConfig, WorkerDiedError
 from .metrics import TrialMetrics, collect_trial
 from .routing import FailureReason, RoutingOutcome, crp, drp, srp
@@ -148,8 +148,7 @@ def resolve_workers() -> int:
         workers = int(raw)
     except ValueError:
         raise ConfigError(f"{THREADS_ENV_VAR} must be an integer, got {short_repr(raw)}")
-    if workers < 0:
-        raise ConfigError(f"worker count must be >= 0, got {short_repr(workers)}")
+    check_rule(THREADS_ENV_VAR, workers, (int, 0, math.inf, "[)"))
     return workers if workers > 0 else (os.cpu_count() or 1)
 
 

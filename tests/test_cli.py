@@ -911,14 +911,74 @@ def test_main_unwritable_out_exits_3(tmp_path):
 
 def test_main_usage_error_exits_2():
     for argv in (
-        ["link-budget", "--distances", ""],
         ["link-budget", "--water", "clear,swamp"],
-        ["route", "--water", "clear,coastal"],
         ["route", "--realizations", "3"],  # one trial has no realizations
     ):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2, argv
+
+
+def _exit_code(argv) -> int:
+    """`main`'s exit code, argparse's usage errors included."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_a_flag_value_of_any_size_gives_short_error_lines(tmp_path, capsys):
+    # argparse, a config rule or the file system rejects each value; each
+    # stderr line keeps the flag's or key's name and stays short.
+    small = {"route": ["--nodes", "12"], "campaign": ["--nodes", "6,12", "--realizations", "2"]}
+    named = {"--out": "output error", "--config": "config file", "--divergences": "divergence"}
+    out = ["--out", str(tmp_path / "out")]
+    runs = [(command, flag) for command, flags in _parser_flags().items() for flag in flags]
+    runs += [(command, None) for command in _parser_flags()]  # an unknown argument
+    for (command, flag), value in itertools.product(runs, ("x" * 100_000, "9" * 100_000)):
+        given = [value] if flag is None else [flag, value]
+        code = _exit_code([command, *small.get(command, []), *out, *given])
+        err = capsys.readouterr().err
+        assert code == (3 if flag == "--out" else 2), (command, flag, err[:600])
+        assert all(len(line.encode()) < 500 for line in err.splitlines()), (command, flag, err[:600])
+        name = "unrecognized" if flag is None else named.get(flag, flag[2:].replace("-", "_"))
+        assert name in err.splitlines()[-1], (command, flag, err[:600])
+
+
+def test_a_bad_choice_or_an_empty_list_gives_one_error_line_naming_its_key(tmp_path, capsys):
+    cases = [
+        (command, flag, value, key)
+        for command in ("route", "campaign")
+        for flag, value, key in (
+            ("--water", "clear,coastal", "water"),
+            ("--water", "swamp", "water"),
+            ("--weight-mode", "fast", "weight_mode"),
+            ("--protocols", "crp,xyz", "protocols"),
+            ("--protocols", ",", "protocols"),
+            ("--nodes", " , ", "node_count"),
+        )
+    ]
+    cases += [
+        (command, flag, value, flag)
+        for command in ("link-budget", "ber-sweep")
+        for flag, value in (("--water", ","), ("--distances", ""), ("--divergences", " , "))
+    ]
+    out = tmp_path / "out"
+    for command, flag, value, key in cases:
+        assert main([command, flag, value, "--out", str(out)]) == 2, (command, flag, value)
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} ") and err.count("\n") == 1, (command, flag, err)
+    assert not out.exists()
+
+
+def test_help_names_every_choice(capsys):
+    # The choices are written in the help text; an enum member added
+    # without it fails here.
+    for command in ("route", "campaign"):
+        assert _exit_code([command, "--help"]) == 0
+        words = set(re.findall(r"\w+", capsys.readouterr().out))
+        for member in (*WaterType, *WeightMode, *Protocol):
+            assert member.value in words, (command, member)
 
 
 def _campaign_on_pool_raising(monkeypatch, tmp_path, error):
@@ -1103,7 +1163,7 @@ def test_sweeps_and_usage_errors_do_not_import_numpy(tmp_path):
     cases = [
         ({}, ["link-budget", *out], "0 - none"),
         ({}, ["ber-sweep", *out], "0 - none"),
-        ({}, ["route", "--water", "clear,coastal", *out], "2 - none"),  # argparse
+        ({}, ["route", "--water", "clear,coastal", *out], "2 - none"),  # config_from_dict
         ({}, ["route", "--nodes", str(10**20), *out], "2 - none"),  # ConfigError
         ({}, ["link-budget", "--config", str(config), *out], "0 json none"),
         ({}, ["route", "--nodes", "20", "--seed", "3", *out], "0 numpy all"),

@@ -104,6 +104,48 @@ def test_hostile_config_documents_exit_0_or_2_with_one_error_line(doc):
                 assert "Traceback" not in err
 
 
+# Each flag's text: one the flag takes, one no flag takes, or any text
+# without digits, so that no run routes a large network.
+_HOSTILE_FLAG_TEXT = st.sampled_from(
+    ["", ",", " , ", "turbid,", "clear,coastal", "CLEAR", "crp,crp", "12,12", "1", "-1"]
+    + ["4001", "12.0", "nan", "1e400", str(2**64), "9" * 5000, "x" * 5000]
+) | st.text(st.characters(exclude_categories=("Nd", "Cs")), max_size=12)
+_FLAGS = st.fixed_dictionaries({}, optional={
+    flag: st.sampled_from(valid) | _HOSTILE_FLAG_TEXT
+    for flag, valid in (
+        ("--water", ["clear", "turbid"]),
+        ("--weight-mode", ["paper", "exact"]),
+        ("--protocols", ["crp", "srp,crp"]),
+        ("--nodes", ["2", "6,12"]),
+        ("--seed", ["0", "7"]),
+    )
+})
+_FLAG_RUNS = {"route": ["--nodes", "12"], "campaign": ["--nodes", "6,12", "--realizations", "2"]}
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(_FLAGS)
+def test_hostile_flag_values_exit_0_or_2_with_one_error_line(flags):
+    # `--flag=text`, so that argparse takes a text starting with "-" as the value.
+    given_flags = [f"{flag}={text}" for flag, text in flags.items()]
+    with tempfile.TemporaryDirectory() as scratch:
+        for command, base in _FLAG_RUNS.items():
+            stderr = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stderr(stderr):
+                warnings.simplefilter("error", RuntimeWarning)
+                with contextlib.redirect_stdout(io.StringIO()):
+                    try:
+                        code = main([command, *base, *given_flags, "--out", scratch])
+                    except SystemExit as exc:  # argparse's usage errors
+                        code = exc.code
+            lines = stderr.getvalue().splitlines()
+            assert code in (0, 2), (command, flags, lines)
+            if code == 2:
+                # A config error is one line; argparse writes its usage above its one.
+                assert [line for line in lines if "error: " in line] == lines[-1:], (command, flags)
+                assert "Traceback" not in stderr.getvalue()
+
+
 # Every per-field rule, written out here rather than read from the classes:
 # (class, field, kind, low end, low, high, high end).  `absorption` and
 # `scattering` are the two extinction components `ChannelParams.for_water`
@@ -168,7 +210,6 @@ def _outside(kind, bound, toward):
 
 @pytest.mark.parametrize("cls,name,kind,low_end,low,high,high_end", _BOUNDS)
 def test_each_rule_holds_at_its_bounds(cls, name, kind, low_end, low, high, high_end):
-    error = ConfigError if cls is SimulationConfig else ValueError
     accepted, rejected = [], [math.nan, math.inf, -math.inf, True, "1"]
     if kind is float:
         rejected.append(10**400)
@@ -183,7 +224,7 @@ def test_each_rule_holds_at_its_bounds(cls, name, kind, low_end, low, high, high
         for build in _builds(cls, name, value):
             with pytest.raises(ValueError) as excinfo:
                 build()
-            assert excinfo.type is error, (name, value, excinfo.value)
+            assert excinfo.type is ConfigError, (name, value, excinfo.value)
 
 
 _CLASSES = (ChannelParams, ReceiverNoise, DelayModel, SimulationConfig)
@@ -225,9 +266,9 @@ def test_every_config_field_has_a_rule(monkeypatch):
     seen = set()
     check_rule = channel.check_rule
 
-    def recording(error, name, value, rule):
+    def recording(name, value, rule):
         seen.add(name)
-        check_rule(error, name, value, rule)
+        check_rule(name, value, rule)
 
     monkeypatch.setattr(channel, "check_rule", recording)
     for cls in _CLASSES:
