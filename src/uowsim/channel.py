@@ -114,7 +114,7 @@ class ChannelParams:
 
     Angles are radians, lengths meters, areas square meters, power watts.
     ``extinction`` (1/m) defaults to the clear-ocean table value; `for_water`
-    sets it from a water type or from its two components.
+    sets it from a water type instead.
     """
 
     wavelength: float = ranged(530e-9, POSITIVE)
@@ -147,26 +147,14 @@ class ChannelParams:
         object.__setattr__(self, "tx_gain", self.tx_power * self.tx_efficiency * self.rx_efficiency)
 
     @classmethod
-    def for_water(
-        cls, water: WaterType, absorption=None, scattering=None, **overrides
-    ) -> "ChannelParams":
-        """Parameters with the extinction coefficient of the given water type.
-
-        ``absorption`` and ``scattering`` (1/m), given together, set the
-        extinction to their sum instead; an explicit ``extinction`` must then
-        agree with it.  One of them alone is an error.
+    def for_water(cls, water: WaterType, **overrides) -> "ChannelParams":
+        """Parameters with the extinction coefficient of the given water
+        type; ``overrides`` set the other fields.  The water is the one
+        source of the extinction, so an ``extinction`` override is an error.
         """
-        if absorption is None and scattering is None:
-            return cls(**{"extinction": _EXTINCTION_PER_M[water], **overrides})
-        if absorption is None or scattering is None:
-            raise ConfigError("absorption and scattering must be given together")
-        check_rule("absorption", absorption, NON_NEGATIVE)
-        check_rule("scattering", scattering, NON_NEGATIVE)
-        total = absorption + scattering
-        params = cls(**{"extinction": total, **overrides})
-        if not math.isclose(params.extinction, total, rel_tol=1e-12, abs_tol=1e-15):
-            raise ConfigError(f"extinction {params.extinction} != absorption + scattering {total}")
-        return params
+        if "extinction" in overrides:
+            raise ConfigError("water and channel.extinction both set the extinction: give one")
+        return cls(extinction=_EXTINCTION_PER_M[water], **overrides)
 
 
 @dataclass(frozen=True)

@@ -33,12 +33,12 @@ from .config import (
     Protocol,
     SimulationConfig,
     WorkerDiedError,
+    _member,
     config_from_dict,
 )
 
 DEFAULT_DISTANCES = tuple(float(d) for d in range(5, 105, 5))
 DEFAULT_DIVERGENCES_DEG = (30.0, 60.0, 90.0)
-ALL_WATERS = tuple(WaterType)
 # Rows formatted per write, about 25 kB of sweep text: larger chunks wrote
 # no faster and held more memory.
 _LINES_PER_WRITE = 256
@@ -184,7 +184,6 @@ def _sweep(config, distances, waters, divergences_deg, with_ber: bool) -> SweepR
     ConfigError, with it the BER is 0 past the float range and 0.5 where an
     efficiency is 0.
     """
-    _require_sweep(distances, waters, divergences_deg)
     distance_cells = tuple(_FLOAT % distance for distance in distances)
     noise = config.noise
     blocks = []
@@ -203,14 +202,19 @@ def _sweep(config, distances, waters, divergences_deg, with_ber: bool) -> SweepR
     return SweepRecordSet(columns, tuple(blocks))
 
 
-def _require_sweep(distances, waters, divergences_deg):
-    lists = (("--water", waters), ("--distances", distances), ("--divergences", divergences_deg))
+def _sweep_grid(args):
+    """A sweep's distances, waters and divergences from its flags, the
+    water names converted and every list checked.  Each divergence is
+    checked by `ChannelParams` when `_sweep` reaches its block."""
+    waters = [_member(WaterType, "--water", name) for name in args.waters]
+    lists = (("--water", waters), ("--distances", args.distances), ("--divergences", args.divergences))
     for flag, values in lists:
         if not values:
             raise ConfigError(f"{flag} must not be empty")
     # The link model divides by d * d, which underflows to 0 below about 1e-162.
-    if not all(0.0 < d < math.inf and d * d > 0.0 for d in distances):
+    if not all(0.0 < d < math.inf and d * d > 0.0 for d in args.distances):
         raise ConfigError("distances must be finite and > 0, with a square above 0")
+    return args.distances, waters, args.divergences
 
 
 def _record_set(cls, records, skips=()) -> OutputRecordSet:
@@ -310,8 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--water",
         dest="waters",  # a grid axis, not the config key ``water``
         metavar="WATER",
-        type=_list_of(WaterType),
-        default=ALL_WATERS,
+        type=_list_of(str),
+        default=[water.value for water in WaterType],
         help="comma-separated water types (clear,coastal,turbid)",
     )
     sweep.add_argument(
@@ -390,20 +394,30 @@ def _unique_keys(pairs) -> dict:
     return doc
 
 
+# The config keys a sweep's grid sets, each with the flag of its axis.
+_GRID_KEYS = {
+    "water": "--water", "channel.extinction": "--water", "channel.divergence_angle": "--divergences",
+}
+
+
 def _config(args) -> SimulationConfig:
     """Every command's config: the ``--config`` document, the given flags
-    over it, and `campaign`'s default node sweep where neither sets one."""
+    over it, and `campaign`'s default node sweep where neither sets one.
+    A sweep's file may not set what its grid sets."""
     doc = _load_config_doc(args.config)
+    if args.command in ("link-budget", "ber-sweep"):
+        for key, flag in _GRID_KEYS.items():
+            section, _, name = key.rpartition(".")
+            part = doc.get(section) if section else doc
+            if isinstance(part, dict) and name in part:
+                raise ConfigError(
+                    f"{key} in the config file and the {flag} grid of {args.command} "
+                    "both set it: remove it from the file"
+                )
     doc.update((key, value) for key, value in vars(args).items() if key in CONFIG_KEYS)
     if args.command == "campaign":
         doc.setdefault("node_count", list(DEFAULT_NODE_SWEEP))
     return config_from_dict(doc)
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _write_chunks(path: Path, chunks) -> None:
@@ -422,18 +436,21 @@ def main(argv=None) -> int:
         previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     try:
         config = _config(args)
-        if args.command in ("link-budget", "ber-sweep"):
+        sweep = args.command in ("link-budget", "ber-sweep")
+        grid = _sweep_grid(args) if sweep else None
+        # Made once every input is checked and before any work is done.
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        if sweep:
             if args.command == "link-budget":
                 command, filename = cmd_link_budget, "link_budget.csv"
             else:
                 command, filename = cmd_ber_sweep, "ber_sweep.csv"
-            recordset = command(config, args.distances, args.waters, args.divergences)
-            out = _out_dir(args)
+            recordset = command(config, *grid)
             recordset.write(out / filename)
             print(f"wrote {out / filename} ({recordset.row_count} rows)")
         elif args.command == "route":
             summary, dumps = cmd_route(config, config.master_seed)
-            out = _out_dir(args)
             summary.write(out / "route_summary.csv")
             # Every dump in `out` is this run's: a protocol without a route loses its old one.
             for protocol in Protocol:
@@ -449,7 +466,6 @@ def main(argv=None) -> int:
                 print(f"  {cell['protocol'].value}: {status}")
         else:  # campaign; argparse allows no other command
             trials, aggregate = cmd_campaign(config)
-            out = _out_dir(args)
             trials.write(out / "campaign_trials.csv")
             aggregate.write(out / "campaign_aggregate.csv")
             print(

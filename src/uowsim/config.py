@@ -66,8 +66,9 @@ class SimulationConfig:
 
     ``node_count`` may be a single int (one deployment size) or a sequence
     of ints (a campaign sweep); a one-element sequence is stored as its
-    int.  ``channel`` holds the resolved water: `config_from_dict` builds
-    it with ``ChannelParams.for_water``.
+    int.  ``channel`` holds the resolved extinction: `config_from_dict`
+    takes it from ``water`` (``ChannelParams.for_water``) or from
+    ``channel.extinction``, never from both.
     """
 
     # From a 1 mm side to 1000 km, wider than any deployment.
@@ -152,15 +153,19 @@ def config_from_dict(raw: dict) -> SimulationConfig:
 
     Its keys are `CONFIG_KEYS`; an unknown key, there or in ``channel``,
     ``noise`` or ``delay``, is rejected, so a typo fails loudly.
-    Angles inside ``channel`` are radians; water names are clear / coastal
-    / turbid; protocol names crp / drp / srp; weight mode paper / exact.
+    ``channel`` takes the `ChannelParams` fields; ``water``, if given, sets
+    the extinction through `ChannelParams.for_water`, which rejects a
+    ``channel.extinction`` beside it.  Angles inside ``channel`` are
+    radians; water names are clear / coastal / turbid; protocol names crp /
+    drp / srp; weight mode paper / exact.
     """
     kwargs = dict(_known_keys("config", raw, CONFIG_KEYS))
-    water = _member(WaterType, "water", kwargs.pop("water", WaterType.CLEAR_OCEAN))
-    # Besides its fields, ``for_water`` takes the two extinction components.
-    channel_keys = _field_names(ChannelParams) | {"absorption", "scattering"}
-    channel = _known_keys("channel", raw.get("channel", {}), channel_keys)
-    kwargs["channel"] = ChannelParams.for_water(water, **channel)
+    channel = _known_keys("channel", kwargs.get("channel", {}), _field_names(ChannelParams))
+    if "water" in kwargs:
+        water = _member(WaterType, "water", kwargs.pop("water"))
+        kwargs["channel"] = ChannelParams.for_water(water, **channel)
+    else:
+        kwargs["channel"] = ChannelParams(**channel)
     for name, cls in (("noise", ReceiverNoise), ("delay", DelayModel)):
         if name in raw:
             kwargs[name] = cls(**_known_keys(name, raw[name], _field_names(cls)))

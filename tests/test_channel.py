@@ -46,33 +46,6 @@ def test_extinction_table():
     assert ChannelParams.for_water(WaterType.TURBID_HARBOR).extinction == 2.19
 
 
-@pytest.mark.parametrize(
-    "absorption,scattering,total",
-    [(0.0, 0.0, 0.0), (0.10, 0.05, 0.15), (0.069, 0.08, 0.149)],
-)
-def test_extinction_from_components(absorption, scattering, total):
-    params = ChannelParams.for_water(
-        WaterType.TURBID_HARBOR, absorption=absorption, scattering=scattering
-    )
-    assert params.extinction == pytest.approx(total, rel=1e-12)
-
-
-def test_extinction_from_components_rejects_negative():
-    with pytest.raises(ValueError):
-        ChannelParams.for_water(WaterType.CLEAR_OCEAN, absorption=-0.1, scattering=0.2)
-    with pytest.raises(ValueError):
-        ChannelParams.for_water(WaterType.CLEAR_OCEAN, absorption=0.1, scattering=-0.2)
-
-
-def test_channel_params_derive_extinction_from_components():
-    params = ChannelParams.for_water(WaterType.CLEAR_OCEAN, absorption=0.069, scattering=0.08)
-    assert params.extinction == pytest.approx(0.149, rel=1e-12)
-    with pytest.raises(ValueError):
-        ChannelParams.for_water(
-            WaterType.CLEAR_OCEAN, extinction=0.5, absorption=0.1, scattering=0.1
-        )
-
-
 def test_receiver_noise_validation():
     with pytest.raises(ValueError):
         ReceiverNoise(dark_count_rate=-1.0)

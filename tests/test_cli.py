@@ -7,6 +7,7 @@ import math
 import os
 import re
 import shlex
+import shutil
 import signal
 import subprocess
 import sys
@@ -23,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from config_keys import LEAF_KEYS, NESTED
 from conftest import make_graph, pid_alive
 from uowsim import (
     AggregateStats,
@@ -39,6 +41,7 @@ from uowsim import (
 from uowsim.cli import (
     BER_SWEEP_COLUMNS,
     LINK_BUDGET_COLUMNS,
+    _GRID_KEYS,
     _LINES_PER_WRITE,
     OutputRecordSet,
     SweepRecordSet,
@@ -115,13 +118,12 @@ def test_ber_sweep_rows():
     assert cells[("turbid", 100.0)] == pytest.approx(0.5, rel=1e-9)
 
 
-def test_sweep_rejects_empty_or_negative():
-    from uowsim import ConfigError
-
-    with pytest.raises(ConfigError):
-        cmd_link_budget(SimulationConfig(), [], [WaterType.CLEAR_OCEAN], [60.0])
-    with pytest.raises(ConfigError):
-        cmd_ber_sweep(SimulationConfig(), [-5.0], [WaterType.CLEAR_OCEAN], [60.0])
+def test_sweep_rejects_empty_or_negative(tmp_path):
+    # The grid's lists are checked by `main` before --out is made.
+    out = tmp_path / "out"
+    assert main(["link-budget", "--distances", "", "--out", str(out)]) == 2
+    assert main(["ber-sweep", "--distances=-5", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_cmd_route_two_nodes():
@@ -667,6 +669,101 @@ def test_every_flag_changes_what_its_command_writes(tmp_path):
         assert files(command, *base, flag, value) != files(command, *base), (command, flag)
 
 
+# One valid value, not the default, for every key that holds a value.
+_KEY_VALUES = {
+    "area": [200, 200],
+    "master_seed": 7,
+    "max_range": 60,
+    "node_count": [30],
+    "protocols": ["crp"],
+    "realizations": 3,
+    "record_timing": True,
+    "source_pos": [50, 125],
+    "srp_fallback": True,
+    "target_pos": [200, 125],
+    "water": "turbid",
+    "weight_mode": "paper",
+    "channel.wavelength": 450e-9,
+    "channel.extinction": 0.3,
+    "channel.tx_power": 1.0,
+    "channel.tx_efficiency": 0.5,
+    "channel.rx_efficiency": 0.5,
+    "channel.aperture_area": 1e-6,
+    "channel.trajectory_angle": 0.5,
+    "channel.divergence_angle": 0.5,
+    "noise.dark_count_rate": 1e5,
+    "noise.background_rate": 1e5,
+    "noise.detector_efficiency": 0.5,
+    "noise.pulse_duration": 2e-9,
+    "noise.data_rate": 2e6,
+    "delay.packet_bits": 2048,
+    "delay.per_hop_processing": 1e-3,
+}
+
+
+def _doc(base, **keys):
+    """A copy of the flat ``base`` with each ``section.field`` or top-level key set."""
+    doc = dict(base)
+    for key, value in keys.items():
+        section, _, name = key.rpartition(".")
+        (doc.setdefault(section, {}) if section else doc)[name] = value
+    return doc
+
+
+def test_every_config_key_a_command_reads_changes_what_it_writes(tmp_path, capsys):
+    # As with the flags: a key that is read but changes nothing suggests a
+    # setting that does not exist.  Trial seed 1 is one where SRP fails with
+    # empty_quadrant and the weight modes pick different routes, so that
+    # `srp_fallback` and `weight_mode` change the files too.
+    assert sorted(_KEY_VALUES) == sorted(LEAF_KEYS)
+    # A sweep's grid sets its extinction and divergence.
+    sweep_channel = [
+        f"channel.{name}" for name in NESTED["channel"] if f"channel.{name}" not in _GRID_KEYS
+    ]
+    reads = {
+        "campaign": ({"node_count": [20], "realizations": 2, "master_seed": 1}, LEAF_KEYS),
+        "route": ({"master_seed": 1}, [key for key in LEAF_KEYS if key != "realizations"]),
+        "ber-sweep": ({}, sweep_channel + [f"noise.{name}" for name in NESTED["noise"]]),
+        "link-budget": ({}, [key for key in sweep_channel if key != "channel.wavelength"]),
+    }
+    config = tmp_path / "config.json"
+
+    def files(command, doc):
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 0, (command, doc)
+        written = _files(out)
+        shutil.rmtree(out)
+        return written
+
+    for command, (base, keys) in reads.items():
+        unchanged = files(command, base)
+        for key in keys:
+            assert files(command, _doc(base, **{key: _KEY_VALUES[key]})) != unchanged, (command, key)
+    capsys.readouterr()
+    # A setting given twice, whichever source would win, is refused, with
+    # one line that names both sources.
+    ambiguous = [
+        (command, [], {key: _KEY_VALUES[key]}, (key, flag))
+        for command in ("link-budget", "ber-sweep")
+        for key, flag in _GRID_KEYS.items()
+    ]
+    ambiguous += [
+        ("link-budget", [], {"water": "turbid", "channel.divergence_angle": 0.1}, ("water", "--water")),
+        ("route", ["--water", "turbid"], {"channel.extinction": 0.15}, ("water", "channel.extinction")),
+        ("campaign", [], {"water": "turbid", "channel.extinction": 0.5}, ("water", "channel.extinction")),
+        ("route", [], {"channel.absorption": 0.1}, ("unknown channel keys", "absorption")),
+    ]
+    out = tmp_path / "refused"
+    for command, flags, keys, names in ambiguous:
+        config.write_text(json.dumps(_doc({}, **keys)))
+        assert main([command, *flags, "--config", str(config), "--out", str(out)]) == 2, keys
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) < 500, err
+        assert all(name in err for name in names), (keys, err)
+    assert not out.exists()
+
+
 def test_main_takes_a_one_element_node_count_list_as_one_count(tmp_path):
     listed = tmp_path / "listed.json"
     listed.write_text(json.dumps({"node_count": [40]}))
@@ -909,14 +1006,28 @@ def test_main_unwritable_out_exits_3(tmp_path):
     assert code == 3
 
 
+def test_an_unwritable_out_exits_3_before_any_work(tmp_path, monkeypatch, capsys):
+    # --out is made once every input is checked, before the first
+    # deployment is drawn or the first grid point is priced.
+    import uowsim.cli as cli
+    import uowsim.harness as harness
+
+    def never(*args):
+        raise AssertionError("work done before --out was made")
+
+    monkeypatch.setattr(harness, "generate_deployment", never)
+    monkeypatch.setattr(cli, "received_power_los", never)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("file, not a directory")
+    for command in ("route", "campaign", "link-budget", "ber-sweep"):
+        assert main([command, "--out", str(blocker / "sub")]) == 3, command
+        assert capsys.readouterr().err.startswith("output error: "), command
+
+
 def test_main_usage_error_exits_2():
-    for argv in (
-        ["link-budget", "--water", "clear,swamp"],
-        ["route", "--realizations", "3"],  # one trial has no realizations
-    ):
-        with pytest.raises(SystemExit) as excinfo:
-            main(argv)
-        assert excinfo.value.code == 2, argv
+    with pytest.raises(SystemExit) as excinfo:
+        main(["route", "--realizations", "3"])  # one trial has no realizations
+    assert excinfo.value.code == 2
 
 
 def _exit_code(argv) -> int:
@@ -961,7 +1072,12 @@ def test_a_bad_choice_or_an_empty_list_gives_one_error_line_naming_its_key(tmp_p
     cases += [
         (command, flag, value, flag)
         for command in ("link-budget", "ber-sweep")
-        for flag, value in (("--water", ","), ("--distances", ""), ("--divergences", " , "))
+        for flag, value in (
+            ("--water", ","),
+            ("--water", "clear,swamp"),
+            ("--distances", ""),
+            ("--divergences", " , "),
+        )
     ]
     out = tmp_path / "out"
     for command, flag, value, key in cases:

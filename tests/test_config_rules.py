@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from config_keys import NESTED, SECTIONS, TOP_LEVEL, field_names
 from oracles import single_link_ber_reference
 from uowsim import (
     BER_FLOOR,
@@ -27,17 +28,11 @@ from uowsim import (
     DelayModel,
     ReceiverNoise,
     SimulationConfig,
-    WaterType,
     path_delay,
     photon_arrival_rate,
 )
 from uowsim import channel
-from uowsim.channel import NON_NEGATIVE
 from uowsim.cli import main
-
-
-def _keys_of(cls):
-    return [f.name for f in dataclasses.fields(cls)]
 
 
 _HOSTILE_NUMBERS = st.sampled_from(
@@ -52,19 +47,12 @@ _HOSTILE_VALUES = (
     | st.lists(_HOSTILE_NUMBERS, min_size=2, max_size=2)
     | st.lists(_HOSTILE_SCALARS, max_size=3)
 )
-# Every key that config_from_dict accepts: the SimulationConfig fields and
-# `water` at the top, and in `channel` the two extinction components too.
-_NESTED = {
-    "channel": _keys_of(ChannelParams) + ["absorption", "scattering"],
-    "noise": _keys_of(ReceiverNoise),
-    "delay": _keys_of(DelayModel),
-}
-_TOP_LEVEL = [key for key in _keys_of(SimulationConfig) if key not in _NESTED] + ["water"]
+# Every key that config_from_dict accepts, at the top and in each section.
 _SECTIONS = {
-    "top": st.dictionaries(st.sampled_from(_TOP_LEVEL), _HOSTILE_VALUES, max_size=2),
+    "top": st.dictionaries(st.sampled_from(TOP_LEVEL), _HOSTILE_VALUES, max_size=2),
     **{
         name: st.dictionaries(st.sampled_from(keys), _HOSTILE_VALUES, max_size=2) | _HOSTILE_SCALARS
-        for name, keys in _NESTED.items()
+        for name, keys in NESTED.items()
     },
 }
 # One section alone gets its values past the other sections' checks more
@@ -147,9 +135,7 @@ def test_hostile_flag_values_exit_0_or_2_with_one_error_line(flags):
 
 
 # Every per-field rule, written out here rather than read from the classes:
-# (class, field, kind, low end, low, high, high end).  `absorption` and
-# `scattering` are the two extinction components `ChannelParams.for_water`
-# takes.
+# (class, field, kind, low end, low, high, high end).
 INF = math.inf
 _BOUNDS = [
     (ChannelParams, "wavelength", float, "(", 0.0, INF, ")"),
@@ -160,8 +146,6 @@ _BOUNDS = [
     (ChannelParams, "aperture_area", float, "(", 0.0, INF, ")"),
     (ChannelParams, "trajectory_angle", float, "[", 0.0, math.pi / 2.0, ")"),
     (ChannelParams, "divergence_angle", float, "(", 0.0, math.pi, "]"),
-    (ChannelParams, "absorption", float, "[", 0.0, INF, ")"),
-    (ChannelParams, "scattering", float, "[", 0.0, INF, ")"),
     (ReceiverNoise, "dark_count_rate", float, "[", 0.0, 1e15, "]"),
     (ReceiverNoise, "background_rate", float, "[", 0.0, 1e15, "]"),
     (ReceiverNoise, "detector_efficiency", float, "[", 0.0, 1.0, "]"),
@@ -183,9 +167,6 @@ _PAIR_FILL = {"area": 250.0, "source_pos": 125.0, "target_pos": 125.0}
 def _builds(cls, name, value):
     """Each way of giving ``value`` to the field: the pair fields take it
     as either element, and ``node_count`` alone and in a sweep."""
-    if name in ("absorption", "scattering"):
-        other = "scattering" if name == "absorption" else "absorption"
-        return [lambda: ChannelParams.for_water(WaterType.CLEAR_OCEAN, **{name: value, other: 0.1})]
     if name in _PAIR_FILL:
         fill = _PAIR_FILL[name]
         # Source and target at the origin lie inside the smallest area too.
@@ -227,23 +208,19 @@ def test_each_rule_holds_at_its_bounds(cls, name, kind, low_end, low, high, high
             assert excinfo.type is ConfigError, (name, value, excinfo.value)
 
 
-_CLASSES = (ChannelParams, ReceiverNoise, DelayModel, SimulationConfig)
+_CLASSES = (*SECTIONS.values(), SimulationConfig)
 
 
 def _declared_rules():
     """Each interval rule the code declares, by (class, field), with its
-    ``each`` flag: the `ranged` fields' metadata, and the rule
-    `ChannelParams.for_water` holds its two extinction components to.  A
-    field whose rule is a class is left out."""
-    rules = {
+    ``each`` flag: the `ranged` fields' metadata.  A field whose rule is a
+    class is left out."""
+    return {
         (cls, spec.name): (spec.metadata["rule"], spec.metadata["each"])
         for cls in _CLASSES
         for spec in dataclasses.fields(cls)
         if not isinstance(spec.metadata["rule"], type)
     }
-    for name in ("absorption", "scattering"):
-        rules[ChannelParams, name] = (NON_NEGATIVE, False)
-    return rules
 
 
 def _rule(cls, name):
@@ -274,7 +251,7 @@ def test_every_config_field_has_a_rule(monkeypatch):
     for cls in _CLASSES:
         seen.clear()
         cls()
-        assert set(_keys_of(cls)) <= seen, (cls.__name__, set(_keys_of(cls)) - seen)
+        assert set(field_names(cls)) <= seen, (cls.__name__, set(field_names(cls)) - seen)
     # A field whose rule is a class takes only instances of it.
     for spec in dataclasses.fields(SimulationConfig):
         if isinstance(spec.metadata["rule"], type):
@@ -355,9 +332,7 @@ def test_no_float_limit_is_reached_at_the_corners_of_the_rules():
 # prefix such as `noise`: for a nested key), their type, their interval and
 # the reason for it.
 _README = Path(__file__).resolve().parents[1] / "README.md"
-_README_SECTIONS = {
-    None: SimulationConfig, "channel": ChannelParams, "noise": ReceiverNoise, "delay": DelayModel,
-}
+_README_SECTIONS = {None: SimulationConfig, **SECTIONS}
 _TYPES = {
     "float": (float, False),
     "two floats": (float, True),

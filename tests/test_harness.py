@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import aggregate_of, pid_alive
+from config_keys import NESTED, TOP_LEVEL
 from oracles import reference_campaign
 from uowsim import (
     ChannelParams,
@@ -19,7 +20,6 @@ from uowsim import (
     DelayModel,
     FailureReason,
     Protocol,
-    ReceiverNoise,
     SimulationConfig,
     WaterType,
     WeightMode,
@@ -123,8 +123,8 @@ def test_deployments_are_drawn_for_one_int_node_count(monkeypatch):
 def test_config_resolves_channel_from_water():
     config = config_from_dict({"water": "turbid"})
     assert config.channel.extinction == 2.19
-    explicit = config_from_dict({"water": "turbid", "channel": {"extinction": 0.5}})
-    assert explicit.channel.extinction == 0.5
+    with pytest.raises(ConfigError, match="water and channel.extinction"):
+        config_from_dict({"water": "turbid", "channel": {"extinction": 0.5}})
 
 
 def test_run_trial_is_deterministic():
@@ -586,8 +586,6 @@ def test_config_from_dict_roundtrip_and_errors():
     assert config.weight_mode is WeightMode.PAPER_SUM
     assert config.delay.packet_bits == 2048
     assert config.srp_fallback is True
-    components = config_from_dict({"channel": {"absorption": 0.2, "scattering": 0.2}})
-    assert components.channel.extinction == pytest.approx(0.4)
 
     with pytest.raises(ConfigError):
         config_from_dict({"node_cont": 40})
@@ -654,34 +652,20 @@ _JSON_VALUES = st.recursive(
 )
 
 
-def _keys_of(cls):
-    return [f.name for f in dataclasses.fields(cls)]
-
-
 def _fields_of(keys, values, max_size):
     """Mappings over some of the given keys."""
     return st.dictionaries(st.sampled_from(keys), values, max_size=max_size)
 
 
-# The channel section also takes the two components of the extinction,
-# which are not ChannelParams fields.
-_NESTED = {
-    "channel": _keys_of(ChannelParams) + ["absorption", "scattering"],
-    "noise": _keys_of(ReceiverNoise),
-    "delay": _keys_of(DelayModel),
-}
-# The document also takes ``water``, which resolves into ``channel`` and is
-# not a SimulationConfig field.
-_TOP_LEVEL = _keys_of(SimulationConfig) + ["water"]
 # A nested section often comes alone, so that its values get past the
 # top-level checks and reach its dataclass's own.
 _CONFIG_DOCUMENTS = st.one_of(
     *(
         st.fixed_dictionaries({name: _fields_of(keys, _JSON_VALUES, 4)})
-        for name, keys in _NESTED.items()
+        for name, keys in NESTED.items()
     ),
     _fields_of(
-        _TOP_LEVEL,
+        TOP_LEVEL + list(NESTED),
         _JSON_VALUES | st.lists(_JSON_NUMBERS, min_size=2, max_size=2),
         3,
     ),
