@@ -202,10 +202,10 @@ def _sweep(config, distances, waters, divergences_deg, with_ber: bool) -> SweepR
     return SweepRecordSet(columns, tuple(blocks))
 
 
-def _sweep_grid(args):
+def _sweep_grid(args, config):
     """A sweep's distances, waters and divergences from its flags, the
-    water names converted and every list checked.  Each divergence is
-    checked by `ChannelParams` when `_sweep` reaches its block."""
+    water names converted and every list checked; each block's divergence
+    is checked by building the `ChannelParams` that `_sweep` builds for it."""
     waters = [_member(WaterType, "--water", name) for name in args.waters]
     lists = (("--water", waters), ("--distances", args.distances), ("--divergences", args.divergences))
     for flag, values in lists:
@@ -214,6 +214,9 @@ def _sweep_grid(args):
     # The link model divides by d * d, which underflows to 0 below about 1e-162.
     if not all(0.0 < d < math.inf and d * d > 0.0 for d in args.distances):
         raise ConfigError("distances must be finite and > 0, with a square above 0")
+    for water in waters:
+        for div_deg in args.divergences:
+            _sweep_params(config.channel, water, div_deg)
     return args.distances, waters, args.divergences
 
 
@@ -437,7 +440,7 @@ def main(argv=None) -> int:
     try:
         config = _config(args)
         sweep = args.command in ("link-budget", "ber-sweep")
-        grid = _sweep_grid(args) if sweep else None
+        grid = _sweep_grid(args, config) if sweep else None
         # Made once every input is checked and before any work is done.
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -53,9 +53,7 @@ class TrialResult:
 def run_single(config: SimulationConfig, seed: int) -> TrialResult:
     """Deploy, price the links and route one trial (see `_route_trial`)."""
     positions = generate_deployment(config, seed)
-    (links,) = price_links(
-        positions, (len(positions),), config.max_range, config.channel, config.noise
-    )
+    links = price_links(positions, (len(positions),), config.max_range, config.channel, config.noise)
     return _route_trial(config, build_graph(positions, links), seed)
 
 
@@ -122,7 +120,8 @@ def _run_index_range(
     the relays, so a smaller count's relays are a prefix of a larger one's.
     All counts' links of a realization are priced in one call.  The
     largest count routes first and builds the realization's graph; every
-    other count routes a view of it.
+    other count, largest first, routes a view of the previous count's
+    graph, which is the view of the whole graph.
     """
     counts = config.node_counts
     largest = replace(config, node_count=max(counts))
@@ -130,11 +129,10 @@ def _run_index_range(
     order = sorted(range(len(counts)), key=counts.__getitem__, reverse=True)
     for index, seed in enumerate(seeds, first_index):
         positions = generate_deployment(largest, seed)
-        priced = price_links(positions, counts, config.max_range, config.channel, config.noise)
-        whole = None
+        links = price_links(positions, counts, config.max_range, config.channel, config.noise)
+        graph = None
         for c in order:
-            graph = build_graph(positions[: counts[c]], priced[c], whole)
-            whole = whole or graph
+            graph = build_graph(positions[: counts[c]], links, graph)
             records[c].extend(_route_trial(config, graph, seed, index).metrics)
     return records
 

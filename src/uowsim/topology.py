@@ -83,22 +83,22 @@ class NetworkGraph:
         self.ber = ber.tolist()
         self.weights = {}
 
-    def view(self, n: int, m: int) -> "NetworkGraph":
-        """The subgraph of nodes ``0..n-1``, whose edges must be edges ``0..m-1``.
+    def view(self, n: int) -> "NetworkGraph":
+        """The subgraph of nodes ``0..n-1``, sharing this graph's lists.
 
         The view shares every list and the ``weights`` memo with this
-        graph; its ``node_count`` and ``edge_count`` are ``n`` and
-        ``m``.  Since ``indices`` ascend within a row, a node's neighbors
-        below ``n`` are a prefix of its row, so the view's own ``stop`` is
-        one bisection per row.  Raises ValueError unless ``n`` names at most
-        every node and the first ``n`` rows hold ``2 * m`` such slots.
+        graph.  Since ``indices`` ascend within a row, a node's neighbors
+        below ``n`` are a prefix of its row, so the view's ``stop`` is one
+        bisection per full row and its ``edge_count`` half the slots those
+        rows keep; a view of a view is the view of the whole graph.  Raises
+        ValueError unless ``0 <= n <= node_count``.
         """
+        if not 0 <= n <= self.node_count:
+            raise ValueError(f"no view of {n} nodes in a graph of {self.node_count}")
         indices, indptr = self.indices, self.indptr
         stop = [bisect_left(indices, n, lo, hi) for lo, hi in zip(indptr, indptr[1 : n + 1])]
-        if not 0 <= n <= self.node_count or sum(stop) - sum(indptr[:n]) != 2 * m:
-            raise ValueError(f"no view of {n} nodes whose edges are the first {m}")
         view = copy.copy(self)
-        view.node_count, view.edge_count, view.stop = n, m, stop
+        view.node_count, view.stop, view.edge_count = n, stop, (sum(stop) - sum(indptr[:n])) // 2
         return view
 
     def check_nodes(self, *node_ids: int) -> None:
@@ -149,28 +149,29 @@ def price_links(
     max_range: float,
     params: channel.ChannelParams,
     noise: channel.ReceiverNoise,
-) -> list[tuple]:
-    """Each node count's in-range links, priced together in one channel call.
+) -> tuple:
+    """The in-range links of ``positions``, each count's priced in one channel call.
 
-    ``positions`` is the (n, 2) array of ``generate_deployment``; the graph
-    of count ``k`` spans ``positions[:k]``.  The in-range pairs (i, j),
-    i < j, of all positions are ordered by j and then by i, so count
-    ``k``'s links are the first of them, up to the first pair with
-    ``j >= k``: the links of ``positions[:k]`` priced alone.  Every count's
-    links go to ``channel.link_power_and_ber`` in one call; each count's
-    BERs must be the first of the largest count's, bit for bit
-    (AssertionError otherwise).  Returns one ``(us, vs, distance, ber)``
-    tuple per count, in ``node_counts`` order: slices of the largest
-    count's four arrays.  Pairs at exactly zero separation have no defined
-    received power; they get a perfect link (ber 0) at the stand-in
-    distance and a log entry for each count that holds them.
+    ``positions`` is the (n, 2) array of ``generate_deployment`` at the
+    largest of ``node_counts``, which must be ``n``; the graph of count
+    ``k`` spans ``positions[:k]``.  The in-range pairs (i, j), i < j, are
+    ordered by j and then by i, so count ``k``'s links are the first of
+    them, up to the first pair with ``j >= k``: the links of
+    ``positions[:k]`` priced alone.  Every count's links go to
+    ``channel.link_power_and_ber`` in one call; each count's BERs must be
+    the first of the largest count's, bit for bit (AssertionError
+    otherwise).  Returns the ``(us, vs, distance, ber)`` arrays of every
+    in-range pair: the links of the realization's graph.  Pairs at exactly
+    zero separation have no defined received power; they get a perfect link
+    (ber 0) at the stand-in distance and a log entry for each count that
+    holds them.
     """
     if max_range <= 0.0:
         raise ValueError(f"max_range must be > 0, got {max_range}")
     positions = np.asarray(positions, dtype=float)
     n = len(positions)
-    if not node_counts or not all(2 <= k <= n for k in node_counts):
-        raise ValueError(f"node counts {tuple(node_counts)} must lie in 2..{n}")
+    if not node_counts or min(node_counts) < 2 or max(node_counts) != n:
+        raise ValueError(f"node counts {tuple(node_counts)} must lie in 2..{n} and hold {n}")
     x, y = positions[:, 0], positions[:, 1]
     iu, ju = _pair_indices(n)
     dx = x[iu] - x[ju]
@@ -188,8 +189,6 @@ def price_links(
     starts = np.cumsum([0] + sizes).tolist()
     top = sizes.index(max(sizes))
     largest = bers[starts[top] : starts[top + 1]]
-    ber = np.where(degenerate[: len(largest)], 0.0, largest)
-    links = []
     for k, m, start in zip(node_counts, sizes, starts):
         if bers[start : start + m].tobytes() != largest[:m].tobytes():
             raise AssertionError(f"the BERs of {k} nodes are no prefix of the largest count's")
@@ -203,21 +202,19 @@ def price_links(
                 k,
                 DEGENERATE_DISTANCE,
             )
-        links.append((us[:m], vs[:m], effective[:m], ber[:m]))
-    return links
+    return us, vs, effective, np.where(degenerate, 0.0, largest)
 
 
-def build_graph(positions, links, whole: NetworkGraph | None = None) -> NetworkGraph:
-    """The graph over ``positions`` with one count's links of `price_links`.
+def build_graph(positions, links, larger: NetworkGraph | None = None) -> NetworkGraph:
+    """The graph over ``positions``, built from the links of `price_links`.
 
-    Given ``whole``, the graph of the same realization at a count of at
-    least ``len(positions)``, it returns ``whole.view`` of this count
-    instead of building one: `price_links` gives every count the first of
-    the largest count's links.
+    Given ``larger``, a graph (or view) of the same realization at a count
+    of at least ``len(positions)``, it returns ``larger.view`` of this count
+    instead, and ``links`` is not read.
     """
-    if whole is None:
+    if larger is None:
         return NetworkGraph(positions, *links)
-    return whole.view(len(positions), len(links[0]))
+    return larger.view(len(positions))
 
 
 def path_exists(graph: NetworkGraph, source: int, target: int) -> bool:

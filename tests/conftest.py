@@ -77,7 +77,7 @@ def make_graph(positions, edge_bers, edge_distances=None):
 def priced_graph(positions, max_range, params, noise):
     """The graph of a deployment at its own node count, priced and built as a trial does."""
     positions = np.asarray(positions, dtype=float)
-    (links,) = price_links(positions, (len(positions),), max_range, params, noise)
+    links = price_links(positions, (len(positions),), max_range, params, noise)
     return build_graph(positions, links)
 
 

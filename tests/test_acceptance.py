@@ -511,8 +511,9 @@ def _source_component_edges(n, us, vs):
 def rgg_samples():
     """Per config, per count: each realization's edge count, and for the
     dense config CRP's evaluations and the edge count of the source's
-    component.  Each realization is drawn at the largest count and priced
-    at every count, as the campaign does."""
+    component.  Each realization is drawn at the largest count, priced at
+    every count and routed largest count first on views, as the campaign
+    does."""
     samples = {}
     for name in ("stock", "dense"):
         config = _rgg_config(name)
@@ -522,12 +523,15 @@ def rgg_samples():
         component_edges = {n: [] for n in RGG_COUNTS}
         for r in range(RGG_REALIZATIONS):
             positions = generate_deployment(largest, derive_trial_seed(42, r))
-            priced = price_links(positions, RGG_COUNTS, config.max_range, config.channel, config.noise)
-            for n, links in zip(RGG_COUNTS, priced):
-                us, vs = links[0], links[1]
+            links = price_links(positions, RGG_COUNTS, config.max_range, config.channel, config.noise)
+            graph = None
+            for n in sorted(RGG_COUNTS, reverse=True):
+                # Count n's links are the first of the set, up to the first pair with j >= n.
+                us, vs = (ids[: np.searchsorted(links[1], n)] for ids in links[:2])
                 edges[n].append(len(us))
                 if name == "dense" and r < RGG_CRP_REALIZATIONS:
-                    graph = build_graph(positions[:n], links)
+                    graph = build_graph(positions[:n], links, graph)
+                    assert graph.edge_count == len(us)
                     evaluations[n].append(crp(graph, 0, 1).evaluations)
                     component_edges[n].append(_source_component_edges(n, us.tolist(), vs.tolist()))
         samples[name] = (config, edges, evaluations, component_edges)

@@ -1024,6 +1024,26 @@ def test_an_unwritable_out_exits_3_before_any_work(tmp_path, monkeypatch, capsys
         assert capsys.readouterr().err.startswith("output error: "), command
 
 
+def test_a_bad_divergence_exits_2_before_out_is_made_or_any_block_is_computed(
+    tmp_path, monkeypatch, capsys
+):
+    # Every block's divergence is checked with the other inputs: the valid
+    # 30 degree block is not computed, nor --out made, before the 1e-300
+    # degree block, whose cosine is 1, is refused.
+    import uowsim.cli as cli
+
+    def never(*args):
+        raise AssertionError("a block was computed before every divergence was checked")
+
+    monkeypatch.setattr(cli, "received_power_los", never)
+    for command in ("link-budget", "ber-sweep"):
+        out = tmp_path / command
+        assert main([command, "--divergences", "30,1e-300", "--out", str(out)]) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith("error: divergence 1e-300 degrees: ") and err.count("\n") == 1, err
+        assert not out.exists(), command
+
+
 def test_main_usage_error_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["route", "--realizations", "3"])  # one trial has no realizations

@@ -300,8 +300,9 @@ def test_campaign_records_follow_config_order_and_match_run_single(monkeypatch):
 def test_campaign_builds_one_graph_and_one_weight_list_per_realization(monkeypatch):
     # Each realization builds its largest count's graph; every other count
     # routes a view of it, and CRP's weights are computed once for it.  The
-    # traced harness.build_graph still runs once per trial and returns a
-    # graph of the trial's node and link counts.
+    # traced harness.build_graph still runs once per trial, is handed its
+    # realization's one link set and returns a graph of the trial's node
+    # count and of the links among its nodes.
     import uowsim.harness as harness
     import uowsim.routing as routing
     import uowsim.topology as topology
@@ -322,7 +323,7 @@ def test_campaign_builds_one_graph_and_one_weight_list_per_realization(monkeypat
 
     def building(positions, links, *rest):
         graph = build(positions, links, *rest)
-        calls.append((len(positions), graph.node_count, graph.edge_count, len(links[0])))
+        calls.append((len(positions), graph.node_count, graph.edge_count, links))
         return graph
 
     monkeypatch.setattr(topology.NetworkGraph, "__init__", constructing)
@@ -339,8 +340,9 @@ def test_campaign_builds_one_graph_and_one_weight_list_per_realization(monkeypat
     assert {m for m, _ in weight_lists} <= {graph.edge_count for graph in built}
     assert len(calls) == realizations * len(counts)
     assert sorted(n for n, *_ in calls) == sorted(counts * realizations)
-    for n, node_count, edge_count, links in calls:
-        assert (node_count, edge_count) == (n, links)
+    assert len({id(links) for *_, links in calls}) == realizations
+    for n, node_count, edge_count, (_, vs, _, _) in calls:
+        assert (node_count, edge_count) == (n, sum(v < n for v in vs.tolist()))
 
 
 def test_campaign_routes_the_largest_count_first(monkeypatch):

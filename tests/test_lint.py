@@ -1,7 +1,8 @@
-"""Two lint rules, read from the syntax trees alone: no unused import, and no
-top-level name in the package that nothing reads.
+"""Three lint rules, read from the syntax trees alone: no unused import, no
+top-level name in the package that nothing reads, and no parameter of a
+package function that its body does not read.
 
-A deletion that leaves an import or a helper behind fails here.  A name
+A deletion that leaves an import, a helper or an argument behind fails here.  A name
 counts as read when some module in ``src/`` loads it or an attribute of that
 name, when the package exports it (``uowsim._EXPORTS``), or when the
 benchmark's tracer rebinds it (``perfbench/tracing.py``'s ``WRAPS``).
@@ -93,3 +94,34 @@ def test_every_top_level_name_is_read_exported_or_traced():
     ]
     assert exported and traced
     assert not orphans, orphans
+
+
+def _parameters(args: ast.arguments):
+    for arg in (*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg):
+        if arg is not None:
+            yield arg.arg
+
+
+def _read_in_body(function) -> set[str]:
+    """The names a function's body reads; a zero-argument ``super()`` reads
+    the method's first parameter."""
+    body = ast.Module(body=function.body, type_ignores=[])
+    read = _names_read(body)
+    calls = (node for node in ast.walk(body) if isinstance(node, ast.Call))
+    if any(getattr(call.func, "id", None) == "super" and not call.args for call in calls):
+        read.update(arg.arg for arg in function.args.args[:1])
+    return read
+
+
+def test_every_parameter_is_read():
+    # A lambda's signature is fixed by its caller (a signal handler's frame,
+    # the walk's candidate filter), so only ``def``s are held to this.
+    unread = [
+        f"{path.relative_to(REPO)}:{node.lineno}: {node.name}({name})"
+        for path in _sources(SRC)
+        for node in ast.walk(_tree(path))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for name in _parameters(node.args)
+        if name not in _read_in_body(node)
+    ]
+    assert not unread, unread

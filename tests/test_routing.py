@@ -171,10 +171,11 @@ def test_every_protocol_routes_a_view_as_a_separate_build(water):
     counts = sorted(DEFAULT_NODE_SWEEP, reverse=True)
     for seed in (1, 7, 42):
         positions = generate_deployment(SimulationConfig(node_count=counts[0]), seed)
-        priced = price_links(positions, counts, 80.0, params, noise)
-        whole = build_graph(positions, priced[0])
-        for n, links in zip(counts, priced):
-            view = build_graph(positions[:n], links, whole)
+        links = price_links(positions, counts, 80.0, params, noise)
+        view = None
+        for n in counts:
+            # Largest first, each count a view of the previous one, as a campaign routes them.
+            view = build_graph(positions[:n], links, view)
             alone = priced_graph(positions[:n], 80.0, params, noise)
             for name, route in routers:
                 on_view, on_alone = route(view), route(alone)
@@ -182,7 +183,7 @@ def test_every_protocol_routes_a_view_as_a_separate_build(water):
                 assert on_view == on_alone, (seed, n, name)
                 if on_alone.success:
                     assert _bits(on_view.route.hop_bers) == _bits(on_alone.route.hop_bers)
-        assert set(whole.weights) == set(WeightMode)
+        assert set(view.weights) == set(WeightMode)
 
 
 def _bits(values):
@@ -230,10 +231,10 @@ def test_crp_matches_exhaustive_dijkstra_on_every_view(water):
     counts = sorted(DEFAULT_NODE_SWEEP, reverse=True)
     for seed in (1, 7, 42):
         positions = generate_deployment(SimulationConfig(node_count=counts[0]), seed)
-        priced = price_links(positions, counts, 80.0, params, noise)
-        whole = build_graph(positions, priced[0])
-        for n, links in zip(counts, priced):
-            view = build_graph(positions[:n], links, whole)
+        links = price_links(positions, counts, 80.0, params, noise)
+        view = None
+        for n in counts:
+            view = build_graph(positions[:n], links, view)
             for mode in WeightMode:
                 _assert_crp_is_exhaustive_dijkstra(view, 0, 1, mode)
 

@@ -1,18 +1,20 @@
+import json
 import logging
 import math
 import struct
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import reachability_closure
 from uowsim import (
-    ChannelParams,
     NetworkGraph,
-    ReceiverNoise,
     SimulationConfig,
     WaterType,
     build_graph,
+    config_from_dict,
     generate_deployment,
     link_power_and_ber,
     path_exists,
@@ -24,6 +26,7 @@ from uowsim import channel
 from uowsim.topology import DEGENERATE_DISTANCE, _pair_indices
 from conftest import edge_between, graph_edges, make_graph, priced_graph
 
+REPO = Path(__file__).resolve().parent.parent
 BER_CLEAR_50M = 0.49999618051689926
 
 
@@ -181,23 +184,37 @@ def test_smaller_deployments_are_prefixes_of_larger_ones():
             assert alone.tobytes() == full[:n].tobytes(), (seed, n)
 
 
-@pytest.mark.parametrize("water", [WaterType.CLEAR_OCEAN, WaterType.TURBID_HARBOR])
+def _regime(water):
+    """The stock config in ``water``, or ``configs/dense_clear.json``."""
+    if water == "dense":
+        return config_from_dict(json.loads((REPO / "configs" / "dense_clear.json").read_text()))
+    return config_from_dict({"water": water.value})
+
+
+@pytest.mark.parametrize("water", [WaterType.CLEAR_OCEAN, WaterType.TURBID_HARBOR, "dense"])
 def test_priced_counts_equal_separate_builds(water):
-    # Each count's graph, built alone from its links or as a view of the
-    # largest count's graph, holds the rows of a separately priced build.
-    params, noise = ChannelParams.for_water(water), ReceiverNoise()
-    for seed in (3, 42, 777):
-        positions = generate_deployment(SimulationConfig(node_count=100), seed)
-        priced = price_links(positions, UNSORTED_COUNTS, 80.0, params, noise)
-        assert len(priced) == len(UNSORTED_COUNTS)
-        whole = build_graph(positions, priced[UNSORTED_COUNTS.index(100)])
-        for n, links in zip(UNSORTED_COUNTS, priced):
-            alone = generate_deployment(SimulationConfig(node_count=n), seed)
-            reference = _reference_graph(alone, 80.0, params, noise)
-            _assert_same_rows(build_graph(positions[:n], links), reference)
-            _assert_same_rows(build_graph(positions[:n], links, whole), reference)
+    # Each count's graph, priced alone or a view of the previous count's
+    # graph (largest first, as a campaign routes them), holds the rows of a
+    # separately priced build.  A view counts its own edges: the links of the
+    # one set whose larger end is below its node count.
+    config = _regime(water)
+    priced = (config.max_range, config.channel, config.noise)
+    for seed in (1, 3, 7, 42, 777):
+        positions = generate_deployment(replace(config, node_count=100), seed)
+        links = price_links(positions, UNSORTED_COUNTS, *priced)
+        graph = None
+        for n in sorted(UNSORTED_COUNTS, reverse=True):
+            alone = generate_deployment(replace(config, node_count=n), seed)
+            reference = _reference_graph(alone, *priced)
+            graph = build_graph(positions[:n], links, graph)
+            _assert_same_rows(graph, reference)
+            _assert_same_rows(build_graph(alone, price_links(alone, (n,), *priced)), reference)
+            assert graph.edge_count == np.searchsorted(links[1], n), (seed, n)
     with pytest.raises(ValueError):
-        price_links(positions[:50], UNSORTED_COUNTS, 80.0, params, noise)
+        price_links(positions[:50], UNSORTED_COUNTS, *priced)
+    # The links returned are those of every position: the largest count is theirs.
+    with pytest.raises(ValueError):
+        price_links(positions, (60, 20), *priced)
 
 
 def test_coincident_pair_is_priced_for_every_count_that_holds_it(default_setup, caplog):
@@ -205,14 +222,16 @@ def test_coincident_pair_is_priced_for_every_count_that_holds_it(default_setup, 
     positions = generate_deployment(SimulationConfig(node_count=100), 5)
     positions[30] = positions[5]
     with caplog.at_level(logging.WARNING, logger="uowsim.topology"):
-        priced = price_links(positions, UNSORTED_COUNTS, 80.0, params, noise)
+        links = price_links(positions, UNSORTED_COUNTS, 80.0, params, noise)
     warned = [record.getMessage() for record in caplog.records]
     assert len(warned) == 2
     assert "among 60 nodes" in warned[0] and "among 100 nodes" in warned[1]
-    whole = build_graph(positions, priced[UNSORTED_COUNTS.index(100)])
-    for n, links in zip(UNSORTED_COUNTS, priced):
+    view = None
+    for n in sorted(UNSORTED_COUNTS, reverse=True):
         reference = _reference_graph(positions[:n], 80.0, params, noise)
-        for graph in (build_graph(positions[:n], links), build_graph(positions[:n], links, whole)):
+        view = build_graph(positions[:n], links, view)
+        alone = build_graph(positions[:n], price_links(positions[:n], (n,), 80.0, params, noise))
+        for graph in (alone, view):
             _assert_same_rows(graph, reference)
             e = edge_between(graph, 5, 30)
             if n > 30:
@@ -235,18 +254,37 @@ def test_pair_indices_keep_only_the_last_count(default_setup):
 def test_a_view_shares_the_whole_graph_and_ends_its_rows_early(default_setup):
     params, noise = default_setup
     positions = generate_deployment(SimulationConfig(node_count=100), 42)
-    small, large = price_links(positions, (40, 100), 80.0, params, noise)
-    whole = build_graph(positions, large)
+    links = price_links(positions, (40, 100), 80.0, params, noise)
+    whole = build_graph(positions, links)
     assert whole.stop == whole.indptr[1:]
-    view = build_graph(positions[:40], small, whole)
-    for name in ("positions", "indptr", "indices", "edge", "us", "vs", "distance", "ber", "weights"):
+    view = build_graph(positions[:40], links, whole)
+    shared = ("positions", "indptr", "indices", "edge", "us", "vs", "distance", "ber", "weights")
+    for name in shared:
         assert getattr(view, name) is getattr(whole, name), name
-    assert (view.node_count, view.edge_count) == (40, len(small[0]))
+    assert (view.node_count, view.edge_count) == (40, np.searchsorted(links[1], 40))
     assert len(view.stop) == 40 and view.stop != whole.stop[:40]
     assert all(v < 40 for u, v, _, _ in graph_edges(view))
     assert sum(1 for _ in graph_edges(view)) == view.edge_count
     with pytest.raises(ValueError):
         view.check_nodes(40)
+    # A view of a view bisects the shared full rows: it is the whole graph's view.
+    for n in (40, 25, 2, 0):
+        inner = view.view(n)
+        assert all(getattr(inner, name) is getattr(whole, name) for name in shared)
+        assert (inner.stop, inner.edge_count) == (whole.view(n).stop, whole.view(n).edge_count)
+        assert inner.edge_count == np.searchsorted(links[1], n)
+    for n in (-1, 41):
+        with pytest.raises(ValueError):
+            view.view(n)
+    with pytest.raises(ValueError):
+        whole.view(101)
+    # A view needs no edge order: the same links in any order give the same view.
+    order = np.random.default_rng(3).permutation(whole.edge_count)
+    shuffled = NetworkGraph(positions, *(array[order] for array in links))
+    for n in (100, 60, 40, 2):
+        on_shuffled, on_whole = shuffled.view(n), whole.view(n)
+        assert on_shuffled.edge_count == on_whole.edge_count
+        assert _rows(on_shuffled) == _rows(on_whole)
 
 
 def test_a_count_that_is_no_prefix_of_the_whole_graph_is_refused(default_setup, monkeypatch):
@@ -254,10 +292,7 @@ def test_a_count_that_is_no_prefix_of_the_whole_graph_is_refused(default_setup, 
     # nodes' first; BERs that are not the first of the 100 nodes' are refused.
     params, noise = default_setup
     positions = generate_deployment(SimulationConfig(node_count=100), 42)
-    small, large = price_links(positions, (60, 100), 80.0, params, noise)
-    whole = build_graph(positions, large)
-    m = len(small[0])
-    assert build_graph(positions[:60], small, whole).edge_count == m
+    m = int(np.searchsorted(price_links(positions, (60, 100), 80.0, params, noise)[1], 60))
     price = channel.link_power_and_ber
     for i in (0, m // 2, m - 1):
 
@@ -269,10 +304,6 @@ def test_a_count_that_is_no_prefix_of_the_whole_graph_is_refused(default_setup, 
         monkeypatch.setattr(channel, "link_power_and_ber", moved)
         with pytest.raises(AssertionError, match="60 nodes"):
             price_links(positions, (60, 100), 80.0, params, noise)
-    monkeypatch.undo()
-    # A prefix that stops one link short leaves a link among the 60 nodes out.
-    with pytest.raises(ValueError):
-        build_graph(positions[:60], tuple(a[: m - 1] for a in small), whole)
 
 
 def test_path_exists_basics():
